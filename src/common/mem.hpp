@@ -7,10 +7,12 @@
 
 namespace fairswap {
 
-/// Peak resident set size of this process so far, in bytes, via
-/// getrusage(RUSAGE_SELF). Monotone over the process lifetime (the kernel
-/// reports a high-water mark, not current usage). Returns 0 where the
-/// platform reports nothing useful.
+/// Peak resident set size of this process image so far, in bytes.
+/// Monotone over the process lifetime (a high-water mark, not current
+/// usage). Reads the kernel's VmHWM from /proc/self/status, which starts
+/// afresh at exec; getrusage's ru_maxrss, the fallback where /proc is
+/// absent, also carries the peak of whatever process exec'd this one.
+/// Returns 0 where the platform reports nothing useful.
 [[nodiscard]] std::uint64_t peak_rss_bytes();
 
 }  // namespace fairswap

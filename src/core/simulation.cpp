@@ -114,7 +114,7 @@ void Simulation::reset(Rng rng) {
     store = storage::ChunkStore(config_.cache_capacity);
   }
   refuse_service_.clear();
-  stream_ = StreamAggregates{};
+  stream_ = StreamAggregates();
   telem_.clear();
   arrival_tick_ = 0.0;
   if (flow_sim_) flow_sim_->reset();

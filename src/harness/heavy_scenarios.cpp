@@ -5,7 +5,8 @@
 // scenario is its own acceptance harness: it checks the sketch against an
 // exact sort oracle on a subsample, replays shard 0 through
 // Simulation::reset for bit-identity, re-merges the shards in reverse
-// order to witness merge-order invariance, and (optionally) gates peak
+// order to witness merge-order invariance, checks that a configured
+// flash-crowd window opened in every shard, and (optionally) gates peak
 // RSS — the CI smoke runs it with max_rss_mb= set.
 #include <algorithm>
 #include <cinttypes>
@@ -48,6 +49,10 @@ struct ShardResult {
   /// (shard 0 only; 0 elsewhere).
   std::uint64_t replay_fingerprint{0};
   bool replayed{false};
+  /// Requests the shard's demand engine generated (its last request
+  /// index + 1); the flash-crowd window opened iff this passed
+  /// burst_start.
+  std::uint64_t requests_generated{0};
 };
 
 /// Runs one shard to its chunk-request quota. The quota is a lower bound
@@ -63,6 +68,7 @@ ShardResult run_shard(const overlay::Topology& topo,
   r.stream = sim.stream();
   r.totals = sim.totals();
   r.counters = sim.telem();
+  r.requests_generated = sim.demand().requests_generated();
   if (replay_check) {
     sim.reset(rng);
     while (sim.totals().chunk_requests < quota) sim.step();
@@ -116,8 +122,11 @@ int scenario_heavy_traffic(ScenarioContext& ctx) {
   cfg.label = "heavy_traffic";
   cfg.sim.demand.kind = workload::DemandConfig::Kind::kZipf;
   cfg.sim.demand.zipf_s = 0.9;
-  cfg.sim.demand.burst_start = 1'000;
-  cfg.sim.demand.burst_files = 5'000;
+  // The flash crowd opens early enough that every shard reaches it: at
+  // the default 1M requests x 8 shards a shard applies ~230 files, and
+  // even the 50k x 4 CI smoke applies ~20.
+  cfg.sim.demand.burst_start = 10;
+  cfg.sim.demand.burst_files = 100;
   cfg.sim.demand.burst_share = 0.5;
   cfg.sim.workload.upload_share = 0.1;
   cfg.sim.stream_metrics = true;
@@ -234,6 +243,15 @@ int scenario_heavy_traffic(ScenarioContext& ctx) {
       results[0].replay_fingerprint == results[0].stream.hops.fingerprint();
   const bool conserved =
       delivered + refused + failed + truncated == chunk_requests;
+  // A configured flash crowd that some shard never reached would silently
+  // thin the run's demand; judged from request indices, so builds without
+  // telemetry counters check it too.
+  const bool burst_configured = cfg.sim.demand.burst_files > 0;
+  std::uint64_t burst_opened = 0;
+  for (const ShardResult& r : results) {
+    if (r.requests_generated > cfg.sim.demand.burst_start) ++burst_opened;
+  }
+  const bool burst_ok = !burst_configured || burst_opened == shards;
   const std::uint64_t peak_rss = peak_rss_bytes();
   const double peak_rss_mb =
       static_cast<double>(peak_rss) / (1024.0 * 1024.0);
@@ -255,6 +273,11 @@ int scenario_heavy_traffic(ScenarioContext& ctx) {
   table.add_row({"reset replay identical", replay_identical ? "yes" : "NO"});
   table.add_row({"merge order invariant", merge_invariant ? "yes" : "NO"});
   table.add_row({"request conservation", conserved ? "yes" : "NO"});
+  if (burst_configured) {
+    table.add_row({"flash crowd opened (shards)",
+                   std::to_string(burst_opened) + "/" +
+                       std::to_string(shards) + (burst_ok ? "" : " NO")});
+  }
   if (max_rss_mb > 0) {
     table.add_row({"RSS gate (<= " + std::to_string(max_rss_mb) + " MB)",
                    rss_ok ? "yes" : "NO"});
@@ -309,6 +332,7 @@ int scenario_heavy_traffic(ScenarioContext& ctx) {
     json.field("replay_identical", replay_identical);
     json.field("merge_order_invariant", merge_invariant);
     json.field("request_conservation", conserved);
+    json.field("burst_opened_shards", burst_opened);
     json.field("peak_rss_mb", peak_rss_mb);
     json.field("max_rss_mb", max_rss_mb);
     json.field("rss_within_gate", rss_ok);
@@ -326,6 +350,16 @@ int scenario_heavy_traffic(ScenarioContext& ctx) {
   if (!oracle_ok || !replay_identical || !merge_invariant || !conserved) {
     print(ctx.os(), "ERROR: streaming-aggregation invariant violated (see "
                     "table above)\n");
+    return 1;
+  }
+  if (!burst_ok) {
+    print(ctx.os(),
+          "ERROR: the flash-crowd window [%" PRIu64 ", %" PRIu64
+          ") never opened in %" PRIu64 " of %" PRIu64
+          " shards — raise requests= or lower burst_start=\n",
+          cfg.sim.demand.burst_start,
+          cfg.sim.demand.burst_start + cfg.sim.demand.burst_files,
+          shards - burst_opened, shards);
     return 1;
   }
   if (!rss_ok) {

@@ -7,16 +7,28 @@
 // the max-min fair rate vector by progressive filling (water-filling):
 // every unfrozen flow's rate rises uniformly until some link saturates or
 // some flow hits its own rate cap; flows bottlenecked there freeze at the
-// current water level and the rest keep rising. The implementation is
-// careful to be *insertion-order invariant at full floating-point
-// precision*: all per-link arithmetic runs over aggregate loads (integer
-// flow counts), links are visited in sorted id order, and bottlenecks are
-// detected by exact identity with the computed water-level increment
-// rather than epsilon comparisons — two networks holding the same flow
-// set allocate bit-identical rates regardless of the order the flows were
-// added (tests/net/flow_allocator_test.cpp).
+// current water level and the rest keep rising.
+//
+// Every allocate() solves exactly, from the current flow set. What makes
+// it cheap is the state kept between calls: add_flow/remove_flow maintain
+// per-link active-flow counts and a live-link bitmap, so a call lays out
+// the link->flow incidence as one CSR array straight from those counts,
+// with no gather and no sort. Each round then freezes only the flows on
+// the links it just saturated (plus capped flows), and a link whose load
+// reaches zero drops out of the live list. The implementation is careful
+// to be *insertion-order invariant at full floating-point precision*: all
+// per-link arithmetic runs over aggregate loads (integer flow counts),
+// links are visited in ascending id order, and bottlenecks are detected
+// by exact identity with the computed water-level increment rather than
+// epsilon comparisons — two networks holding the same flow set allocate
+// bit-identical rates regardless of the order the flows were added. A
+// rescan-everything progressive-filling allocator is kept as the test
+// oracle (tests/net/reference_allocator.hpp): flow_allocator_test.cpp
+// drives both through random churn and demands identical rates and
+// saturation flags.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -59,6 +71,70 @@ struct FlowConfig {
   friend bool operator==(const FlowConfig&, const FlowConfig&) = default;
 };
 
+/// A set of dense slot indices as a bitmap: O(1) insert and erase,
+/// iterated in ascending order.
+class SlotSet {
+ public:
+  class Iterator {
+   public:
+    Iterator(const std::uint64_t* words, std::size_t word, std::size_t end)
+        : words_(words), word_(word), end_(end) {
+      if (word_ < end_) bits_ = words_[word_];
+      skip_empty();
+    }
+    std::uint32_t operator*() const {
+      return static_cast<std::uint32_t>(word_ * 64 + std::countr_zero(bits_));
+    }
+    Iterator& operator++() {
+      bits_ &= bits_ - 1;
+      skip_empty();
+      return *this;
+    }
+    bool operator==(const Iterator& o) const {
+      return word_ == o.word_ && bits_ == o.bits_;
+    }
+
+   private:
+    void skip_empty() {
+      while (bits_ == 0 && ++word_ < end_) bits_ = words_[word_];
+      if (bits_ == 0) word_ = end_;
+    }
+    const std::uint64_t* words_;
+    std::size_t word_;
+    std::size_t end_;
+    std::uint64_t bits_{0};
+  };
+
+  void insert(std::uint32_t slot) {
+    if (slot / 64 >= words_.size()) words_.resize(slot / 64 + 1, 0);
+    words_[slot / 64] |= bit(slot);
+    ++size_;
+  }
+  void erase(std::uint32_t slot) {
+    words_[slot / 64] &= ~bit(slot);
+    --size_;
+  }
+  void clear() {
+    words_.clear();
+    size_ = 0;
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] Iterator begin() const {
+    return {words_.data(), 0, words_.size()};
+  }
+  [[nodiscard]] Iterator end() const {
+    return {words_.data(), words_.size(), words_.size()};
+  }
+
+ private:
+  static std::uint64_t bit(std::uint32_t slot) {
+    return std::uint64_t{1} << (slot % 64);
+  }
+  std::vector<std::uint64_t> words_;
+  std::size_t size_{0};
+};
+
 /// Capacity links + active flows + the max-min fair allocator.
 class FairShareNetwork {
  public:
@@ -91,9 +167,9 @@ class FairShareNetwork {
   [[nodiscard]] const std::vector<LinkId>& flow_links(FlowId flow) const {
     return flows_[flow].links;
   }
-  /// Active flow slots in ascending order — the canonical iteration order
-  /// everything deterministic hangs off.
-  [[nodiscard]] const std::vector<FlowId>& active_flows() const noexcept {
+  /// Active flow slots, iterated in ascending order — the canonical
+  /// iteration order everything deterministic hangs off.
+  [[nodiscard]] const SlotSet& active_flows() const noexcept {
     return active_;
   }
 
@@ -104,8 +180,8 @@ class FairShareNetwork {
     return capacity_[link];
   }
   /// True if `link` was a binding bottleneck in the last allocate(). The
-  /// epoch stamp guards against stale state: a link whose flows have all
-  /// since been removed is not saturated, it is idle.
+  /// epoch stamp guards against stale state: a link whose flows had all
+  /// been removed before that call is not saturated, it is idle.
   [[nodiscard]] bool link_saturated(LinkId link) const {
     return stamp_[link] == epoch_ && saturated_[link] != 0;
   }
@@ -123,20 +199,40 @@ class FairShareNetwork {
     bool active{false};
   };
 
+  /// Settles `flow` at `rate` and takes it off its links' loads.
+  void freeze(FlowId flow, double rate);
+
   std::vector<double> capacity_;
   std::vector<Flow> flows_;
   std::vector<FlowId> free_slots_;
-  std::vector<FlowId> active_;  ///< sorted ascending
-
-  // allocate() scratch, sized to link_count and reused across calls; only
-  // links crossed by active flows are touched (epoch-stamped).
-  std::vector<double> residual_;
-  std::vector<std::uint32_t> load_;
+  SlotSet active_;
+  /// Per link: active flows crossing it. live_links_ holds exactly the
+  /// links where this is nonzero.
+  std::vector<std::uint32_t> crossing_;
+  SlotSet live_links_;
+  /// Per link: when stamp_ == epoch_, the link was live in the last
+  /// allocate(), saturated_ is its verdict there and dense_ its position.
   std::vector<std::uint32_t> stamp_;
   std::vector<std::uint8_t> saturated_;
   std::vector<std::uint8_t> ever_saturated_;
-  std::vector<LinkId> touched_;
-  std::vector<std::uint8_t> frozen_;  ///< parallel to active_
+  std::vector<std::uint32_t> dense_;
+
+  // allocate() scratch, reused across calls. Working state is indexed by
+  // dense position i, the rank of link_[i] among the live links, so the
+  // rounds scan small contiguous arrays.
+  std::vector<LinkId> link_;
+  std::vector<double> residual_;
+  std::vector<std::uint32_t> load_;     ///< unfrozen flows crossing
+  /// CSR link -> flows: position i owns incidence_[csr_end_[i-1],
+  /// csr_end_[i]), flows in ascending slot order.
+  std::vector<std::uint32_t> csr_end_;
+  std::vector<FlowId> incidence_;
+  std::vector<std::uint32_t> loaded_;   ///< positions with load > 0
+  std::vector<double> share_;           ///< parallel to loaded_
+  std::vector<std::uint32_t> just_saturated_;
+  std::vector<FlowId> capped_;          ///< unfrozen flows with a cap
+  std::vector<std::uint8_t> frozen_;    ///< per flow slot
+  std::size_t unfrozen_{0};
   std::uint32_t epoch_{0};
   std::size_t ever_saturated_count_{0};
 };

@@ -73,18 +73,15 @@ void FlowSimulator::start_chunk(const overlay::Route& route, bool is_upload) {
   Meta& m = meta_[flow];
   m.remaining = 1.0;
   m.rate = -1.0;  // forces the next reallocation to schedule it
-  m.start = queue_.now();
+  m.start = events_.now();
   m.uid = next_uid_++;
   m.sched = 0;
   ++started_;
   dirty_ = true;
 
   if (config_.timeout > 0) {
-    const std::uint64_t uid = m.uid;
-    queue_.schedule_at(m.start + config_.timeout,
-                       [this, flow, uid](engine::SimTime now) {
-                         on_timeout_event(flow, uid, now);
-                       });
+    events_.push(m.start + config_.timeout,
+                 FlowEvent{flow, m.uid, /*sched=*/0});
   }
 }
 
@@ -104,13 +101,8 @@ void FlowSimulator::schedule_completion(FlowId flow) {
   if (rate <= 0.0) return;  // starved; only a timeout can end it
   const double ticks = std::ceil(meta_[flow].remaining / rate);
   if (!(ticks < 1e18)) return;  // effectively starved
-  const engine::SimTime when =
-      queue_.now() + static_cast<engine::SimTime>(ticks);
-  const std::uint64_t uid = meta_[flow].uid;
-  const std::uint64_t sched = meta_[flow].sched;
-  queue_.schedule_at(when, [this, flow, uid, sched](engine::SimTime now) {
-    on_completion_event(flow, uid, sched, now);
-  });
+  events_.push(events_.now() + static_cast<engine::SimTime>(ticks),
+               FlowEvent{flow, meta_[flow].uid, meta_[flow].sched});
 }
 
 void FlowSimulator::reallocate_and_reschedule() {
@@ -150,17 +142,27 @@ void FlowSimulator::finish_flow(FlowId flow, bool completed) {
   net_.remove_flow(flow);
 }
 
-void FlowSimulator::on_completion_event(FlowId flow, std::uint64_t uid,
-                                        std::uint64_t sched,
-                                        engine::SimTime now) {
-  if (counters_ != nullptr) {
-    counters_->bump(telemetry::Counter::kFlowEventsPopped);
+void FlowSimulator::run_events(engine::SimTime until) {
+  FlowEvent ev;
+  while (events_.pop_due(until, ev)) {
+    if (counters_ != nullptr) {
+      counters_->bump(telemetry::Counter::kFlowEventsPopped);
+    }
+    if (ev.sched == 0) {
+      on_timeout_event(ev);
+    } else {
+      on_completion_event(ev);
+    }
   }
-  if (!net_.is_active(flow) || meta_[flow].uid != uid ||
-      meta_[flow].sched != sched) {
+}
+
+void FlowSimulator::on_completion_event(const FlowEvent& ev) {
+  const FlowId flow = ev.flow;
+  if (!net_.is_active(flow) || meta_[flow].uid != ev.uid ||
+      meta_[flow].sched != ev.sched) {
     return;  // the flow was rescheduled or already ended
   }
-  progress_to(now);
+  progress_to(events_.now());
   // Sweep every flow that is done at this instant, in slot order: their
   // own events (same tick, later seq) become stale removals otherwise.
   finished_buf_.clear();
@@ -178,13 +180,10 @@ void FlowSimulator::on_completion_event(FlowId flow, std::uint64_t uid,
   }
 }
 
-void FlowSimulator::on_timeout_event(FlowId flow, std::uint64_t uid,
-                                     engine::SimTime now) {
-  if (counters_ != nullptr) {
-    counters_->bump(telemetry::Counter::kFlowEventsPopped);
-  }
-  if (!net_.is_active(flow) || meta_[flow].uid != uid) return;
-  progress_to(now);
+void FlowSimulator::on_timeout_event(const FlowEvent& ev) {
+  const FlowId flow = ev.flow;
+  if (!net_.is_active(flow) || meta_[flow].uid != ev.uid) return;
+  progress_to(events_.now());
   finish_flow(flow, /*completed=*/meta_[flow].remaining <= kDoneEps);
   reallocate_and_reschedule();
 }
@@ -192,28 +191,29 @@ void FlowSimulator::on_timeout_event(FlowId flow, std::uint64_t uid,
 void FlowSimulator::commit() {
   if (!dirty_) return;
   dirty_ = false;
-  progress_to(queue_.now());
+  progress_to(events_.now());
   reallocate_and_reschedule();
 }
 
 void FlowSimulator::advance_to(engine::SimTime t) {
   commit();
-  queue_.run_until(t);
+  run_events(t);
+  events_.advance_to(t);
 }
 
 void FlowSimulator::drain() {
   commit();
-  queue_.run_all();
+  run_events(engine::kForever);
   // Starved flows (a zero-capacity link and no timeout) have no pending
   // events; abandon them instead of looping forever.
   while (!net_.active_flows().empty()) {
-    progress_to(queue_.now());
-    finish_flow(net_.active_flows().front(), /*completed=*/false);
+    progress_to(events_.now());
+    finish_flow(*net_.active_flows().begin(), /*completed=*/false);
   }
 }
 
 void FlowSimulator::reset() {
-  queue_ = engine::EventQueue{};
+  events_ = engine::EventHeap<FlowEvent>{};
   net_.clear_flows();
   meta_.clear();
   link_volume_.assign(net_.link_count(), 0.0);

@@ -5,18 +5,25 @@
 // plus, per hop, the data-direction sender's uplink and the receiver's
 // downlink. Rates come from FairShareNetwork's max-min fair allocator and
 // are recomputed at arrivals, completions and timeouts; in between, every
-// flow progresses linearly, so completions are scheduled as EventQueue
-// events at their exact (tick-rounded) finish time. After a reallocation
-// only flows whose rate actually changed are rescheduled — unchanged
-// flows keep their pending event (the replicant-opera UpdateLinkDemand
-// idiom); stale events are recognized by generation counters and ignored.
+// flow progresses linearly, so completions are scheduled as events at
+// their exact (tick-rounded) finish time. After a reallocation only flows
+// whose rate actually changed are rescheduled — unchanged flows keep
+// their pending event (the replicant-opera UpdateLinkDemand idiom); stale
+// events are recognized by generation counters and ignored.
+//
+// Events are plain {flow, uid, sched} records on an engine::EventHeap —
+// the same (when, seq) ordering rule EventQueue runs on, without a
+// per-event callback allocation. Most of them are stale by the time they
+// pop, so a pop costs a heap step and two integer compares. The active
+// flows live in the network's slot bitmap, so starts and ends are O(1)
+// and every sweep still visits flows in ascending slot order.
 //
 // The layer is purely temporal: Simulation's routing, counters and SWAP
 // ledger are already final when a flow starts, so counter-based and
 // flow-level runs agree bit-for-bit on everything except the new FCT /
 // utilization outputs (tests/net/flow_equivalence_test.cpp).
 //
-// Concurrency boundary: like its EventQueue, a FlowSimulator is
+// Concurrency boundary: like engine::EventQueue, a FlowSimulator is
 // thread-compatible and single-owner — one per Simulation, one Simulation
 // per TaskPool task. Nothing here is locked, and the `shared-capture`
 // lint rule plus the TSan CI job keep it that way (see
@@ -95,7 +102,7 @@ class FlowSimulator {
   }
 
   [[nodiscard]] FlowReport report() const;
-  [[nodiscard]] engine::SimTime now() const noexcept { return queue_.now(); }
+  [[nodiscard]] engine::SimTime now() const noexcept { return events_.now(); }
   [[nodiscard]] std::size_t active_flows() const noexcept {
     return net_.active_flows().size();
   }
@@ -125,13 +132,22 @@ class FlowSimulator {
     std::uint64_t sched{0};      ///< bumps on reschedule; stales completions
   };
 
+  /// A pending completion or timeout. Completion events carry the
+  /// flow's sched generation (>= 1); sched == 0 marks a timeout.
+  struct FlowEvent {
+    FlowId flow{0};
+    std::uint64_t uid{0};
+    std::uint64_t sched{0};
+  };
+
   void progress_to(engine::SimTime t);
+  /// Dispatches every event due at or before `until`.
+  void run_events(engine::SimTime until);
   void reallocate_and_reschedule();
   void schedule_completion(FlowId flow);
   void finish_flow(FlowId flow, bool completed);
-  void on_completion_event(FlowId flow, std::uint64_t uid, std::uint64_t sched,
-                           engine::SimTime now);
-  void on_timeout_event(FlowId flow, std::uint64_t uid, engine::SimTime now);
+  void on_completion_event(const FlowEvent& ev);
+  void on_timeout_event(const FlowEvent& ev);
   [[nodiscard]] overlay::EdgeId resolve_edge(overlay::NodeIndex from,
                                              overlay::NodeIndex to) const;
 
@@ -139,7 +155,7 @@ class FlowSimulator {
   FlowConfig config_;
   std::size_t node_count_;
   FairShareNetwork net_;
-  engine::EventQueue queue_;
+  engine::EventHeap<FlowEvent> events_;
   std::vector<Meta> meta_;
   std::vector<double> link_volume_;  ///< chunks delivered over each link
   std::vector<engine::SimTime> fct_;

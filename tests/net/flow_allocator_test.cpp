@@ -1,19 +1,25 @@
-// Property/fuzz suite for the max-min fair allocator (ISSUE 6): over
-// random link graphs and flow sets, (a) no link exceeds its capacity,
-// (b) every flow is bottlenecked at a saturated link or its own cap,
-// (c) the allocation is invariant to flow insertion order at full
-// floating-point precision, (d) rates conserve per link — sum <= capacity
-// with equality on saturated links.
+// Property/fuzz suite for the max-min fair allocator: over random link
+// graphs and flow sets, (a) no link exceeds its capacity, (b) every flow
+// is bottlenecked at a saturated link or its own cap, (c) the allocation
+// is invariant to flow insertion order at full floating-point precision,
+// (d) rates conserve per link — sum <= capacity with equality on
+// saturated links, and (e) under random add/remove/clear churn the
+// allocator matches the rescan-everything reference allocator
+// (reference_allocator.hpp) bit for bit after every allocate().
 #include "net/flow.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "reference_allocator.hpp"
 
 namespace fairswap::net {
 namespace {
@@ -95,6 +101,17 @@ TEST(FairShareNetwork, FlowWithoutLinksOrCapIsRejected) {
   EXPECT_DOUBLE_EQ(net.rate(f), 1.25);
 }
 
+TEST(FairShareNetwork, UnknownLinkIsRejectedWithoutSideEffects) {
+  FairShareNetwork net;
+  const LinkId l = net.add_link(1.0);
+  EXPECT_THROW(net.add_flow(std::vector<LinkId>{l, 7}), std::out_of_range);
+  EXPECT_TRUE(net.active_flows().empty());
+  const FlowId f = net.add_flow(std::vector<LinkId>{l});
+  EXPECT_EQ(f, 0u);  // the rejected flow took no slot
+  net.allocate();
+  EXPECT_DOUBLE_EQ(net.rate(f), 1.0);  // and left no load on the link
+}
+
 TEST(FairShareNetwork, ZeroCapacityLinkStarvesItsFlows) {
   FairShareNetwork net;
   const LinkId dead = net.add_link(0.0);
@@ -104,6 +121,29 @@ TEST(FairShareNetwork, ZeroCapacityLinkStarvesItsFlows) {
   net.allocate();
   EXPECT_DOUBLE_EQ(net.rate(starved), 0.0);
   EXPECT_DOUBLE_EQ(net.rate(fine), 1.0);
+}
+
+TEST(FairShareNetwork, CapReachedInASaturatingRoundSettlesAtTheCap) {
+  // Round 1 stops at the 0.15 cap. In round 2 link b's share
+  // (0.9 - 2 * 0.15) / 2 ties the 0.45 cap's distance 0.45 - 0.15, both
+  // rounding to 0.30000000000000004, so the level ends at
+  // 0.45000000000000007: the uncapped flow on b takes the level, the
+  // capped one must take its cap exactly.
+  FairShareNetwork net;
+  const LinkId a = net.add_link(0.7);
+  const LinkId b = net.add_link(0.9);
+  const LinkId c = net.add_link(0.3);
+  const LinkId d = net.add_link(1.3);
+  net.add_flow(std::vector<LinkId>{a});
+  net.add_flow(std::vector<LinkId>{d}, /*rate_cap=*/0.7);
+  const FlowId uncapped = net.add_flow(std::vector<LinkId>{b});
+  net.add_flow(std::vector<LinkId>{a, c}, /*rate_cap=*/0.15);
+  const FlowId capped = net.add_flow(std::vector<LinkId>{b}, /*rate_cap=*/0.45);
+  net.allocate();
+  EXPECT_TRUE(net.link_saturated(b));
+  EXPECT_EQ(net.rate(uncapped), 0.15 + (0.45 - 0.15));
+  EXPECT_NE(net.rate(uncapped), 0.45);
+  EXPECT_EQ(net.rate(capped), 0.45);
 }
 
 // --- property / fuzz ----------------------------------------------------
@@ -270,6 +310,110 @@ TEST(FairShareNetworkProperty, ReallocationAfterRemovalsKeepsInvariants) {
         EXPECT_NEAR(used[l], c.capacities[l], kTol) << "iter " << iter;
       }
     }
+  }
+}
+
+// --- churn oracle ----------------------------------------------------------
+
+/// Asserts `net` and the reference hold the same flows at bit-identical
+/// rates with the same saturation state.
+void expect_same_allocation(const FairShareNetwork& net,
+                            const ReferenceFairShareNetwork& ref,
+                            const std::string& where) {
+  ASSERT_EQ(net.active_flows().size(), ref.active_flows().size()) << where;
+  std::size_t i = 0;
+  for (const FlowId f : net.active_flows()) {
+    ASSERT_EQ(f, ref.active_flows()[i++]) << where;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(net.rate(f)),
+              std::bit_cast<std::uint64_t>(ref.rate(f)))
+        << where << ": flow " << f << " rate " << net.rate(f)
+        << " vs reference " << ref.rate(f);
+  }
+  for (LinkId l = 0; l < net.link_count(); ++l) {
+    EXPECT_EQ(net.link_saturated(l), ref.link_saturated(l))
+        << where << ": link " << l;
+  }
+  EXPECT_EQ(net.ever_saturated_count(), ref.ever_saturated_count()) << where;
+}
+
+/// Drives both allocators through one random churn sequence: adds (with
+/// duplicate links, caps and link-less capped flows), removals that free
+/// slots for reuse, occasional clear_flows, and allocate() checks.
+void run_churn(Rng& rng, std::size_t max_links, std::size_t ops,
+               const std::string& label) {
+  FairShareNetwork net;
+  ReferenceFairShareNetwork ref;
+  const std::size_t links = 1 + rng.next_below(max_links);
+  // Capacities and caps share a small alphabet of decimal fractions that
+  // do not round-trip in binary. Exact ties between link shares and cap
+  // distances become common (several bottlenecks per round), and the water
+  // level picks up rounding, so a cap reached in a saturating round can
+  // differ from the level.
+  constexpr double kAlphabet[] = {0.05, 0.1, 0.15, 0.3, 0.45, 0.7, 0.9, 1.3};
+  const auto from_alphabet = [&] {
+    return kAlphabet[rng.next_below(std::size(kAlphabet))];
+  };
+  for (std::size_t l = 0; l < links; ++l) {
+    const std::uint64_t pick = rng.next_below(8);
+    const double cap = pick == 0   ? 0.0
+                       : pick < 6 ? from_alphabet()
+                                  : 0.01 + rng.uniform01() * 5.0;
+    ASSERT_EQ(net.add_link(cap), ref.add_link(cap));
+  }
+  std::vector<FlowId> live;
+  std::vector<LinkId> crossed;
+  for (std::size_t op = 0; op < ops; ++op) {
+    const std::string where = label + " op " + std::to_string(op);
+    const std::uint64_t kind = rng.next_below(100);
+    if (kind < 55) {
+      crossed.clear();
+      const std::size_t count = rng.next_below(7);  // 0..6, repeats allowed
+      for (std::size_t i = 0; i < count; ++i) {
+        crossed.push_back(static_cast<LinkId>(rng.next_below(links)));
+      }
+      const std::uint64_t pick = rng.next_below(8);
+      const double cap = pick < 3 || crossed.empty() ? from_alphabet()
+                         : pick < 4 ? 0.05 + rng.uniform01() * 3.0
+                                    : FairShareNetwork::kUncapped;
+      const FlowId id = net.add_flow(crossed, cap);
+      ASSERT_EQ(id, ref.add_flow(crossed, cap)) << where;
+      live.push_back(id);
+    } else if (kind < 80) {
+      if (live.empty()) continue;
+      const std::size_t pick = rng.next_below(live.size());
+      net.remove_flow(live[pick]);
+      ref.remove_flow(live[pick]);
+      live[pick] = live.back();
+      live.pop_back();
+    } else if (kind < 99) {
+      net.allocate();
+      ref.allocate();
+      expect_same_allocation(net, ref, where);
+    } else {
+      net.clear_flows();
+      ref.clear_flows();
+      live.clear();
+      expect_same_allocation(net, ref, where + " (cleared)");
+    }
+  }
+  net.allocate();
+  ref.allocate();
+  expect_same_allocation(net, ref, label + " final");
+}
+
+TEST(FairShareNetworkOracle, ChurnMatchesReferenceBitForBit) {
+  Rng rng(0x0AC1Eu);
+  for (int iter = 0; iter < 150; ++iter) {
+    run_churn(rng, /*max_links=*/24, /*ops=*/300,
+              "small iter " + std::to_string(iter));
+    if (HasFatalFailure()) return;
+  }
+  // Flow-simulator scale: hundreds of links, thousands of flows alive at
+  // once, many saturation rounds per allocate().
+  for (int iter = 0; iter < 3; ++iter) {
+    run_churn(rng, /*max_links=*/600, /*ops=*/6000,
+              "large iter " + std::to_string(iter));
+    if (HasFatalFailure()) return;
   }
 }
 

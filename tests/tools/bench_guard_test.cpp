@@ -29,8 +29,9 @@ TEST(BenchGuard, BaselineAgainstItselfIsClean) {
   const GuardResult r = compare(base, base, Options{});
   EXPECT_TRUE(r.error.empty()) << r.error;
   EXPECT_TRUE(r.drifts.empty());
-  // 2 routing k-points x 3 metrics + 2 ledger k-points x 2 metrics.
-  EXPECT_EQ(r.compared, 10u);
+  // 2 routing k-points x 3 metrics + 2 ledger k-points x 2 metrics + 2
+  // flow k-points x 1 metric.
+  EXPECT_EQ(r.compared, 12u);
 }
 
 TEST(BenchGuard, InjectedRegressionFiresOnExactlyTheSlowedMetrics) {
@@ -38,25 +39,31 @@ TEST(BenchGuard, InjectedRegressionFiresOnExactlyTheSlowedMetrics) {
       compare(fixture("baseline.json"), fixture("regression.json"),
               Options{});
   ASSERT_TRUE(r.error.empty()) << r.error;
-  // The regression fixture doubles batched_ns_per_route and
-  // edge_ns_per_debit at both k points; everything else moves < 2%.
-  ASSERT_EQ(r.drifts.size(), 4u);
+  // The regression fixture doubles batched_ns_per_route,
+  // edge_ns_per_debit and ns_per_flow at both k points; everything else
+  // moves < 2%.
+  ASSERT_EQ(r.drifts.size(), 6u);
   std::size_t routing_hits = 0;
   std::size_t ledger_hits = 0;
+  std::size_t flow_hits = 0;
   for (const Drift& d : r.drifts) {
     EXPECT_GT(d.ratio, 1.5);
     if (d.section == "routing") {
       EXPECT_EQ(d.metric, "batched_ns_per_route");
       ++routing_hits;
-    } else {
-      EXPECT_EQ(d.section, "ledger");
+    } else if (d.section == "ledger") {
       EXPECT_EQ(d.metric, "edge_ns_per_debit");
       ++ledger_hits;
+    } else {
+      EXPECT_EQ(d.section, "flow");
+      EXPECT_EQ(d.metric, "ns_per_flow");
+      ++flow_hits;
     }
     EXPECT_TRUE(d.k == 4 || d.k == 8);
   }
   EXPECT_EQ(routing_hits, 2u);
   EXPECT_EQ(ledger_hits, 2u);
+  EXPECT_EQ(flow_hits, 2u);
 }
 
 TEST(BenchGuard, GettingFasterNeverFails) {
@@ -64,7 +71,7 @@ TEST(BenchGuard, GettingFasterNeverFails) {
                                 fixture("improved.json"), Options{});
   EXPECT_TRUE(r.error.empty()) << r.error;
   EXPECT_TRUE(r.drifts.empty());
-  EXPECT_EQ(r.compared, 10u);
+  EXPECT_EQ(r.compared, 12u);
 }
 
 TEST(BenchGuard, ToleranceIsAdjustable) {
@@ -80,7 +87,7 @@ TEST(BenchGuard, ToleranceIsAdjustable) {
   const GuardResult s = compare(fixture("baseline.json"),
                                 fixture("regression.json"), strict);
   // With no band, every metric that moved up at all drifts.
-  EXPECT_GE(s.drifts.size(), 4u);
+  EXPECT_GE(s.drifts.size(), 6u);
 }
 
 TEST(BenchGuard, SweepPointsMatchByKNotArrayIndex) {
@@ -106,7 +113,8 @@ TEST(BenchGuard, MalformedInputIsAHardError) {
 }
 
 TEST(BenchGuard, UnrelatedSchemaIsAHardError) {
-  // Parseable JSON with no routing/ledger metrics must error, not pass.
+  // Parseable JSON with no routing/ledger/flow metrics must error, not
+  // pass.
   const GuardResult r = compare(fixture("baseline.json"),
                                 R"({"schema":"other","x":1})", Options{});
   EXPECT_FALSE(r.error.empty());

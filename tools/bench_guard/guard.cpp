@@ -220,7 +220,8 @@ std::optional<FlatDoc> parse_doc(const std::string& json, std::string& error,
 
 /// The guarded unit costs. Everything else in the document (speedups,
 /// memory, correctness booleans) is covered by its own tests; the guard
-/// exists for the two hot-path ns numbers the issue names.
+/// exists for the hot-path ns numbers: route walks, debits, and the flow
+/// plane's cost per flow.
 struct GuardedMetric {
   const char* section;
   const char* metric;
@@ -232,6 +233,7 @@ constexpr GuardedMetric kGuarded[] = {
     {"routing", "batched_ns_per_route"},
     {"ledger", "map_ns_per_debit"},
     {"ledger", "edge_ns_per_debit"},
+    {"flow", "ns_per_flow"},
 };
 
 }  // namespace
@@ -273,7 +275,7 @@ GuardResult compare(const std::string& baseline_json,
   }
   if (result.compared == 0) {
     result.error =
-        "no comparable routing/ledger metrics between baseline and fresh "
+        "no comparable routing/ledger/flow metrics between baseline and fresh "
         "documents (wrong schema?)";
   }
   return result;

@@ -2,10 +2,10 @@
 //
 // Compares a freshly produced fairswap.bench_scale.v1 document against
 // the committed reference (bench/baseline.json) on the hot-path unit
-// costs: routing ns/route (greedy, compiled, batched) and ledger
-// ns/debit (map, edge), matched per k. A metric drifts when the fresh
-// value exceeds baseline * (1 + tolerance) — regression direction only;
-// getting faster never fails the gate.
+// costs: routing ns/route (greedy, compiled, batched), ledger ns/debit
+// (map, edge) and flow-plane ns/flow, matched per k. A metric drifts when
+// the fresh value exceeds baseline * (1 + tolerance) — regression
+// direction only; getting faster never fails the gate.
 //
 // Like fairswap_lint, this is a standalone library + CLI with no
 // fairswap-lib link (it parses JSON itself), so the gate builds in
@@ -32,7 +32,7 @@ struct Options {
 
 /// One metric that regressed past the tolerance band.
 struct Drift {
-  std::string section;  ///< "routing" or "ledger"
+  std::string section;  ///< "routing", "ledger" or "flow"
   std::uint64_t k{0};   ///< the sweep point the metric belongs to
   std::string metric;   ///< e.g. "batched_ns_per_route"
   double baseline{0};
