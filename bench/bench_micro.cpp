@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the simulator's hot paths:
-// routing-table next-hop selection, end-to-end greedy routing, the
+// routing-table next-hop selection, end-to-end compiled routing, the
 // closest-node trie, Gini computation, Keccak-256 and the BMT hasher.
+// bench_scale times the greedy walk test oracle (greedy_ns_per_route).
 // These guard the performance envelope that makes 10k-file paper runs
 // take seconds, not hours.
 #include <benchmark/benchmark.h>
@@ -12,7 +13,6 @@
 #include "core/scenarios.hpp"
 #include "core/simulation.hpp"
 #include "overlay/compiled_router.hpp"
-#include "overlay/forwarding.hpp"
 #include "overlay/topology.hpp"
 #include "storage/bmt.hpp"
 #include "storage/chunker.hpp"
@@ -83,20 +83,6 @@ void BM_NextHopNaive(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NextHopNaive)->Arg(4)->Arg(20);
-
-void BM_Route(benchmark::State& state) {
-  const auto& topo = paper_topology(static_cast<std::size_t>(state.range(0)));
-  const overlay::ForwardingRouter router(topo);
-  Rng rng(2);
-  for (auto _ : state) {
-    const auto origin =
-        static_cast<overlay::NodeIndex>(rng.index(topo.node_count()));
-    const Address chunk{
-        static_cast<AddressValue>(rng.next_below(topo.space().size()))};
-    benchmark::DoNotOptimize(router.route(origin, chunk));
-  }
-}
-BENCHMARK(BM_Route)->Arg(4)->Arg(20);
 
 void BM_RouteCompiled(benchmark::State& state) {
   const auto& topo = paper_topology(static_cast<std::size_t>(state.range(0)));

@@ -16,7 +16,7 @@
 #include "common/csv.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "overlay/forwarding.hpp"
+#include "overlay/compiled_router.hpp"
 #include "overlay/iterative.hpp"
 
 int main(int argc, char** argv) {
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     tcfg.buckets.k = k;
     Rng trng(args.seed);
     const auto topo = overlay::Topology::build(tcfg, trng);
-    const overlay::ForwardingRouter router(topo);
+    const overlay::CompiledRouter& router = topo.compiled();
     const overlay::IterativeLookup lookup(topo);
 
     RunningStats fw_exposure, fw_messages, it_exposure, it_messages;

@@ -2,15 +2,16 @@
 //
 // Part 1 — routing microbenchmark: on the 1000-node paper grid
 // (k in {4, 20}), routes a batch of random (origin, chunk) pairs through
-// the Address-keyed greedy reference (ForwardingRouter) and through the
-// compiled NodeIndex path (Topology::compiled()), verifies the routes are
-// bit-identical, and reports ns/route plus the speedup (target: >= 5x).
+// the Address-keyed greedy walk (the ForwardingRouter test oracle) and
+// through the compiled NodeIndex path (Topology::compiled()), verifies the
+// routes are bit-identical, and reports ns/route plus the speedup
+// (target: >= 5x).
 //
 // Part 2 — ledger (debit path) microbenchmark: replays the SWAP debit
-// sequence of those routes through the hash-map SwapNetwork and through
-// the edge-arena EdgeLedger (slots resolved from the routes' edge ids),
-// verifies identical ledger state, and reports ns/debit plus the speedup
-// and the memory cost of each backend.
+// sequence of those routes through the hash-map SwapNetwork test oracle
+// and through the edge-arena Ledger (slots resolved from the routes' edge
+// ids), verifies identical ledger state, and reports ns/debit plus the
+// speedup and the memory cost of each.
 //
 // Part 3 — flow-level overhead: on the same grid, runs one cell
 // counter-based and once with SimulationConfig::flow_level, verifies the
@@ -29,8 +30,10 @@
 // -bit address space across k in {4, 20}, driven through the parallel
 // multi-seed run_seeds path; prints fairness aggregates with error bars
 // plus the route accounting (delivered / failed / truncated). Each cell
-// additionally runs single-seed with the edge ledger and with the map
-// ledger and cross-checks every ledger observable at scale.
+// additionally runs single-seed through the simulation and through the
+// ReferenceRun test oracle (greedy walk, edge-less routes accounted by
+// slot scans) and cross-checks every counter and ledger observable at
+// scale.
 //
 // Outputs: scale_routing.csv, scale_totals.csv, and the machine-readable
 // BENCH_scale.json (schema fairswap.bench_scale.v1 — routing + ledger +
@@ -49,8 +52,7 @@
 #include <thread>
 #include <vector>
 
-#include "accounting/edge_ledger.hpp"
-#include "accounting/swap.hpp"
+#include "accounting/ledger.hpp"
 #include "bench_util.hpp"
 #include "common/csv.hpp"
 #include "common/json.hpp"
@@ -58,8 +60,10 @@
 #include "common/table.hpp"
 #include "core/multi_run.hpp"
 #include "core/simulation.hpp"
+#include "oracles/forwarding_router.hpp"
+#include "oracles/reference_run.hpp"
+#include "oracles/swap_network.hpp"
 #include "overlay/compiled_router.hpp"
-#include "overlay/forwarding.hpp"
 #include "workload/engine.hpp"
 
 namespace {
@@ -220,8 +224,8 @@ struct LedgerResult {
 };
 
 /// Replays the per-hop SWAP debit sequence of a route batch through both
-/// ledger backends: the hash lookup per hop (SwapNetwork) vs the edge-id
-/// slot load (EdgeLedger). The debit sequence, prices and settlement
+/// ledgers: the hash lookup per hop (the SwapNetwork oracle) vs the
+/// edge-id slot load (Ledger). The debit sequence, prices and settlement
 /// pattern are identical by construction, so any state divergence is a
 /// ledger bug.
 LedgerResult ledger_microbench(std::size_t k, std::size_t route_count,
@@ -277,10 +281,10 @@ LedgerResult ledger_microbench(std::size_t k, std::size_t route_count,
             static_cast<double>(std::max<std::size_t>(1, result.debits)));
   }
 
-  accounting::EdgeLedger edge_ledger(router, swap_cfg);
+  accounting::Ledger edge_ledger(router, swap_cfg);
   result.edge_ns = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < kTimingReps; ++rep) {
-    edge_ledger = accounting::EdgeLedger(router, swap_cfg);
+    edge_ledger = accounting::Ledger(router, swap_cfg);
     const auto start = std::chrono::steady_clock::now();
     for (const auto& r : routes) {
       if (!r.reached_storer) continue;
@@ -307,55 +311,50 @@ LedgerResult ledger_microbench(std::size_t k, std::size_t route_count,
   return result;
 }
 
-struct CellLedgerCheck {
+struct CellReferenceCheck {
   double edge_wall_s{0};
-  double map_wall_s{0};
+  double reference_wall_s{0};
   bool identical{true};
   std::size_t edge_bytes{0};
-  std::size_t map_bytes{0};
   std::uint64_t settlements{0};
   std::size_t active_pairs{0};
-  /// The edge-backed run packaged as the cell's representative single-seed
-  /// result (reused for totals_csv — no third simulation).
+  /// The simulation's run packaged as the cell's representative
+  /// single-seed result (reused for totals_csv — no third run).
   core::ExperimentResult edge_result;
 
-  [[nodiscard]] double speedup() const { return map_wall_s / edge_wall_s; }
+  [[nodiscard]] double speedup() const {
+    return reference_wall_s / edge_wall_s;
+  }
 };
 
-/// Runs one scale cell single-seed with each ledger backend and
-/// cross-checks every ledger observable — the 10k-node leg of the
-/// differential equivalence suite.
-CellLedgerCheck scale_ledger_check(const core::ExperimentConfig& cfg,
-                                   const overlay::Topology& topo) {
-  auto run_one = [&](bool compiled_ledger, double& wall_s) {
-    auto sim_cfg = cfg.sim;
-    sim_cfg.compiled_ledger = compiled_ledger;
-    Rng root(cfg.seed);
-    Rng sim_rng = root.split(1);
-    auto sim = std::make_unique<core::Simulation>(topo, sim_cfg, sim_rng);
-    const auto start = std::chrono::steady_clock::now();
-    sim->run(cfg.files);
-    wall_s = seconds_since(start);
-    return sim;
-  };
+/// Runs one scale cell single-seed through the simulation and through the
+/// reference run and cross-checks every counter and ledger observable —
+/// the 10k-node leg of the differential equivalence suite.
+CellReferenceCheck scale_reference_check(const core::ExperimentConfig& cfg,
+                                         const overlay::Topology& topo) {
+  const Rng sim_rng = Rng(cfg.seed).split(1);
+  CellReferenceCheck check;
+  core::Simulation sim(topo, cfg.sim, sim_rng);
+  auto start = std::chrono::steady_clock::now();
+  sim.run(cfg.files);
+  check.edge_wall_s = seconds_since(start);
+  core::ReferenceRun reference(topo, cfg.sim, sim_rng);
+  start = std::chrono::steady_clock::now();
+  reference.run(cfg.files);
+  check.reference_wall_s = seconds_since(start);
 
-  CellLedgerCheck check;
-  const auto edge_sim = run_one(true, check.edge_wall_s);
-  const auto map_sim = run_one(false, check.map_wall_s);
-  const auto& a = edge_sim->swap();
-  const auto& b = map_sim->swap();
-  check.identical = edge_sim->totals() == map_sim->totals() &&
-                    edge_sim->counters() == map_sim->counters() &&
+  const auto& a = sim.swap();
+  const auto& b = reference.swap();
+  check.identical = sim.totals() == reference.totals() &&
+                    sim.counters() == reference.counters() &&
                     a.income() == b.income() && a.spent() == b.spent() &&
                     a.settlements() == b.settlements() &&
                     a.outstanding_debt() == b.outstanding_debt() &&
                     a.active_pairs() == b.active_pairs();
   check.edge_bytes = a.memory_bytes();
-  check.map_bytes = b.memory_bytes();
   check.settlements = a.settlements().size();
   check.active_pairs = a.active_pairs();
-  check.edge_result =
-      core::package_experiment(cfg, *edge_sim, check.edge_wall_s);
+  check.edge_result = core::package_experiment(cfg, sim, check.edge_wall_s);
   return check;
 }
 
@@ -583,8 +582,8 @@ int main(int argc, char** argv) {
   }
 
   // --- Part 2: SWAP debit path, hash-map ledger vs edge-arena ledger. ---
-  bench::banner("Ledger hot path: SwapNetwork (hash) vs EdgeLedger (arena) "
-                "(1000 nodes, debit replay)");
+  bench::banner("Ledger hot path: SwapNetwork (hash oracle) vs Ledger "
+                "(arena) (1000 nodes, debit replay)");
   TextTable ledger_table({"grid cell", "debits", "map ns/debit",
                           "edge ns/debit", "speedup", "map KiB", "edge KiB",
                           "bit-identical"});
@@ -654,8 +653,8 @@ int main(int argc, char** argv) {
                 std::to_string(threads) + " threads)");
   TextTable table({"scenario", "Gini F2 (income)", "Gini F1", "routing success",
                    "avg forwarded", "wall clock (s)"});
-  TextTable cell_ledger_table({"scenario", "edge wall (s)", "map wall (s)",
-                               "speedup", "edge ledger MiB", "map ledger MiB",
+  TextTable cell_ledger_table({"scenario", "simulation wall (s)",
+                               "reference wall (s)", "speedup", "ledger MiB",
                                "bit-identical"});
   std::vector<core::ExperimentResult> singles;
   struct CellRow {
@@ -663,7 +662,7 @@ int main(int argc, char** argv) {
     core::AggregateResult agg;
     std::size_t router_bytes{0};
     double wall_s{0};
-    CellLedgerCheck ledger;
+    CellReferenceCheck ledger;
   };
   std::vector<CellRow> cell_rows;
   for (const auto& cfg :
@@ -683,26 +682,25 @@ int main(int argc, char** argv) {
                    core::mean_pm_std(agg.routing_success),
                    core::mean_pm_std(agg.avg_forwarded, 0),
                    TextTable::num(elapsed, 1)});
-    // Single-seed edge-vs-map ledger differential at full scale; its
-    // edge-backed run doubles as the representative single for the
+    // Single-seed simulation-vs-reference differential at full scale; the
+    // simulation's run doubles as the representative single for the
     // route-accounting CSV.
-    const auto check = scale_ledger_check(cfg, topo);
+    const auto check = scale_reference_check(cfg, topo);
     singles.push_back(check.edge_result);
     all_identical = all_identical && check.identical;
     cell_ledger_table.add_row(
         {cfg.label, TextTable::num(check.edge_wall_s, 2),
-         TextTable::num(check.map_wall_s, 2),
+         TextTable::num(check.reference_wall_s, 2),
          TextTable::num(check.speedup(), 2),
          TextTable::num(
              static_cast<double>(check.edge_bytes) / (1024.0 * 1024.0), 1),
-         TextTable::num(
-             static_cast<double>(check.map_bytes) / (1024.0 * 1024.0), 1),
          check.identical ? "yes" : "NO"});
     cell_rows.push_back(
         {cfg.label, agg, topo.compiled().memory_bytes(), elapsed, check});
   }
   std::printf("%s", table.render().c_str());
-  bench::banner("Ledger differential at scale (single seed per cell)");
+  bench::banner(
+      "Simulation vs reference run at scale (single seed per cell)");
   std::printf("%s", cell_ledger_table.render().c_str());
   for (const auto& r : singles) {
     std::printf("%s", core::summarize_result(r).c_str());
@@ -793,11 +791,10 @@ int main(int argc, char** argv) {
     json.field("compiled_router_bytes", c.router_bytes);
     json.open("ledger");
     json.field("edge_wall_s", c.ledger.edge_wall_s);
-    json.field("map_wall_s", c.ledger.map_wall_s);
+    json.field("reference_wall_s", c.ledger.reference_wall_s);
     json.field("speedup", c.ledger.speedup());
     json.field("identical", c.ledger.identical);
     json.field("edge_memory_bytes", c.ledger.edge_bytes);
-    json.field("map_memory_bytes", c.ledger.map_bytes);
     json.field("settlements", c.ledger.settlements);
     json.field("active_pairs", c.ledger.active_pairs);
     json.close();

@@ -1,7 +1,9 @@
 // The SWAP channel over time (paper Fig. 2): two peers exchange service at
 // different rates while time-based amortization pulls the balance back
 // toward zero. Driven by the discrete-event engine so requests and
-// amortization ticks interleave on a realistic timeline.
+// amortization ticks interleave on a realistic timeline. The channel is an
+// accounting::Ledger over a two-node topology, whose one table edge pair
+// holds the single balance.
 //
 // Demonstrates the free-tier property the paper highlights: "nodes may
 // give away a limited amount of bandwidth per time-unit and connection for
@@ -9,8 +11,10 @@
 // free - albeit at a slow rate."
 #include <cstdio>
 
-#include "accounting/swap.hpp"
+#include "accounting/ledger.hpp"
+#include "common/rng.hpp"
 #include "engine/event_queue.hpp"
+#include "overlay/topology.hpp"
 
 int main() {
   using namespace fairswap;
@@ -21,7 +25,12 @@ int main() {
   cfg.payment_threshold = Token(100);
   cfg.disconnect_threshold = Token(140);
   cfg.amortization_per_tick = Token(2);
-  accounting::SwapNetwork swap(2, cfg);
+  overlay::TopologyConfig two_peers;
+  two_peers.node_count = 2;
+  two_peers.address_bits = 4;
+  Rng topo_rng(1);
+  const auto topo = overlay::Topology::build(two_peers, topo_rng);
+  accounting::Ledger swap(topo.compiled(), cfg);
 
   EventQueue queue;
   std::printf("two peers; A consumes 5 units from B every 2 ticks, B "
@@ -69,7 +78,7 @@ int main() {
               "paper describes.\n");
 
   // Now triple A's appetite: the free tier no longer covers it.
-  accounting::SwapNetwork greedy(2, cfg);
+  accounting::Ledger greedy(topo.compiled(), cfg);
   std::uint64_t greedy_refused = 0;
   for (int t = 0; t < 120; ++t) {
     for (int burst = 0; burst < 3; ++burst) {

@@ -6,7 +6,7 @@
 
 #include "common/rng.hpp"
 #include "incentives/zero_proximity.hpp"
-#include "overlay/forwarding.hpp"
+#include "overlay/compiled_router.hpp"
 #include "overlay/topology.hpp"
 
 int main() {
@@ -41,8 +41,7 @@ int main() {
               AddressSpace::to_decimal(
                   topo.address_of(topo.closest_node(chunk))).c_str());
 
-  const overlay::ForwardingRouter router(topo);
-  const overlay::Route route = router.route(self, chunk);
+  const overlay::Route route = topo.compiled().route(self, chunk);
   for (std::size_t i = 0; i < route.path.size(); ++i) {
     const Address a = topo.address_of(route.path[i]);
     std::printf("  hop %zu: node %3s  %s  (proximity to chunk: %d bits, "
@@ -57,7 +56,7 @@ int main() {
 
   // Who gets paid? Swarm's default: only the zero-proximity first hop.
   accounting::SwapConfig swap_cfg;
-  accounting::Ledger swap(topo.node_count(), swap_cfg);
+  accounting::Ledger swap(topo.compiled(), swap_cfg);
   const auto pricer = accounting::make_pricer("xor-distance");
   std::vector<std::uint8_t> no_riders;
   incentives::PolicyContext ctx{&topo, &swap, pricer.get(), &no_riders};

@@ -1,4 +1,4 @@
-#include "accounting/edge_ledger.hpp"
+#include "accounting/ledger.hpp"
 
 #include <algorithm>
 #include <cassert>
@@ -6,7 +6,7 @@
 
 namespace fairswap::accounting {
 
-EdgeLedger::EdgeLedger(const overlay::CompiledRouter& router, SwapConfig config)
+Ledger::Ledger(const overlay::CompiledRouter& router, SwapConfig config)
     : router_(&router),
       config_(config),
       income_(router.node_count()),
@@ -48,7 +48,7 @@ EdgeLedger::EdgeLedger(const overlay::CompiledRouter& router, SwapConfig config)
   pair_active_pos_.assign(pair_lo_.size(), kInactive);
 }
 
-std::uint32_t EdgeLedger::slot_of(NodeIndex a, NodeIndex b) const noexcept {
+std::uint32_t Ledger::slot_of(NodeIndex a, NodeIndex b) const noexcept {
   for (const NodeIndex from : {a, b}) {
     const NodeIndex to = from == a ? b : a;
     const auto [begin, end] = router_->node_edge_range(from);
@@ -59,8 +59,8 @@ std::uint32_t EdgeLedger::slot_of(NodeIndex a, NodeIndex b) const noexcept {
   return kNoSlot;
 }
 
-DebitResult EdgeLedger::debit(NodeIndex consumer, NodeIndex provider,
-                              Token amount, bool can_settle, EdgeId edge) {
+DebitResult Ledger::apply_debit(NodeIndex consumer, NodeIndex provider,
+                                Token amount, bool can_settle, EdgeId edge) {
   assert(consumer != provider);
   assert(!amount.negative());
   assert(edge == kNoEdge || router_->edge_target(edge) == provider);
@@ -68,7 +68,7 @@ DebitResult EdgeLedger::debit(NodeIndex consumer, NodeIndex provider,
       edge != kNoEdge ? edge_slot_[edge] : slot_of(consumer, provider);
   if (slot == kNoSlot) {
     throw std::invalid_argument(
-        "EdgeLedger::debit: node pair shares no routing-table edge");
+        "Ledger::debit: node pair shares no routing-table edge");
   }
 
   Token& bal = pair_balance_[slot];
@@ -104,8 +104,7 @@ DebitResult EdgeLedger::debit(NodeIndex consumer, NodeIndex provider,
   return DebitResult::kOk;
 }
 
-void EdgeLedger::pay_direct(NodeIndex consumer, NodeIndex provider,
-                            Token amount) {
+void Ledger::pay_direct(NodeIndex consumer, NodeIndex provider, Token amount) {
   assert(consumer != provider);
   assert(!amount.negative());
   income_[provider] += amount;
@@ -113,13 +112,12 @@ void EdgeLedger::pay_direct(NodeIndex consumer, NodeIndex provider,
   settlements_.push_back({consumer, provider, amount, tick_});
 }
 
-void EdgeLedger::mint(NodeIndex node, Token amount) {
+void Ledger::mint(NodeIndex node, Token amount) {
   assert(!amount.negative());
   income_[node] += amount;
 }
 
-Token EdgeLedger::balance(NodeIndex provider, NodeIndex peer,
-                          EdgeId edge) const {
+Token Ledger::balance(NodeIndex provider, NodeIndex peer, EdgeId edge) const {
   const std::uint32_t slot =
       edge != kNoEdge ? edge_slot_[edge] : slot_of(provider, peer);
   if (slot == kNoSlot) return Token(0);
@@ -128,7 +126,7 @@ Token EdgeLedger::balance(NodeIndex provider, NodeIndex peer,
   return pair_lo_[slot] == provider ? bal : -bal;
 }
 
-void EdgeLedger::reset() {
+void Ledger::reset() {
   // Only the live slots carry state: zero them through the active list
   // instead of sweeping the whole arena.
   for (const std::uint32_t slot : active_) {
@@ -142,7 +140,12 @@ void EdgeLedger::reset() {
   tick_ = 0;
 }
 
-std::size_t EdgeLedger::amortize_tick() {
+std::size_t Ledger::amortize_tick() {
+  if constexpr (telemetry::kEnabled) {
+    if (counters_ != nullptr) {
+      counters_->bump(telemetry::Counter::kAmortizeTicks);
+    }
+  }
   ++tick_;
   const Token step = config_.amortization_per_tick;
   if (step.is_zero()) return 0;
@@ -164,18 +167,18 @@ std::size_t EdgeLedger::amortize_tick() {
   return zeroed;
 }
 
-Token EdgeLedger::outstanding_debt() const {
+Token Ledger::outstanding_debt() const {
   Token total;
   for (const std::uint32_t slot : active_) total += pair_balance_[slot].abs();
   return total;
 }
 
-void EdgeLedger::for_each_pair(
+void Ledger::for_each_pair(
     const std::function<void(NodeIndex, NodeIndex, Token)>& fn) const {
   // The active list reorders on swap-with-last removal, so its raw order
   // depends on debit/settle history. Sort the live slots by (lo, hi) —
   // slots are allocated in ascending (lo, hi) arena order, so sorting the
-  // slot ids is exactly canonical pair order, matching SwapNetwork.
+  // slot ids is exactly canonical pair order.
   std::vector<std::uint32_t> slots(active_.begin(), active_.end());
   std::sort(slots.begin(), slots.end());
   for (const std::uint32_t slot : slots) {
@@ -183,7 +186,7 @@ void EdgeLedger::for_each_pair(
   }
 }
 
-std::size_t EdgeLedger::memory_bytes() const noexcept {
+std::size_t Ledger::memory_bytes() const noexcept {
   return edge_slot_.size() * sizeof(std::uint32_t) +
          pair_lo_.size() * sizeof(NodeIndex) +
          pair_hi_.size() * sizeof(NodeIndex) +

@@ -1,50 +1,60 @@
-// Ledger — the SWAP ledger behind one of two interchangeable backends.
+// Ledger — the SWAP ledger, with balance slots on the router's edge arena.
 //
-// core::Simulation and the payment policies talk to this thin dispatcher
-// rather than to a concrete ledger, so SimulationConfig::compiled_ledger
-// can flip between:
+// The pair set of the SWAP ledger is exactly the static peer-edge set the
+// compiled router already flattened into its CSR arena: every debit the
+// simulator issues runs along a route hop, and every route hop is a
+// directed routing-table edge. So instead of hashing a packed (lo, hi)
+// node-pair key per hop, this ledger:
 //
-//  * EdgeLedger — balance slots on the compiled router's CSR edge arena,
-//    resolved by the edge ids routing produces anyway (the fast path), and
-//  * SwapNetwork — the hash-map reference implementation, kept bit-exact
-//    in the same pattern as the compiled_routing/greedy-walk pair.
+//  * allocates one balance slot per *unordered* connected pair, numbered
+//    densely in (lo, hi) order at construction;
+//  * maps every directed arena edge to its pair slot in a flat
+//    `edge_slot_` array, so a debit resolves its slot with a single
+//    indexed load from the edge id the router produced anyway
+//    (CompiledRouter::next_hop_edge — the id is a byproduct of the argmin);
+//  * keeps the slots with a nonzero balance on an intrusive active list
+//    (each slot stores its own position, giving O(1) insert/remove via
+//    swap-with-last), so amortize_tick, outstanding_debt, for_each_pair
+//    and active_pairs touch only live balances instead of every pair the
+//    run ever created.
 //
-// Dispatch is a single has_value() branch per call (perfectly predicted —
-// the backend never changes during a run), not a virtual call; the debit
-// hot path stays inlinable.
+// No packed keys anywhere: slots are plain array indices, so the ledger is
+// immune to the NodeIndex-width truncation hazard of a packed pair key.
+//
+// Exactness: the hash-map SwapNetwork this ledger replaced is kept
+// verbatim as a test oracle (tests/oracles/swap_network.hpp).
+// tests/accounting/ledger_equivalence_test.cpp fuzzes both with identical
+// operation sequences and tests/core/compiled_equivalence_test.cpp replays
+// whole simulations against it; both enforce bit-identical observable
+// state (balances, settlements, income/spent, totals).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
-#include "accounting/edge_ledger.hpp"
 #include "accounting/swap.hpp"
 #include "common/telemetry/counters.hpp"
+#include "common/token.hpp"
+#include "overlay/compiled_router.hpp"
 
 namespace fairswap::accounting {
 
+using overlay::EdgeId;
+using overlay::kNoEdge;
+using overlay::NodeIndex;
+
+/// Pairwise balance ledger over a CompiledRouter's edge set. The router
+/// must outlive the ledger. Only pairs connected by at least one
+/// routing-table edge can hold a balance — exactly the pairs SWAP
+/// accounting can ever touch in a forwarding-Kademlia simulation.
+///
+/// Balances are stored once per unordered pair and exposed from either
+/// side's perspective: balance(a, b) > 0 means b owes a (a has been a net
+/// provider to b), so balance(a, b) == -balance(b, a) by construction.
 class Ledger {
  public:
-  /// Map-backed (SwapNetwork reference) ledger.
-  Ledger(std::size_t node_count, SwapConfig config)
-      : map_(std::in_place, node_count, config) {}
-
-  /// Edge-arena-backed ledger over the compiled router.
-  Ledger(const overlay::CompiledRouter& router, SwapConfig config)
-      : edge_(std::in_place, router, config) {}
-
-  [[nodiscard]] bool edge_backed() const noexcept { return edge_.has_value(); }
-
-  /// The concrete backends, for tests and benches that need them. The
-  /// non-selected backend is nullptr.
-  [[nodiscard]] const SwapNetwork* map_ledger() const noexcept {
-    return map_ ? &*map_ : nullptr;
-  }
-  [[nodiscard]] const EdgeLedger* edge_ledger() const noexcept {
-    return edge_ ? &*edge_ : nullptr;
-  }
+  Ledger(const overlay::CompiledRouter& router, SwapConfig config);
 
   /// Points the ledger at a sim-plane counter block (owned by the
   /// simulation). Null detaches; debits then count nowhere.
@@ -52,14 +62,25 @@ class Ledger {
     counters_ = counters;
   }
 
-  /// See SwapNetwork::debit. `edge` (Route::edge(i) for hop i) lets the
-  /// edge backend resolve its balance slot with one load; the map backend
-  /// ignores it.
+  /// Records that `provider` served `amount` worth of bandwidth to
+  /// `consumer`. If `can_settle` and the consumer's debt reaches the
+  /// payment threshold, an automatic settlement is recorded (crypto
+  /// payment) and the balance cleared. With `can_settle == false` the debt
+  /// only accrues — the paper's relay behaviour ("wait for time-based
+  /// amortization for other requests") and the free-rider model. If the
+  /// debt would exceed the disconnect threshold without a settlement, the
+  /// service is refused and kDisconnected returned with no balance change.
+  ///
+  /// `edge` is the arena id of the directed consumer -> provider table
+  /// edge (Route::edge(i) for hop i); passing it makes slot resolution one
+  /// load. With kNoEdge the slot is found by scanning the consumer's CSR
+  /// slab (O(degree)). Throws std::invalid_argument if the pair is not
+  /// connected by any table edge — such a debit cannot occur on a routed
+  /// path and would be silently mis-accounted otherwise.
   DebitResult debit(NodeIndex consumer, NodeIndex provider, Token amount,
                     bool can_settle = true, EdgeId edge = kNoEdge) {
     const DebitResult result =
-        map_ ? map_->debit(consumer, provider, amount, can_settle)
-             : edge_->debit(consumer, provider, amount, can_settle, edge);
+        apply_debit(consumer, provider, amount, can_settle, edge);
     if constexpr (telemetry::kEnabled) {
       if (counters_ != nullptr) {
         counters_->bump(telemetry::Counter::kDebits);
@@ -73,79 +94,136 @@ class Ledger {
     return result;
   }
 
-  void pay_direct(NodeIndex consumer, NodeIndex provider, Token amount) {
-    map_ ? map_->pay_direct(consumer, provider, amount)
-         : edge_->pay_direct(consumer, provider, amount);
-  }
+  /// Immediate payment outside threshold logic: consumer pays provider
+  /// `amount` (the paper's default behaviour for zero-proximity requests:
+  /// "use paid settlement for the requests generated by the originator
+  /// itself"). Recorded as a settlement and as provider income; balances
+  /// are untouched, so no slot resolution is needed.
+  void pay_direct(NodeIndex consumer, NodeIndex provider, Token amount);
 
-  void mint(NodeIndex node, Token amount) {
-    map_ ? map_->mint(node, amount) : edge_->mint(node, amount);
-  }
+  /// Credits protocol-minted income to `node` without a paying
+  /// counter-party (used by subsidy-style reward schemes such as the
+  /// effort-based baseline).
+  void mint(NodeIndex node, Token amount);
 
+  /// `provider`'s view of its balance with `peer` (positive = peer owes
+  /// provider). `edge` may be any arena edge connecting the two, in
+  /// either direction; with kNoEdge the slot is scanned for. Unconnected
+  /// pairs have no slot and are reported as the zero they hold.
   [[nodiscard]] Token balance(NodeIndex provider, NodeIndex peer,
-                              EdgeId edge = kNoEdge) const {
-    return map_ ? map_->balance(provider, peer)
-                : edge_->balance(provider, peer, edge);
-  }
+                              EdgeId edge = kNoEdge) const;
 
-  std::size_t amortize_tick() {
-    if constexpr (telemetry::kEnabled) {
-      if (counters_ != nullptr) {
-        counters_->bump(telemetry::Counter::kAmortizeTicks);
-      }
-    }
-    return map_ ? map_->amortize_tick() : edge_->amortize_tick();
-  }
+  /// Applies one tick of time-based amortization to every active balance:
+  /// each moves `amortization_per_tick` toward zero. Returns the number of
+  /// balances that reached exactly zero this tick. Walks only the active
+  /// list, not every pair ever seen.
+  std::size_t amortize_tick();
 
-  void advance_tick() noexcept {
-    map_ ? map_->advance_tick() : edge_->advance_tick();
-  }
+  /// Advances the logical clock without amortizing (when amortization is
+  /// disabled but settlement timestamps still matter).
+  void advance_tick() noexcept { ++tick_; }
 
-  /// Back to the freshly-constructed state; the edge backend keeps its
-  /// arena (see EdgeLedger::reset).
-  void reset() { map_ ? map_->reset() : edge_->reset(); }
+  /// Returns to the freshly-constructed state (no balances, zero
+  /// income/spent, empty settlement log, tick 0) — the cheap between-epoch
+  /// rewind of core's Simulation::reset. The edge->slot map and the slot
+  /// arrays are reused untouched (only the active slots are zeroed), so
+  /// resetting a 10k-node ledger costs O(active pairs), not O(arena).
+  void reset();
 
-  [[nodiscard]] std::uint64_t tick() const noexcept {
-    return map_ ? map_->tick() : edge_->tick();
-  }
+  [[nodiscard]] std::uint64_t tick() const noexcept { return tick_; }
+  [[nodiscard]] const SwapConfig& config() const noexcept { return config_; }
 
-  [[nodiscard]] const SwapConfig& config() const noexcept {
-    return map_ ? map_->config() : edge_->config();
-  }
-
+  /// Total crypto income received by each node across all settlements and
+  /// direct payments — the value distribution the paper's F2 evaluates.
   [[nodiscard]] const std::vector<Token>& income() const noexcept {
-    return map_ ? map_->income() : edge_->income();
+    return income_;
   }
 
+  /// Total spent by each node (settlements + direct payments issued).
   [[nodiscard]] const std::vector<Token>& spent() const noexcept {
-    return map_ ? map_->spent() : edge_->spent();
+    return spent_;
   }
 
+  /// Full settlement log, in order.
   [[nodiscard]] const std::vector<Settlement>& settlements() const noexcept {
-    return map_ ? map_->settlements() : edge_->settlements();
+    return settlements_;
   }
 
-  [[nodiscard]] Token outstanding_debt() const {
-    return map_ ? map_->outstanding_debt() : edge_->outstanding_debt();
-  }
+  /// Sum of |balance| over the active pairs — outstanding unsettled debt,
+  /// i.e. bandwidth provided that produced no income (yet).
+  [[nodiscard]] Token outstanding_debt() const;
 
+  /// Number of pairs with a nonzero balance (the active-list length).
+  /// Pairs whose debt was settled, amortized, or cancelled back to exactly
+  /// zero are not active, and refused debits never activate a pair.
   [[nodiscard]] std::size_t active_pairs() const noexcept {
-    return map_ ? map_->active_pairs() : edge_->active_pairs();
+    return active_.size();
   }
 
+  /// Visits every pair with a nonzero balance as (low_node, high_node,
+  /// balance_from_low's perspective), in ascending (lo, hi) order. The
+  /// active list reorders on removal, so the slots are sorted per call.
   void for_each_pair(
-      const std::function<void(NodeIndex, NodeIndex, Token)>& fn) const {
-    map_ ? map_->for_each_pair(fn) : edge_->for_each_pair(fn);
+      const std::function<void(NodeIndex, NodeIndex, Token)>& fn) const;
+
+  /// Total connected unordered pairs (== allocated balance slots).
+  [[nodiscard]] std::size_t pair_count() const noexcept {
+    return pair_lo_.size();
   }
 
-  [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    return map_ ? map_->memory_bytes() : edge_->memory_bytes();
-  }
+  /// Bytes held by the arena arrays (edge->slot map, balance slots,
+  /// active list, income/spent, settlement log), reported by bench_scale
+  /// and perfbench.
+  [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
  private:
-  // Exactly one backend is engaged, fixed at construction.
-  std::optional<SwapNetwork> map_;
-  std::optional<EdgeLedger> edge_;
+  /// Slot sentinel for edges with no pair (foreign targets).
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  /// active_pos_ sentinel: slot not on the active list (balance is zero).
+  static constexpr std::uint32_t kInactive = 0xFFFFFFFFu;
+
+  /// debit() without the counter bumps.
+  DebitResult apply_debit(NodeIndex consumer, NodeIndex provider, Token amount,
+                          bool can_settle, EdgeId edge);
+
+  /// Pair slot for (a, b) found by scanning a's slab, then b's. kNoSlot
+  /// when the nodes share no table edge.
+  [[nodiscard]] std::uint32_t slot_of(NodeIndex a, NodeIndex b) const noexcept;
+
+  void activate(std::uint32_t slot) {
+    pair_active_pos_[slot] = static_cast<std::uint32_t>(active_.size());
+    active_.push_back(slot);
+  }
+
+  void deactivate(std::uint32_t slot) noexcept {
+    const std::uint32_t pos = pair_active_pos_[slot];
+    const std::uint32_t last = active_.back();
+    active_[pos] = last;
+    pair_active_pos_[last] = pos;
+    active_.pop_back();
+    pair_active_pos_[slot] = kInactive;
+  }
+
+  const overlay::CompiledRouter* router_;
+  SwapConfig config_;
+
+  /// Directed arena edge -> balance slot of its unordered pair (kNoSlot
+  /// for foreign-target edges). Indexed by CompiledRouter edge ids.
+  std::vector<std::uint32_t> edge_slot_;
+  /// Balance slots, parallel arrays in (lo, hi) order. pair_balance_ is
+  /// from the lower-indexed node's perspective: positive = hi owes lo.
+  std::vector<NodeIndex> pair_lo_;
+  std::vector<NodeIndex> pair_hi_;
+  std::vector<Token> pair_balance_;
+  /// Intrusive active-list position per slot (kInactive when zero).
+  std::vector<std::uint32_t> pair_active_pos_;
+  /// Slots with nonzero balance, unordered.
+  std::vector<std::uint32_t> active_;
+
+  std::vector<Token> income_;
+  std::vector<Token> spent_;
+  std::vector<Settlement> settlements_;
+  std::uint64_t tick_{0};
   /// Sim-plane counters (not owned); null until the owning simulation
   /// attaches its block.
   telemetry::CounterBlock* counters_{nullptr};

@@ -50,7 +50,7 @@ enum class Counter : std::size_t {
   kChunksDelivered,    ///< chunks that reached their originator
   kLocalHits,          ///< requests served from the originator's store
   kServiceRefusals,    ///< deliveries refused by a non-serving holder
-  // accounting (SwapNetwork / edge ledger)
+  // accounting (accounting::Ledger)
   kDebits,             ///< debit() calls (one per paid transfer)
   kSettlements,        ///< debits that crossed the payment threshold
   kRefusedPayments,    ///< debits refused (disconnected / withheld)

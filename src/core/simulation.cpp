@@ -11,22 +11,6 @@
 
 namespace fairswap::core {
 
-namespace {
-
-/// The edge-arena ledger keys its slots by the edge ids compiled routes
-/// carry; the reference walk carries none, so it falls back to the map
-/// ledger (on which the edge hints are no-ops anyway).
-accounting::Ledger make_ledger(const SimulationConfig& config,
-                               const overlay::CompiledRouter& router,
-                               std::size_t node_count) {
-  if (config.compiled_ledger && config.compiled_routing) {
-    return accounting::Ledger(router, config.swap);
-  }
-  return accounting::Ledger(node_count, config.swap);
-}
-
-}  // namespace
-
 Simulation::Simulation(const overlay::Topology& topo, SimulationConfig config,
                        Rng rng)
     : Simulation(topo, config, incentives::make_policy(config.policy), rng) {}
@@ -37,7 +21,7 @@ Simulation::Simulation(const overlay::Topology& topo, SimulationConfig config,
     : topo_(&topo),
       config_(std::move(config)),
       router_(topo.compiled_shared()),
-      swap_(make_ledger(config_, *router_, topo.node_count())),
+      swap_(*router_, config_.swap),
       pricer_(accounting::make_pricer(config_.pricer)),
       policy_(std::move(policy)),
       counters_(topo.node_count()),
@@ -146,16 +130,12 @@ bool Simulation::request_chunk(NodeIndex originator, Address chunk,
   note_request(originator, is_upload);
   telem_.bump(telemetry::Counter::kRouteWalks);
 
-  const bool compiled = config_.compiled_routing;
   const overlay::CompiledRouter& router = *router_;
-  const NodeIndex storer =
-      compiled ? router.storer_of(chunk) : topo_->closest_node(chunk);
+  const NodeIndex storer = router.storer_of(chunk);
   const bool caching = config_.cache_capacity > 0;
 
-  // Greedy forwarding walk, short-circuited by caches when enabled. The
-  // compiled path answers each hop from the precomputed NodeIndex arrays;
-  // the reference path re-scans the Address-keyed buckets per hop. Both
-  // are bit-identical (tests/core/compiled_equivalence_test.cpp).
+  // Greedy forwarding walk, short-circuited by caches when enabled; each
+  // hop is answered from the compiled router's NodeIndex arrays.
   overlay::Route& route = route_;
   route.reset(chunk);
   route.path.push_back(originator);
@@ -180,29 +160,11 @@ bool Simulation::request_chunk(NodeIndex originator, Address chunk,
       route.truncated = true;
       break;
     }
-    NodeIndex next;
-    overlay::EdgeId edge = overlay::kNoEdge;
-    if (compiled) {
-      const auto hop = router.next_hop_edge(cur, chunk);
-      next = hop.next;
-      edge = hop.edge;
-    } else {
-      const auto peer = topo_->table(cur).next_hop(chunk);
-      if (!peer) {
-        next = overlay::kNoNextHop;  // dead end short of the storer
-      } else if (const auto idx = topo_->index_of(*peer)) {
-        next = *idx;
-      } else {
-        // The table holds an address no network member owns (stale or
-        // poisoned entry): fail the route instead of dereferencing a
-        // missing index.
-        next = overlay::kNoNextHop;
-      }
-    }
-    if (next == overlay::kNoNextHop) break;
-    cur = next;
+    const auto hop = router.next_hop_edge(cur, chunk);
+    if (hop.next == overlay::kNoNextHop) break;
+    cur = hop.next;
     route.path.push_back(cur);
-    if (compiled) route.edges.push_back(edge);
+    route.edges.push_back(hop.edge);
   }
   route.reached_storer = found;
 
@@ -326,7 +288,7 @@ void Simulation::apply(const workload::DownloadRequest& request) {
   // file's chunks can be routed as one interleaved batch (overlapping the
   // walks' cache misses) and accounted afterwards in request order —
   // bit-identical to the per-chunk path.
-  if (config_.compiled_routing && config_.cache_capacity == 0) {
+  if (config_.cache_capacity == 0) {
     origins_buf_.assign(request.chunks.size(), request.originator);
     router_->route_batch(origins_buf_, request.chunks, routes_buf_,
                          config_.max_route_hops);

@@ -63,19 +63,14 @@ struct SimulationConfig {
   double free_rider_share{0.0};
   /// Apply one tick of time-based amortization after every file download.
   bool amortize_each_step{false};
-  /// Route via the precomputed NodeIndex hot path (overlay/compiled_router,
-  /// default). false selects the Address-keyed greedy reference walk; both
-  /// produce bit-identical counters — see
-  /// tests/core/compiled_equivalence_test.cpp.
-  bool compiled_routing{true};
-  /// Keep SWAP balances in the edge-arena ledger (accounting/edge_ledger,
-  /// default) instead of the hash-map SwapNetwork reference. Takes effect
-  /// only together with compiled_routing (the arena slots are resolved
-  /// from the edge ids compiled routes carry); both backends produce
-  /// bit-identical balances, settlements and incomes — see
-  /// tests/accounting/ledger_equivalence_test.cpp and
-  /// tests/core/compiled_equivalence_test.cpp.
-  bool compiled_ledger{true};
+  /// Routing always runs on the compiled NodeIndex path
+  /// (overlay/compiled_router) and SWAP balances always live in the
+  /// edge-arena accounting::Ledger. These are constants, not knobs: the
+  /// greedy walk and the hash-map ledger they replaced are test oracles
+  /// (tests/oracles). They remain only because perfbench's replay
+  /// (perfbench/src/traced.cpp) still reads them.
+  static constexpr bool compiled_routing = true;
+  static constexpr bool compiled_ledger = true;
   /// Hop cap per route; 0 = the default 4x address bits. Routes cut by the
   /// cap count as truncated_routes, not failed_routes.
   std::size_t max_route_hops{0};
@@ -267,8 +262,8 @@ class Simulation {
     return *engine_;
   }
   /// Mutable demand-engine access for external drivers (trace recording
-  /// and the cadCAD adapter's policy function draw requests themselves —
-  /// through the engine, so demand processes are in what they record).
+  /// draws requests itself — through the engine, so demand processes are
+  /// in what it records).
   [[nodiscard]] workload::DemandEngine& demand_mut() noexcept {
     return *engine_;
   }
@@ -306,10 +301,10 @@ class Simulation {
   [[nodiscard]] std::vector<double> income_per_node() const;
 
  private:
-  /// Routes one chunk transfer (download or upload; both use the same
-  /// greedy route and accounting, with data flowing in opposite
-  /// directions) and applies accounting. Returns true if the chunk was
-  /// delivered.
+  /// Routes one chunk transfer hop by hop (download or upload; both use
+  /// the same greedy route and accounting, with data flowing in opposite
+  /// directions), stopping early at a relay cache, and applies
+  /// accounting. Returns true if the chunk was delivered.
   bool request_chunk(NodeIndex originator, Address chunk, bool is_upload);
 
   /// Request-header bookkeeping shared by the per-chunk and batched paths.

@@ -442,22 +442,6 @@ BindingTable::BindingTable() {
         return std::to_string(c.sim.swap.disconnect_threshold.base_units());
       });
 
-  add("compiled_routing", "route via the compiled NodeIndex hot path",
-      +[](Cfg& c, const std::string& v) {
-        return set_bool(c.sim.compiled_routing, "compiled_routing", v);
-      },
-      +[](const Cfg& c) {
-        return std::string(c.sim.compiled_routing ? "true" : "false");
-      });
-
-  add("compiled_ledger", "keep SWAP balances in the edge-arena ledger",
-      +[](Cfg& c, const std::string& v) {
-        return set_bool(c.sim.compiled_ledger, "compiled_ledger", v);
-      },
-      +[](const Cfg& c) {
-        return std::string(c.sim.compiled_ledger ? "true" : "false");
-      });
-
   add("max_hops", "route hop cap (0 = default 4x address bits)",
       +[](Cfg& c, const std::string& v) -> std::string {
         const auto p = parse_u64(v);

@@ -39,7 +39,7 @@ class BindingTable {
  public:
   /// The canonical table covering every ExperimentConfig knob the benches
   /// and scenarios use (nodes, bits, k, files, originators, free_riders,
-  /// caching, compiled_routing, compiled_ledger, seed, ...).
+  /// caching, seed, ...).
   [[nodiscard]] static const BindingTable& instance();
 
   [[nodiscard]] const std::vector<Binding>& bindings() const noexcept {

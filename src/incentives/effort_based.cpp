@@ -27,7 +27,7 @@ void EffortBasedPolicy::on_step_end(PolicyContext& ctx) {
   if (capacity_total_ <= 0.0) return;
   // The pool is minted (protocol subsidy), not moved between peers, so
   // income is credited without a paying counter-party. We model the payer
-  // as the node itself paying 0; SwapNetwork exposes income directly.
+  // as the node itself paying 0; the ledger exposes income directly.
   for (NodeIndex i = 0; i < n; ++i) {
     const double share = capacity_[i] / capacity_total_;
     const auto amount = Token(static_cast<Token::rep>(
@@ -35,7 +35,7 @@ void EffortBasedPolicy::on_step_end(PolicyContext& ctx) {
     if (amount.is_zero()) continue;
     // Credit income via a settlement from a virtual treasury: reuse
     // pay_direct with the receiving node as its own payer would distort
-    // `spent`; SwapNetwork::mint exists for exactly this.
+    // `spent`; Ledger::mint exists for exactly this.
     ctx.swap->mint(i, amount);
   }
 }

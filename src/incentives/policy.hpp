@@ -29,9 +29,9 @@ using overlay::Topology;
 /// Everything a policy may consult or mutate when reacting to a delivery.
 struct PolicyContext {
   const Topology* topo{nullptr};
-  /// The SWAP ledger behind either backend (see accounting/ledger.hpp).
-  /// Policies pass Route::edge(i) hints so the edge backend resolves its
-  /// balance slots without hashing.
+  /// The SWAP ledger (accounting/ledger.hpp). Policies pass
+  /// Route::edge(i) hints so it resolves balance slots with one load
+  /// instead of scanning.
   Ledger* swap{nullptr};
   const Pricer* pricer{nullptr};
   /// Per-node flag: free riders consume service but never issue payments

@@ -48,7 +48,7 @@ class TitForTatPolicy final : public PaymentPolicy {
   }
 
  private:
-  // Same packed-key hazard as SwapNetwork::pair_key: guard the width.
+  // Packing two NodeIndex values into one key: guard the width.
   static_assert(sizeof(NodeIndex) <= 4,
                 "key packs two NodeIndex values into 64 bits");
   [[nodiscard]] static std::uint64_t key(NodeIndex a, NodeIndex b) noexcept {

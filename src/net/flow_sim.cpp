@@ -35,30 +35,21 @@ FlowSimulator::FlowSimulator(const overlay::CompiledRouter& router,
   link_volume_.assign(net_.link_count(), 0.0);
 }
 
-overlay::EdgeId FlowSimulator::resolve_edge(overlay::NodeIndex from,
-                                            overlay::NodeIndex to) const {
-  const auto [begin, end] = router_->node_edge_range(from);
-  for (overlay::EdgeId e = begin; e < end; ++e) {
-    if (router_->edge_target(e) == to) return e;
-  }
-  return overlay::kNoEdge;
-}
-
 void FlowSimulator::start_chunk(const overlay::Route& route, bool is_upload) {
   if (!route.reached_storer || route.hops() == 0) {
     throw std::invalid_argument(
         "flows exist only for delivered multi-hop chunks");
+  }
+  if (route.edges.size() != route.hops()) {
+    throw std::invalid_argument(
+        "a flow needs the arena edge id of every hop of its route");
   }
   const auto edge_links = static_cast<LinkId>(router_->edge_count());
   links_buf_.clear();
   for (std::size_t i = 0; i + 1 < route.path.size(); ++i) {
     const overlay::NodeIndex from = route.path[i];
     const overlay::NodeIndex to = route.path[i + 1];
-    overlay::EdgeId edge = route.edge(i);
-    // The reference walk carries no arena ids; the traversed table entry
-    // still exists, so find it in the sender's slab (at most one match).
-    if (edge == overlay::kNoEdge) edge = resolve_edge(from, to);
-    if (edge != overlay::kNoEdge) links_buf_.push_back(edge);
+    links_buf_.push_back(route.edges[i]);
     // Data direction: downloads stream storer -> originator, so hop i's
     // sender is path[i+1]; uploads stream the other way.
     const overlay::NodeIndex sender = is_upload ? from : to;

@@ -1,15 +1,17 @@
 // Event-driven flow-level transfer simulation over a compiled overlay.
 //
 // Every delivered chunk becomes one unit-size Flow across capacity links:
-// the traversed routing-table edges (the compiled router's edge arena ids)
-// plus, per hop, the data-direction sender's uplink and the receiver's
-// downlink. Rates come from FairShareNetwork's max-min fair allocator and
-// are recomputed at arrivals, completions and timeouts; in between, every
-// flow progresses linearly, so completions are scheduled as events at
-// their exact (tick-rounded) finish time. After a reallocation only flows
-// whose rate actually changed are rescheduled — unchanged flows keep
-// their pending event (the replicant-opera UpdateLinkDemand idiom); stale
-// events are recognized by generation counters and ignored.
+// the traversed routing-table edges (the compiled router's edge arena ids,
+// which every CompiledRouter route carries in Route::edges; a route
+// without them is rejected) plus, per hop, the data-direction sender's
+// uplink and the receiver's downlink. Rates come from FairShareNetwork's
+// max-min fair allocator and are recomputed at arrivals, completions and
+// timeouts; in between, every flow progresses linearly, so completions
+// are scheduled as events at their exact (tick-rounded) finish time.
+// After a reallocation only flows whose rate actually changed are
+// rescheduled — unchanged flows keep their pending event (the
+// replicant-opera UpdateLinkDemand idiom); stale events are recognized by
+// generation counters and ignored.
 //
 // Events are plain {flow, uid, sched} records on an engine::EventHeap —
 // the same (when, seq) ordering rule EventQueue runs on, without a
@@ -74,9 +76,9 @@ class FlowSimulator {
 
   /// Starts a flow for one delivered chunk at the current simulated time.
   /// `route` must have reached its storer with hops() >= 1 (local hits
-  /// consume no bandwidth and get no flow). Routes without edge ids (the
-  /// greedy reference walk) resolve each hop's edge by scanning the
-  /// sender's arena slab. The flow's rate takes effect at the next
+  /// consume no bandwidth and get no flow) and carry one arena edge id per
+  /// hop, as every CompiledRouter walk does; anything else throws
+  /// std::invalid_argument. The flow's rate takes effect at the next
   /// commit().
   void start_chunk(const overlay::Route& route, bool is_upload);
 
@@ -148,8 +150,6 @@ class FlowSimulator {
   void finish_flow(FlowId flow, bool completed);
   void on_completion_event(const FlowEvent& ev);
   void on_timeout_event(const FlowEvent& ev);
-  [[nodiscard]] overlay::EdgeId resolve_edge(overlay::NodeIndex from,
-                                             overlay::NodeIndex to) const;
 
   const overlay::CompiledRouter* router_;
   FlowConfig config_;

@@ -9,8 +9,8 @@
 //
 // Invariant checked by tests: with uniform latencies and no concurrency
 // effects modelled beyond ordering, the path a retrieval takes equals the
-// path the step-based ForwardingRouter computes — the two simulators are
-// the same protocol at different granularity.
+// path the step-based greedy walk computes — the two simulators are the
+// same protocol at different granularity.
 #pragma once
 
 #include <cstdint>

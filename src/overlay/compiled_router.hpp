@@ -21,9 +21,11 @@
 //    independent per-hop loads overlap — one file download routes all of
 //    its chunks as one batch.
 //
-// The compiled answers are bit-identical to RoutingTable::next_hop and
-// ForwardingRouter::route, which stay in the tree as the reference
-// implementation; tests/overlay/compiled_router_test.cpp and
+// This is the only router: every simulation routes through it. Its answers
+// are bit-identical to RoutingTable::next_hop and to the Address-keyed
+// greedy walk it replaced, which is kept as a test oracle
+// (tests/oracles/forwarding_router.hpp, and reference_run.hpp for a whole
+// simulation over it); tests/overlay/compiled_router_test.cpp and
 // tests/core/compiled_equivalence_test.cpp enforce the equivalence.
 #pragma once
 
@@ -63,7 +65,7 @@ class CompiledRouter {
 
   /// One greedy step: the winning peer plus the arena id of the traversed
   /// directed edge (the index of the winner in the CSR peer slabs). The
-  /// edge id is what the edge ledger keys its balance slots by, so every
+  /// edge id is what the ledger keys its balance slots by, so every
   /// route resolves its accounting slots here, for free, instead of
   /// hashing node pairs per hop. next == kNoNextHop implies edge ==
   /// kNoEdge.
@@ -93,7 +95,9 @@ class CompiledRouter {
     return static_cast<NodeIndex>(closest_.closest_index(target));
   }
 
-  /// Greedy forwarding walk, bit-identical to ForwardingRouter::route.
+  /// Greedy forwarding walk from `origin` toward `target`, stopping at the
+  /// storer (global closest node), at a dead end, or at the hop cap
+  /// (Route::truncated).
   /// `max_hops` == 0 means the default 4x address bits.
   [[nodiscard]] Route route(NodeIndex origin, Address target,
                             std::size_t max_hops = 0) const;
@@ -124,7 +128,7 @@ class CompiledRouter {
   /// storer table, closest-node trie) — the memory cost of the precompute.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
-  // --- Edge arena introspection (consumed by accounting::EdgeLedger) ---
+  // --- Edge arena introspection (consumed by accounting::Ledger) ---
 
   /// peer_idx_ sentinel: table address not assigned to any node. An edge
   /// whose target is foreign is never traversed (next_hop fails the route

@@ -5,6 +5,10 @@
 // along the same path. No relay learns who originated the request, which is
 // the privacy property distinguishing forwarding Kademlia from the classic
 // iterative lookup (see iterative.hpp for the contrast).
+//
+// This header holds the walk's result, Route. The walk itself is
+// CompiledRouter (overlay/compiled_router.hpp); the Address-keyed greedy
+// walk it replaced is the test oracle tests/oracles/forwarding_router.hpp.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +21,7 @@ namespace fairswap::overlay {
 
 /// Identifier of a directed peer edge in the compiled router's CSR arena
 /// (an index into its peer slabs). kNoEdge marks "not resolved" — routes
-/// produced by the Address-keyed reference walk carry no edge ids.
+/// built by hand or by the greedy test oracle carry no edge ids.
 using EdgeId = std::uint32_t;
 inline constexpr EdgeId kNoEdge = 0xFFFFFFFFu;
 
@@ -27,10 +31,10 @@ struct Route {
   /// greedy forwarding terminated (no strictly-closer peer known).
   std::vector<NodeIndex> path;
   /// Compiled-router arena ids of the traversed edges: edges[i] is the
-  /// directed table edge path[i] -> path[i+1]. Filled only by the compiled
-  /// walks (then edges.size() == hops()); empty on the reference walk.
-  /// The edge ledger resolves its balance slot from these ids instead of
-  /// hashing the node pair per hop.
+  /// directed table edge path[i] -> path[i+1]. Filled by the compiled
+  /// walks (then edges.size() == hops()); empty on hand-built routes.
+  /// The ledger resolves its balance slot from these ids instead of
+  /// scanning for the node pair per hop, and the flow layer requires them.
   std::vector<EdgeId> edges;
   /// Address the route was aiming for.
   Address target{};
@@ -58,7 +62,7 @@ struct Route {
   }
 
   /// Arena id of the edge path[i] -> path[i+1], or kNoEdge when this route
-  /// carries no edge ids (reference walk, hand-built test routes).
+  /// carries no edge ids (hand-built routes, the greedy test oracle).
   [[nodiscard]] EdgeId edge(std::size_t i) const noexcept {
     return i < edges.size() ? edges[i] : kNoEdge;
   }
@@ -73,30 +77,6 @@ struct Route {
   [[nodiscard]] NodeIndex first_hop() const noexcept {
     return path.size() > 1 ? path[1] : path.front();
   }
-};
-
-/// Stateless greedy router over a Topology.
-class ForwardingRouter {
- public:
-  /// `max_hops` bounds route length; 4x the address bits is far beyond any
-  /// reachable route (each hop increases the shared prefix), so hitting it
-  /// indicates a broken table and is flagged via Route::truncated.
-  explicit ForwardingRouter(const Topology& topo,
-                            std::size_t max_hops = 0) noexcept;
-
-  /// Routes from `origin` toward `target`, stopping at the storer (global
-  /// closest node) or at a local minimum of the greedy walk.
-  [[nodiscard]] Route route(NodeIndex origin, Address target) const;
-
-  /// Allocation-free variant: writes into `out` (resetting it first), so a
-  /// caller looping over many chunks can reuse one path buffer.
-  void route_into(NodeIndex origin, Address target, Route& out) const;
-
-  [[nodiscard]] const Topology& topology() const noexcept { return *topo_; }
-
- private:
-  const Topology* topo_;
-  std::size_t max_hops_;
 };
 
 }  // namespace fairswap::overlay

@@ -2,14 +2,14 @@
 
 #include <queue>
 
-#include "overlay/forwarding.hpp"
+#include "overlay/compiled_router.hpp"
 
 namespace fairswap::overlay {
 
 RoutingQuality measure_routing(const Topology& topo, Rng& rng,
                                std::size_t samples) {
   RoutingQuality q;
-  const ForwardingRouter router(topo);
+  const CompiledRouter& router = topo.compiled();
   for (std::size_t s = 0; s < samples; ++s) {
     const auto origin = static_cast<NodeIndex>(rng.index(topo.node_count()));
     const Address target{

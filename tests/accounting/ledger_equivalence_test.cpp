@@ -1,19 +1,21 @@
-// Differential fuzz: the edge-arena ledger must be bit-identical to the
-// (bug-fixed) map-backed SwapNetwork under arbitrary interleavings of
+// Differential fuzz: the edge-arena Ledger must be bit-identical to the
+// (bug-fixed) map-backed SwapNetwork oracle under arbitrary interleavings of
 // debit / pay_direct / mint / amortize_tick / advance_tick — including
 // refusals and settlement boundary values at exactly payment_threshold
 // and disconnect_threshold. Observable state compared: per-debit results,
 // balances (both perspectives), income, spent, the full settlement log,
-// active_pairs, outstanding_debt, and the for_each_pair multiset.
+// active_pairs, outstanding_debt, and the for_each_pair multiset. Debits
+// reach the Ledger both with their edge id and without one (the slot is
+// then found by scanning), the two ways a route can present a hop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <tuple>
 #include <vector>
 
-#include "accounting/edge_ledger.hpp"
-#include "accounting/swap.hpp"
+#include "accounting/ledger.hpp"
 #include "common/rng.hpp"
+#include "oracles/swap_network.hpp"
 #include "overlay/compiled_router.hpp"
 #include "overlay/topology.hpp"
 
@@ -45,7 +47,7 @@ std::vector<DirectedEdge> directed_edges(const overlay::Topology& topo) {
   return out;
 }
 
-void expect_identical(const SwapNetwork& map, const EdgeLedger& edge,
+void expect_identical(const SwapNetwork& map, const Ledger& edge,
                       const overlay::Topology& topo, const char* when) {
   EXPECT_EQ(map.income(), edge.income()) << when;
   EXPECT_EQ(map.spent(), edge.spent()) << when;
@@ -92,7 +94,7 @@ TEST_P(LedgerEquivalence, RandomOperationSequences) {
   cfg.amortization_per_tick = Token(3);
 
   SwapNetwork map(topo.node_count(), cfg);
-  EdgeLedger edge(topo.compiled(), cfg);
+  Ledger edge(topo.compiled(), cfg);
 
   // Amount pool biased toward the interesting boundaries: exactly the
   // payment threshold (settles from zero), exactly the disconnect
@@ -165,7 +167,7 @@ TEST_P(LedgerEquivalence, SaturatedDebtThenFullAmortization) {
   cfg.amortization_per_tick = Token(7);
 
   SwapNetwork map(topo.node_count(), cfg);
-  EdgeLedger edge(topo.compiled(), cfg);
+  Ledger edge(topo.compiled(), cfg);
 
   Rng rng(GetParam() ^ 0x9999);
   for (int op = 0; op < 2000; ++op) {

@@ -1,7 +1,7 @@
-// Unit tests for the edge-arena SWAP ledger: slot resolution from edge
-// ids, SwapNetwork-identical debit/settlement semantics, and the
-// active-list bookkeeping (only nonzero balances are ever scanned).
-#include "accounting/edge_ledger.hpp"
+// Unit tests for the SWAP ledger on the edge arena: slot resolution from
+// edge ids, debit/settlement semantics, the active-list bookkeeping (only
+// nonzero balances are ever scanned) and the sim-plane counter bumps.
+#include "accounting/ledger.hpp"
 
 #include <gtest/gtest.h>
 
@@ -71,7 +71,7 @@ class EdgeLedgerFixture : public ::testing::Test {
 };
 
 TEST_F(EdgeLedgerFixture, FreshLedgerHasZeroEverything) {
-  const EdgeLedger ledger(*router_, small_config());
+  const Ledger ledger(*router_, small_config());
   EXPECT_EQ(ledger.active_pairs(), 0u);
   EXPECT_TRUE(ledger.outstanding_debt().is_zero());
   EXPECT_TRUE(ledger.settlements().empty());
@@ -81,8 +81,8 @@ TEST_F(EdgeLedgerFixture, FreshLedgerHasZeroEverything) {
 }
 
 TEST_F(EdgeLedgerFixture, DebitViaEdgeIdMatchesDebitViaScan) {
-  EdgeLedger with_hint(*router_, small_config());
-  EdgeLedger without_hint(*router_, small_config());
+  Ledger with_hint(*router_, small_config());
+  Ledger without_hint(*router_, small_config());
   const EdgeId e = first_edge_of(3);
   const NodeIndex provider = router_->edge_target(e);
 
@@ -95,7 +95,7 @@ TEST_F(EdgeLedgerFixture, DebitViaEdgeIdMatchesDebitViaScan) {
 }
 
 TEST_F(EdgeLedgerFixture, MirrorInvariantHolds) {
-  EdgeLedger ledger(*router_, small_config());
+  Ledger ledger(*router_, small_config());
   const EdgeId e = first_edge_of(0);
   const NodeIndex provider = router_->edge_target(e);
   (void)ledger.debit(0, provider, Token(42), false, e);
@@ -104,7 +104,7 @@ TEST_F(EdgeLedgerFixture, MirrorInvariantHolds) {
 }
 
 TEST_F(EdgeLedgerFixture, SettlementClearsBalanceAndRecordsIncome) {
-  EdgeLedger ledger(*router_, small_config());
+  Ledger ledger(*router_, small_config());
   const EdgeId e = first_edge_of(5);
   const NodeIndex provider = router_->edge_target(e);
   EXPECT_EQ(ledger.debit(5, provider, Token(60), true, e), DebitResult::kOk);
@@ -121,7 +121,7 @@ TEST_F(EdgeLedgerFixture, SettlementClearsBalanceAndRecordsIncome) {
 }
 
 TEST_F(EdgeLedgerFixture, RefusedDebitCreatesNoActivePair) {
-  EdgeLedger ledger(*router_, small_config());
+  Ledger ledger(*router_, small_config());
   const EdgeId e = first_edge_of(9);
   const NodeIndex provider = router_->edge_target(e);
   EXPECT_EQ(ledger.debit(9, provider, Token(200), false, e),
@@ -131,7 +131,7 @@ TEST_F(EdgeLedgerFixture, RefusedDebitCreatesNoActivePair) {
 }
 
 TEST_F(EdgeLedgerFixture, AmortizationOnlyTouchesActivePairsAndForgives) {
-  EdgeLedger ledger(*router_, small_config());
+  Ledger ledger(*router_, small_config());
   const EdgeId e0 = first_edge_of(0);
   const EdgeId e1 = first_edge_of(17);
   (void)ledger.debit(0, router_->edge_target(e0), Token(25), false, e0);
@@ -146,7 +146,7 @@ TEST_F(EdgeLedgerFixture, AmortizationOnlyTouchesActivePairsAndForgives) {
 }
 
 TEST_F(EdgeLedgerFixture, OppositeServiceCancellationDeactivates) {
-  EdgeLedger ledger(*router_, small_config());
+  Ledger ledger(*router_, small_config());
   // Find a reciprocal pair (u knows v; account both directions through
   // the same slot regardless of which side's edge resolves it).
   const EdgeId e = first_edge_of(2);
@@ -159,7 +159,7 @@ TEST_F(EdgeLedgerFixture, OppositeServiceCancellationDeactivates) {
 }
 
 TEST_F(EdgeLedgerFixture, ForEachPairVisitsOnlyNonzeroBalances) {
-  EdgeLedger ledger(*router_, small_config());
+  Ledger ledger(*router_, small_config());
   const EdgeId e0 = first_edge_of(1);
   const EdgeId e1 = first_edge_of(30);
   (void)ledger.debit(1, router_->edge_target(e0), Token(10), false, e0);
@@ -175,7 +175,7 @@ TEST_F(EdgeLedgerFixture, ForEachPairVisitsOnlyNonzeroBalances) {
 }
 
 TEST_F(EdgeLedgerFixture, UnconnectedPairDebitThrowsBalanceReadsZero) {
-  EdgeLedger ledger(*router_, small_config());
+  Ledger ledger(*router_, small_config());
   const auto [a, b] = unconnected_pair();
   EXPECT_TRUE(ledger.balance(a, b).is_zero());
   EXPECT_THROW((void)ledger.debit(a, b, Token(1), false),
@@ -183,7 +183,7 @@ TEST_F(EdgeLedgerFixture, UnconnectedPairDebitThrowsBalanceReadsZero) {
 }
 
 TEST_F(EdgeLedgerFixture, PayDirectAndMintDoNotTouchBalances) {
-  EdgeLedger ledger(*router_, small_config());
+  Ledger ledger(*router_, small_config());
   ledger.pay_direct(4, 8, Token(55));
   ledger.mint(6, Token(99));
   EXPECT_EQ(ledger.income()[8], Token(55));
@@ -193,8 +193,34 @@ TEST_F(EdgeLedgerFixture, PayDirectAndMintDoNotTouchBalances) {
   EXPECT_EQ(ledger.settlements().size(), 1u);
 }
 
+TEST_F(EdgeLedgerFixture, CountersBumpPerDebitOutcomeAndTick) {
+  Ledger ledger(*router_, small_config());
+  telemetry::CounterBlock counters;
+  ledger.set_counters(&counters);
+  const EdgeId e = first_edge_of(5);
+  const NodeIndex provider = router_->edge_target(e);
+  // One accrual, one settlement, one refusal, one amortization tick.
+  EXPECT_EQ(ledger.debit(5, provider, Token(60), true, e), DebitResult::kOk);
+  EXPECT_EQ(ledger.debit(5, provider, Token(60), true, e),
+            DebitResult::kSettled);
+  EXPECT_EQ(ledger.debit(5, provider, Token(200), false, e),
+            DebitResult::kDisconnected);
+  ledger.amortize_tick();
+  ledger.advance_tick();
+  // Detached, the ledger counts nowhere.
+  ledger.set_counters(nullptr);
+  (void)ledger.debit(5, provider, Token(1), false, e);
+
+  using telemetry::Counter;
+  const std::uint64_t on = telemetry::kEnabled ? 1 : 0;
+  EXPECT_EQ(counters.value(Counter::kDebits), 3 * on);
+  EXPECT_EQ(counters.value(Counter::kSettlements), on);
+  EXPECT_EQ(counters.value(Counter::kRefusedPayments), on);
+  EXPECT_EQ(counters.value(Counter::kAmortizeTicks), on);
+}
+
 TEST_F(EdgeLedgerFixture, TickSemanticsMatchSwapNetwork) {
-  EdgeLedger ledger(*router_, small_config());
+  Ledger ledger(*router_, small_config());
   EXPECT_EQ(ledger.tick(), 0u);
   ledger.advance_tick();
   ledger.amortize_tick();

@@ -14,10 +14,10 @@
 #include <utility>
 #include <vector>
 
-#include "accounting/edge_ledger.hpp"
-#include "accounting/swap.hpp"
+#include "accounting/ledger.hpp"
 #include "common/ordered.hpp"
 #include "common/rng.hpp"
+#include "oracles/swap_network.hpp"
 #include "overlay/compiled_router.hpp"
 #include "overlay/topology.hpp"
 
@@ -34,7 +34,7 @@ std::vector<PairRow> collect(const SwapNetwork& swap) {
   return rows;
 }
 
-std::vector<PairRow> collect(const EdgeLedger& ledger) {
+std::vector<PairRow> collect(const Ledger& ledger) {
   std::vector<PairRow> rows;
   ledger.for_each_pair([&](NodeIndex lo, NodeIndex hi, Token bal) {
     rows.emplace_back(lo, hi, bal);
@@ -120,7 +120,7 @@ TEST(PairOrder, EdgeLedgerMatchesSwapNetworkEnumeration) {
   SwapConfig cfg;
   cfg.payment_threshold = Token(1'000'000);
   cfg.disconnect_threshold = Token(1'500'000);
-  EdgeLedger edge(router, cfg);
+  Ledger edge(router, cfg);
   SwapNetwork swap(topo->node_count(), cfg);
 
   // Debit along real arena edges (both ledgers accept those), in edge-id

@@ -3,8 +3,8 @@
 // payments, amortization and settlement.
 #include <gtest/gtest.h>
 
-#include "accounting/swap.hpp"
 #include "common/rng.hpp"
+#include "oracles/swap_network.hpp"
 
 namespace fairswap::accounting {
 namespace {

@@ -1,11 +1,13 @@
-// The simulation's compiled routing path (including the batched per-file
-// walker) and the compiled edge-arena ledger must produce bit-identical
-// results to the Address-keyed greedy walk over the hash-map SwapNetwork:
-// same Routes, same NodeCounters, same SimulationTotals, same incomes,
-// same settlement logs and balances — across the full paper grid and
-// randomized topologies. Three configurations are compared pairwise:
-// (greedy routing, map ledger), (compiled routing, map ledger),
-// (compiled routing, edge ledger).
+// The simulation — compiled routing (including the batched per-file
+// walker) over the edge-arena Ledger — must produce bit-identical results
+// to the reference run (tests/oracles/reference_run.hpp): the
+// Address-keyed greedy walk, whose edge-less routes a fresh Ledger
+// accounts by scanning for each balance slot. Same NodeCounters, same
+// SimulationTotals, same incomes, same settlement logs and balances —
+// across the full paper grid and randomized topologies.
+// ledger_equivalence_test pins the Ledger to the hash-map SwapNetwork it
+// replaced, with and without edge ids; together the two suites cover the
+// old (greedy walk, hash-map ledger) configuration.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +18,7 @@
 #include "common/rng.hpp"
 #include "core/scenarios.hpp"
 #include "core/simulation.hpp"
+#include "oracles/reference_run.hpp"
 
 namespace fairswap::core {
 namespace {
@@ -30,12 +33,14 @@ overlay::Topology make_topology(std::size_t nodes, std::size_t k,
   return overlay::Topology::build(cfg, rng);
 }
 
-/// Asserts two finished simulations agree on every observable, including
-/// the full SWAP ledger state (not just settlement counts).
-void expect_same_observables(const Simulation& a, const Simulation& b,
+/// Asserts a finished simulation and reference run agree on every
+/// observable, including the full SWAP ledger state (not just settlement
+/// counts).
+void expect_same_observables(const Simulation& a, const ReferenceRun& b,
                              const char* what) {
   EXPECT_EQ(a.totals(), b.totals()) << what;
   EXPECT_EQ(a.counters(), b.counters()) << what;
+  EXPECT_EQ(a.free_riders(), b.free_riders()) << what;
   EXPECT_EQ(a.income_per_node(), b.income_per_node()) << what;
   EXPECT_EQ(a.swap().income(), b.swap().income()) << what;
   EXPECT_EQ(a.swap().spent(), b.swap().spent()) << what;
@@ -57,27 +62,16 @@ void expect_same_observables(const Simulation& a, const Simulation& b,
   EXPECT_EQ(a_pairs, b_pairs) << what;
 }
 
-/// Runs the same (topology, config, seed) through the three
-/// routing x ledger configurations and asserts every observable is
-/// identical across all of them.
-void expect_equivalent(const overlay::Topology& topo, SimulationConfig cfg,
-                       std::uint64_t seed, std::size_t files,
-                       const char* what) {
-  cfg.compiled_routing = true;
-  cfg.compiled_ledger = true;
-  Simulation edge_sim(topo, cfg, Rng(seed));
-  cfg.compiled_ledger = false;
-  Simulation compiled(topo, cfg, Rng(seed));
-  cfg.compiled_routing = false;
-  Simulation greedy(topo, cfg, Rng(seed));
-  ASSERT_TRUE(edge_sim.swap().edge_backed()) << what;
-  ASSERT_FALSE(compiled.swap().edge_backed()) << what;
-  edge_sim.run(files);
-  compiled.run(files);
-  greedy.run(files);
-
-  expect_same_observables(compiled, greedy, what);
-  expect_same_observables(edge_sim, compiled, what);
+/// Runs the same (topology, config, seed) through the simulation and the
+/// reference run and asserts every observable is identical.
+void expect_equivalent(const overlay::Topology& topo,
+                       const SimulationConfig& cfg, std::uint64_t seed,
+                       std::size_t files, const char* what) {
+  Simulation sim(topo, cfg, Rng(seed));
+  ReferenceRun reference(topo, cfg, Rng(seed));
+  sim.run(files);
+  reference.run(files);
+  expect_same_observables(sim, reference, what);
 }
 
 TEST(CompiledEquivalence, FullPaperGrid) {
@@ -148,7 +142,8 @@ TEST(CompiledEquivalence, PolicyAndWorkloadVariants) {
   expect_equivalent(topo, amortized, 89, 25, "amortization");
 
   // Caching disables the batched path but still routes each hop through
-  // the compiled structure; equivalence must hold there too.
+  // the compiled structure; equivalence must hold there too, with both
+  // sides short-circuiting at the same relay caches.
   auto cached = base;
   cached.cache_capacity = 32;
   cached.workload.catalog_size = 100;
@@ -211,18 +206,19 @@ TEST(CompiledEquivalence, ForeignTableEntryCountsAsFailedRoute) {
   ASSERT_TRUE(find_injectable_foreign(topo, node, foreign));
   ASSERT_TRUE(topo.inject_table_entry(node, foreign));
 
-  for (const bool compiled : {true, false}) {
-    SimulationConfig cfg;
-    cfg.compiled_routing = compiled;
-    Simulation sim(topo, cfg, Rng(97));
-    workload::DownloadRequest request;
-    request.originator = node;
-    request.chunks = {foreign};  // the walk's greedy winner is the stale entry
-    sim.apply(request);
-    EXPECT_EQ(sim.totals().failed_routes, 1u) << "compiled=" << compiled;
-    EXPECT_EQ(sim.totals().delivered, 0u) << "compiled=" << compiled;
-    EXPECT_EQ(sim.totals().truncated_routes, 0u) << "compiled=" << compiled;
+  workload::DownloadRequest request;
+  request.originator = node;
+  request.chunks = {foreign};  // the walk's greedy winner is the stale entry
+  Simulation sim(topo, SimulationConfig{}, Rng(97));
+  ReferenceRun reference(topo, SimulationConfig{}, Rng(97));
+  sim.apply(request);
+  reference.apply(request);
+  for (const SimulationTotals& t : {sim.totals(), reference.totals()}) {
+    EXPECT_EQ(t.failed_routes, 1u);
+    EXPECT_EQ(t.delivered, 0u);
+    EXPECT_EQ(t.truncated_routes, 0u);
   }
+  expect_same_observables(sim, reference, "foreign table entry");
 }
 
 TEST(CompiledEquivalence, SimulationPinsRouterAcrossInjection) {

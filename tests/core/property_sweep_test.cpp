@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <tuple>
 
 #include "core/fairness.hpp"
@@ -12,8 +13,11 @@
 namespace fairswap::core {
 namespace {
 
+// The policy is a std::string, not a const char*: GoogleTest prints a
+// pointer parameter as its address, which would put a per-build value into
+// every test name.
 using Param = std::tuple<std::uint64_t /*seed*/, std::size_t /*k*/,
-                         const char* /*policy*/>;
+                         std::string /*policy*/>;
 
 class SimulationInvariants : public ::testing::TestWithParam<Param> {
  protected:
@@ -85,7 +89,7 @@ TEST_P(SimulationInvariants, MoneyConservation) {
     spent_total += swap.spent()[n];
   }
   const auto [seed, k, policy] = GetParam();
-  if (std::string(policy) != "effort-based") {
+  if (policy != "effort-based") {
     EXPECT_EQ(income_total, spent_total);
   } else {
     EXPECT_GE(income_total, spent_total);  // the pool is minted
@@ -111,8 +115,9 @@ INSTANTIATE_TEST_SUITE_P(
     SeedKPolicy, SimulationInvariants,
     ::testing::Combine(::testing::Values(1u, 2u, 3u),
                        ::testing::Values(std::size_t{4}, std::size_t{20}),
-                       ::testing::Values("zero-proximity", "per-hop-swap",
-                                         "effort-based")),
+                       ::testing::Values(std::string("zero-proximity"),
+                                         std::string("per-hop-swap"),
+                                         std::string("effort-based"))),
     param_name);
 
 }  // namespace

@@ -1,12 +1,12 @@
 // Simulation::reset contract: a post-reset run is bit-identical to a
-// freshly constructed Simulation with the same rng — across the greedy+map
-// reference pair and the compiled+edge fast pair, for stateless and
+// freshly constructed Simulation with the same rng — for stateless and
 // stateful policies — while reusing the same compiled-router snapshot
 // (pointer identity: no per-epoch rebuild). This is what the agents epoch
 // loop leans on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -49,14 +49,11 @@ void expect_equal_state(const Simulation& a, const Simulation& b) {
   EXPECT_EQ(sorted_pairs(a.swap()), sorted_pairs(b.swap()));
 }
 
-SimulationConfig busy_config(bool compiled_routing, bool compiled_ledger,
-                             const std::string& policy) {
+SimulationConfig busy_config(const std::string& policy) {
   SimulationConfig cfg;
   cfg.workload.min_chunks_per_file = 5;
   cfg.workload.max_chunks_per_file = 30;
   cfg.workload.upload_share = 0.2;
-  cfg.compiled_routing = compiled_routing;
-  cfg.compiled_ledger = compiled_ledger;
   cfg.policy = policy;
   cfg.free_rider_share = 0.15;
   cfg.cache_capacity = policy == "tit-for-tat" ? 8 : 0;
@@ -65,13 +62,11 @@ SimulationConfig busy_config(bool compiled_routing, bool compiled_ledger,
   return cfg;
 }
 
-class ResetEquivalence
-    : public ::testing::TestWithParam<std::tuple<bool, bool, const char*>> {};
+class ResetEquivalence : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ResetEquivalence, PostResetRunIsBitIdenticalToFreshConstruction) {
-  const auto [compiled_routing, compiled_ledger, policy] = GetParam();
   const auto topo = make_topology();
-  const auto cfg = busy_config(compiled_routing, compiled_ledger, policy);
+  const auto cfg = busy_config(GetParam());
 
   // The reference: a simulation born with seed stream Rng(21).
   Simulation fresh(topo, cfg, Rng(21));
@@ -94,16 +89,21 @@ TEST_P(ResetEquivalence, PostResetRunIsBitIdenticalToFreshConstruction) {
   expect_equal_state(reused, fresh);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    RoutingLedgerPolicyMatrix, ResetEquivalence,
-    ::testing::Values(
-        std::make_tuple(false, false, "zero-proximity"),  // greedy + map
-        std::make_tuple(true, false, "zero-proximity"),   // compiled + map
-        std::make_tuple(true, true, "zero-proximity"),    // compiled + edge
-        std::make_tuple(false, false, "tit-for-tat"),     // stateful policy
-        std::make_tuple(true, true, "tit-for-tat"),
-        std::make_tuple(true, true, "per-hop-swap"),
-        std::make_tuple(true, true, "none")));
+/// "tit-for-tat" -> "tit_for_tat": test names allow no '-'.
+std::string policy_name(const ::testing::TestParamInfo<std::string>& info) {
+  std::string name = info.param;
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
+// Tit-for-tat keeps per-pair service state and runs with caches on, so the
+// reset also has to clear policy state and caches.
+INSTANTIATE_TEST_SUITE_P(PolicyMatrix, ResetEquivalence,
+                         ::testing::Values(std::string("zero-proximity"),
+                                           std::string("tit-for-tat"),
+                                           std::string("per-hop-swap"),
+                                           std::string("none")),
+                         policy_name);
 
 TEST(ResetTest, RouterAndTopologyArePointerStableAcrossManyResets) {
   const auto topo = make_topology(40);

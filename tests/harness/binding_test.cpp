@@ -86,12 +86,6 @@ TEST(Binding, EveryKeySetsTheFieldItNames) {
   EXPECT_EQ(table().apply(cfg, "disconnect_threshold", "75000"), "");
   EXPECT_EQ(cfg.sim.swap.disconnect_threshold, Token(75'000));
 
-  EXPECT_EQ(table().apply(cfg, "compiled_routing", "false"), "");
-  EXPECT_FALSE(cfg.sim.compiled_routing);
-
-  EXPECT_EQ(table().apply(cfg, "compiled_ledger", "no"), "");
-  EXPECT_FALSE(cfg.sim.compiled_ledger);
-
   EXPECT_EQ(table().apply(cfg, "max_hops", "12"), "");
   EXPECT_EQ(cfg.sim.max_route_hops, 12u);
 
@@ -152,8 +146,6 @@ TEST(Binding, TestCoversEveryRegisteredKey) {
   mutated.sim.swap.amortization_per_tick = Token(5);
   mutated.sim.swap.payment_threshold = Token(1234);
   mutated.sim.swap.disconnect_threshold = Token(2345);
-  mutated.sim.compiled_routing = false;
-  mutated.sim.compiled_ledger = false;
   mutated.sim.max_route_hops = 77;
   mutated.agents.epochs = 12;
   mutated.agents.files_per_epoch = 333;
@@ -201,8 +193,6 @@ TEST(Binding, TestCoversEveryRegisteredKey) {
             mutated.sim.swap.payment_threshold);
   EXPECT_EQ(rebuilt.sim.swap.disconnect_threshold,
             mutated.sim.swap.disconnect_threshold);
-  EXPECT_EQ(rebuilt.sim.compiled_routing, mutated.sim.compiled_routing);
-  EXPECT_EQ(rebuilt.sim.compiled_ledger, mutated.sim.compiled_ledger);
   EXPECT_EQ(rebuilt.sim.max_route_hops, mutated.sim.max_route_hops);
   EXPECT_EQ(rebuilt.agents, mutated.agents);
   EXPECT_EQ(rebuilt.trace_out, mutated.trace_out);
@@ -214,6 +204,21 @@ TEST(Binding, UnknownKeyIsAnError) {
   const std::string err = table().apply(cfg, "nodez", "1000");
   EXPECT_NE(err.find("unknown parameter"), std::string::npos) << err;
   EXPECT_EQ(cfg.topology.node_count, 1000u);  // untouched default
+}
+
+TEST(Binding, RetiredRoutingAndLedgerKeysAreUnknown) {
+  // The greedy walk and the hash-map ledger are test oracles now, not
+  // run-time choices: a config that still selects either fails loudly
+  // instead of silently running the compiled path.
+  for (const char* key : {"compiled_routing", "compiled_ledger"}) {
+    EXPECT_EQ(table().find(key), nullptr) << key;
+    for (const char* value : {"true", "false"}) {
+      ExperimentConfig cfg;
+      const std::string err = table().apply(cfg, key, value);
+      EXPECT_NE(err.find("unknown parameter"), std::string::npos)
+          << key << "=" << value << ": " << err;
+    }
+  }
 }
 
 TEST(Binding, MalformedValueIsAnErrorAndDoesNotMutate) {
@@ -228,7 +233,7 @@ TEST(Binding, MalformedValueIsAnErrorAndDoesNotMutate) {
   EXPECT_NE(table().apply(cfg, "originators", "0"), "");
   EXPECT_NE(table().apply(cfg, "free_riders", "-0.1"), "");
   EXPECT_NE(table().apply(cfg, "policy", "bribery"), "");
-  EXPECT_NE(table().apply(cfg, "compiled_routing", "maybe"), "");
+  EXPECT_NE(table().apply(cfg, "flow_level", "maybe"), "");
   EXPECT_NE(table().apply(cfg, "bits", "40"), "");
 }
 

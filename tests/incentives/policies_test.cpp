@@ -27,7 +27,7 @@ class PolicyFixture : public ::testing::Test {
     SwapConfig swap_cfg;
     swap_cfg.payment_threshold = Token(1'000'000);
     swap_cfg.disconnect_threshold = Token(1'500'000);
-    swap_ = std::make_unique<Ledger>(topo_->node_count(), swap_cfg);
+    swap_ = std::make_unique<Ledger>(topo_->compiled(), swap_cfg);
     pricer_ = accounting::make_pricer("flat");
 
     ctx_.topo = topo_.get();
@@ -118,7 +118,7 @@ TEST_F(PolicyFixture, PerHopSettlesAtThreshold) {
   SwapConfig cfg;
   cfg.payment_threshold = Token(3);
   cfg.disconnect_threshold = Token(10);
-  Ledger swap(topo_->node_count(), cfg);
+  Ledger swap(topo_->compiled(), cfg);
   ctx_.swap = &swap;
   PerHopSwapPolicy policy;
   for (int i = 0; i < 3; ++i) policy.on_delivery(ctx_, make_route({0, 1}));
@@ -130,7 +130,7 @@ TEST_F(PolicyFixture, PerHopFreeRiderGetsChokedEventually) {
   SwapConfig cfg;
   cfg.payment_threshold = Token(3);
   cfg.disconnect_threshold = Token(5);
-  Ledger swap(topo_->node_count(), cfg);
+  Ledger swap(topo_->compiled(), cfg);
   ctx_.swap = &swap;
   free_riders_[0] = 1;
   PerHopSwapPolicy policy;

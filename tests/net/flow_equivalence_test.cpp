@@ -2,7 +2,7 @@
 // run is a pure temporal extension of the counter-based reference — it
 // must agree bit-for-bit on every accounting observable (routes, chunk
 // counters, per-node service/income, SWAP balances and settlement logs)
-// across policies, routing modes and seeds, while actually producing the
+// across policies and seeds, while actually producing the
 // new temporal outputs. Plus: run_plan with flow_level on is bit-identical
 // for any thread count.
 #include <gtest/gtest.h>
@@ -111,17 +111,12 @@ TEST(FlowEquivalence, AcrossPoliciesAndRoutingModes) {
   const auto topo = make_topology(150, 4, 5);
   for (const char* policy :
        {"zero-proximity", "per-hop-swap", "effort-based", "none"}) {
-    for (const bool compiled : {true, false}) {
-      SimulationConfig cfg;
-      cfg.policy = policy;
-      cfg.compiled_routing = compiled;
-      cfg.workload.min_chunks_per_file = 10;
-      cfg.workload.max_chunks_per_file = 40;
-      cfg.flow.link_capacity = 0.05;
-      const std::string what =
-          std::string(policy) + (compiled ? "/compiled" : "/greedy");
-      expect_flow_equivalent(topo, cfg, 101, 25, what.c_str());
-    }
+    SimulationConfig cfg;
+    cfg.policy = policy;
+    cfg.workload.min_chunks_per_file = 10;
+    cfg.workload.max_chunks_per_file = 40;
+    cfg.flow.link_capacity = 0.05;
+    expect_flow_equivalent(topo, cfg, 101, 25, policy);
   }
 }
 

@@ -292,5 +292,26 @@ TEST(FlowSimulator, RejectsLocalHitsAndFailedRoutes) {
   EXPECT_THROW(sim.start_chunk(failed, false), std::invalid_argument);
 }
 
+TEST(FlowSimulator, RejectsRoutesWhoseEdgeIdsDoNotCoverTheirHops) {
+  const auto topo = make_topology(64, 4, 1);
+  Rng rng(7);
+  FlowSimulator sim(topo.compiled(), topo.node_count(), FlowConfig{});
+  overlay::Route route = multi_hop_route(topo, rng);
+  ASSERT_EQ(route.edges.size(), route.hops());
+
+  // The same hops without their arena ids: the flow would not know which
+  // table-edge links it crosses.
+  overlay::Route edgeless = route;
+  edgeless.edges.clear();
+  EXPECT_THROW(sim.start_chunk(edgeless, false), std::invalid_argument);
+  overlay::Route short_by_one = route;
+  short_by_one.edges.pop_back();
+  EXPECT_THROW(sim.start_chunk(short_by_one, true), std::invalid_argument);
+  EXPECT_EQ(sim.report().started, 0u);
+
+  sim.start_chunk(route, false);
+  EXPECT_EQ(sim.report().started, 1u);
+}
+
 }  // namespace
 }  // namespace fairswap::net

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "overlay/forwarding.hpp"
+#include "oracles/forwarding_router.hpp"
 
 namespace fairswap::net {
 namespace {

@@ -1,4 +1,4 @@
-#include "accounting/swap.hpp"
+#include "oracles/swap_network.hpp"
 
 #include <algorithm>
 #include <cassert>

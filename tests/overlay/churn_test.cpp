@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "oracles/forwarding_router.hpp"
 
 namespace fairswap::overlay {
 namespace {

@@ -11,7 +11,7 @@
 #include <unordered_set>
 
 #include "common/rng.hpp"
-#include "overlay/forwarding.hpp"
+#include "oracles/forwarding_router.hpp"
 
 namespace fairswap::overlay {
 namespace {

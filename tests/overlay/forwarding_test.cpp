@@ -1,4 +1,4 @@
-#include "overlay/forwarding.hpp"
+#include "oracles/forwarding_router.hpp"
 
 #include <gtest/gtest.h>
 

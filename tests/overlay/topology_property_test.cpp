@@ -5,7 +5,7 @@
 #include <set>
 
 #include "common/rng.hpp"
-#include "overlay/forwarding.hpp"
+#include "oracles/forwarding_router.hpp"
 #include "overlay/graph_metrics.hpp"
 #include "overlay/topology.hpp"
 
