@@ -56,7 +56,8 @@ enum class Counter : std::size_t {
   kRefusedPayments,    ///< debits refused (disconnected / withheld)
   kAmortizeTicks,      ///< time-decay amortization passes
   // flow simulation (net::FlowSimulator)
-  kFlowEventsPopped,      ///< completion/timeout events popped
+  kFlowEventsPopped,      ///< completion and timeout times that came due,
+                          ///< superseded completions included
   kFlowRateRecomputes,    ///< max-min reallocation passes
   kFlowSaturationEpisodes,///< links newly driven to saturation
   // workload (workload::DemandEngine)

@@ -4,12 +4,25 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "common/log.hpp"
 #include "net/flow_sim.hpp"
 #include "overlay/compiled_router.hpp"
 
 namespace fairswap::core {
+
+namespace {
+
+/// A flow arrival past the end of the tick clock is an error, not a wrap
+/// back to an earlier tick.
+[[noreturn]] void throw_arrival_overflow(std::uint64_t file) {
+  throw std::overflow_error(
+      "flow arrival tick of file " + std::to_string(file) +
+      " overflows the tick clock (flow_interarrival too large)");
+}
+
+}  // namespace
 
 Simulation::Simulation(const overlay::Topology& topo, SimulationConfig config,
                        Rng rng)
@@ -274,11 +287,17 @@ void Simulation::apply(const workload::DownloadRequest& request) {
   // flow runs stay bit-identical to the pre-engine path.
   if (flow_sim_) {
     if (engine_->modulates_interarrival()) {
-      flow_sim_->advance_to(arrival_tick_);
+      if (!(arrival_tick_ < 0x1p64)) throw_arrival_overflow(totals_.files);
+      flow_sim_->advance_to(static_cast<engine::SimTime>(arrival_tick_));
       arrival_tick_ +=
           engine_->interarrival_for(totals_.files, config_.flow.interarrival);
     } else {
-      flow_sim_->advance_to(config_.flow.interarrival * totals_.files);
+      const engine::SimTime interarrival = config_.flow.interarrival;
+      if (interarrival != 0 &&
+          totals_.files > engine::kForever / interarrival) {
+        throw_arrival_overflow(totals_.files);
+      }
+      flow_sim_->advance_to(interarrival * totals_.files);
     }
   }
   if (config_.stream_metrics) {

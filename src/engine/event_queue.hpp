@@ -3,10 +3,12 @@
 // engine cannot express: time-based amortization dynamics, churn, and
 // latency modelling.
 //
-// The ordering rule lives in one place, EventHeap<Payload>: a (when, seq)
-// min-heap over a monotone clock. EventQueue is that heap over callbacks;
-// hot loops that dispatch on plain data (net::FlowSimulator's flow events)
-// use the heap directly with a small payload and no per-event allocation.
+// The ordering rule lives in EventHeap<Payload>: a (when, seq) min-heap
+// over a monotone clock. EventQueue is that heap over callbacks; a loop
+// that dispatches on plain data can use the heap directly with a small
+// payload and no per-event allocation. net::FlowSimulator needs no heap:
+// it keeps each flow's completion in place and its timeouts arrive in
+// order, but it dispatches them by the same (when, seq) rule.
 //
 // Concurrency boundary: EventQueue is thread-compatible, not thread-safe
 // — it carries no lock on purpose. Every instance is owned by exactly one

@@ -60,6 +60,10 @@ int scenario_flow_fct(ScenarioContext& ctx) {
     print(ctx.os(), "error: %s\n", parse_error.c_str());
     return 2;
   }
+  if (interarrival == 0) {
+    print(ctx.os(), "error: flow_interarrival: must be at least 1\n");
+    return 2;
+  }
 
   banner(ctx.os(), "Flow-level FCT: link-capacity sweep, paper grid k=4");
 

@@ -42,7 +42,8 @@ namespace fairswap::net {
 using LinkId = std::uint32_t;
 
 /// Slot index of a flow inside a FairShareNetwork. Slots are recycled
-/// after remove_flow; FlowSimulator layers generation counters on top.
+/// after remove_flow; FlowSimulator tells a slot's flows apart by the seq
+/// of each one's timeout.
 using FlowId = std::uint32_t;
 
 /// Flow-level simulation parameters (SimulationConfig::flow).
@@ -57,7 +58,8 @@ struct FlowConfig {
   /// i * interarrival).
   engine::SimTime interarrival{50};
   /// Flows still unfinished this many ticks after start are abandoned and
-  /// counted as timed out; 0 disables timeouts. Timeouts are a temporal
+  /// counted as timed out; 0 disables timeouts. A deadline past the end of
+  /// the tick clock saturates at engine::kForever. Timeouts are a temporal
   /// statistic only — accounting already happened at request time.
   engine::SimTime timeout{0};
   /// Record flow-completion times in a bounded-memory percentile sketch

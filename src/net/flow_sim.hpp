@@ -6,19 +6,26 @@
 // without them is rejected) plus, per hop, the data-direction sender's
 // uplink and the receiver's downlink. Rates come from FairShareNetwork's
 // max-min fair allocator and are recomputed at arrivals, completions and
-// timeouts; in between, every flow progresses linearly, so completions
-// are scheduled as events at their exact (tick-rounded) finish time.
-// After a reallocation only flows whose rate actually changed are
-// rescheduled — unchanged flows keep their pending event (the
-// replicant-opera UpdateLinkDemand idiom); stale events are recognized by
-// generation counters and ignored.
+// timeouts; in between, every flow progresses linearly, so each flow's
+// completion is due at its exact (tick-rounded) finish time. After a
+// reallocation only flows whose rate actually changed get a new due time
+// — unchanged flows keep theirs (the replicant-opera UpdateLinkDemand
+// idiom).
 //
-// Events are plain {flow, uid, sched} records on an engine::EventHeap —
-// the same (when, seq) ordering rule EventQueue runs on, without a
-// per-event callback allocation. Most of them are stale by the time they
-// pop, so a pop costs a heap step and two integer compares. The active
-// flows live in the network's slot bitmap, so starts and ends are O(1)
-// and every sweep still visits flows in ascending slot order.
+// Nothing is queued only to be thrown away. Each active flow keeps its
+// pending completion in place as (due, seq); the pass that follows every
+// allocation already visits every active flow, so it also picks the
+// earliest. Timeouts are due at start + timeout, which never decreases,
+// so they wait in a FIFO that is already in (when, seq) order. The next
+// event is the earlier of that flow and the FIFO head under the same
+// (when, seq) rule engine::EventHeap runs on, with one seq counter for
+// both kinds. A completion superseded by a reschedule, a timeout or a
+// sweep is only counted, per due tick, and adds to flow_events_popped
+// (and moves the clock) when its tick falls due — as popping it off a
+// heap would. The active flows live in the network's slot bitmap, so
+// starts and ends are O(1) and every sweep visits flows in ascending
+// slot order. tests/net/reference_flow_sim.hpp keeps the event-heap loop
+// as the oracle this one must match call for call.
 //
 // The layer is purely temporal: Simulation's routing, counters and SWAP
 // ledger are already final when a flow starts, so counter-based and
@@ -33,6 +40,8 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <map>
 #include <vector>
 
 #include "common/stream_stats.hpp"
@@ -89,8 +98,8 @@ class FlowSimulator {
   /// Runs all flow events up to and including `t`; the clock ends at `t`.
   void advance_to(engine::SimTime t);
 
-  /// Runs the event queue dry: every remaining flow completes or times
-  /// out. Idempotent.
+  /// Runs every pending completion and timeout: every remaining flow
+  /// completes or times out. Idempotent.
   void drain();
 
   /// Forgets all flows, events and statistics; capacities stay.
@@ -104,7 +113,7 @@ class FlowSimulator {
   }
 
   [[nodiscard]] FlowReport report() const;
-  [[nodiscard]] engine::SimTime now() const noexcept { return events_.now(); }
+  [[nodiscard]] engine::SimTime now() const noexcept { return now_; }
   [[nodiscard]] std::size_t active_flows() const noexcept {
     return net_.active_flows().size();
   }
@@ -127,36 +136,49 @@ class FlowSimulator {
  private:
   /// Slot-parallel flow bookkeeping the rate network does not carry.
   struct Meta {
-    double remaining{0.0};       ///< chunks left, as of `progressed_`
-    double rate{-1.0};           ///< last scheduled-against rate
+    double remaining{0.0};         ///< chunks left, as of `progressed_`
+    double rate{-1.0};             ///< rate the pending completion assumes
     engine::SimTime start{0};
-    std::uint64_t uid{0};        ///< bumps on slot reuse; stales timeouts
-    std::uint64_t sched{0};      ///< bumps on reschedule; stales completions
+    engine::SimTime due{0};        ///< pending completion time, if seq != 0
+    std::uint64_t seq{0};          ///< its (when, seq) tie-break; 0: none
+    std::uint64_t timeout_seq{0};  ///< seq of this flow's timeout
   };
 
-  /// A pending completion or timeout. Completion events carry the
-  /// flow's sched generation (>= 1); sched == 0 marks a timeout.
-  struct FlowEvent {
+  /// A pending timeout; `seq` identifies the flow it was queued for.
+  struct Timeout {
+    engine::SimTime when{0};
+    std::uint64_t seq{0};
     FlowId flow{0};
-    std::uint64_t uid{0};
-    std::uint64_t sched{0};
   };
+
+  /// No flow has a pending completion.
+  static constexpr FlowId kNoFlow = static_cast<FlowId>(-1);
 
   void progress_to(engine::SimTime t);
   /// Dispatches every event due at or before `until`.
   void run_events(engine::SimTime until);
   void reallocate_and_reschedule();
   void schedule_completion(FlowId flow);
+  /// Makes `flow` the next completion if its pending one is earlier.
+  void consider_next(FlowId flow);
+  /// Drops the flow's pending completion, counted when its tick falls due.
+  void supersede(Meta& m);
   void finish_flow(FlowId flow, bool completed);
-  void on_completion_event(const FlowEvent& ev);
-  void on_timeout_event(const FlowEvent& ev);
+  void on_completion_event(FlowId flow);
+  void on_timeout_event(const Timeout& timeout);
+  void bump_events_popped(std::uint64_t n);
 
   const overlay::CompiledRouter* router_;
   FlowConfig config_;
   std::size_t node_count_;
   FairShareNetwork net_;
-  engine::EventHeap<FlowEvent> events_;
   std::vector<Meta> meta_;
+  /// The active flow with the earliest pending completion, or kNoFlow.
+  FlowId next_{kNoFlow};
+  /// Pending timeouts, in (when, seq) order.
+  std::deque<Timeout> timeouts_;
+  /// Superseded completions per due tick, not yet counted.
+  std::map<engine::SimTime, std::uint64_t> superseded_;
   std::vector<double> link_volume_;  ///< chunks delivered over each link
   std::vector<engine::SimTime> fct_;
   /// Bounded-memory FCT aggregation (config_.bounded_fct): log-binned
@@ -165,11 +187,13 @@ class FlowSimulator {
   std::uint64_t fct_ticks_sum_{0};
   std::vector<LinkId> links_buf_;
   std::vector<FlowId> finished_buf_;
+  engine::SimTime now_{0};
   engine::SimTime progressed_{0};  ///< time `remaining` values refer to
   engine::SimTime makespan_{0};
   std::uint64_t started_{0};
   std::uint64_t timed_out_{0};
-  std::uint64_t next_uid_{1};
+  /// The next completion's or timeout's seq; 0 means none is pending.
+  std::uint64_t next_seq_{1};
   bool dirty_{false};  ///< arrivals awaiting commit()
   /// Sim-plane counters (not owned); null until attached.
   telemetry::CounterBlock* counters_{nullptr};

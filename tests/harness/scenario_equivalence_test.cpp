@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -336,6 +337,23 @@ TEST(Scenario, MalformedSharedArgumentIsSurfaced) {
   EXPECT_NE(out.find("error"), std::string::npos);
   EXPECT_NE(out.find("files"), std::string::npos);
   EXPECT_NE(out.find("abc"), std::string::npos);
+}
+
+TEST(Scenario, FlowFctRejectsZeroInterarrival) {
+  const std::string out =
+      run("flow_fct", {"files=5", "flow_interarrival=0",
+                       "out=" + temp_dir("flow_zero_interarrival")},
+          /*expect_code=*/2);
+  EXPECT_NE(out.find("flow_interarrival"), std::string::npos) << out;
+}
+
+TEST(Scenario, FlowFctRejectsAnArrivalPastTheTickClock) {
+  // File 2 would arrive at 2 * 2^63 ticks; the CLI turns the throw into
+  // exit 2.
+  EXPECT_THROW(run("flow_fct", {"files=5", "link_capacity=0.08",
+                                "flow_interarrival=9223372036854775808",
+                                "out=" + temp_dir("flow_overflow")}),
+               std::overflow_error);
 }
 
 }  // namespace

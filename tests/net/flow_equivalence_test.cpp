@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -160,6 +161,24 @@ TEST(FlowEquivalence, TimeoutsChangeNothingButTemporalStats) {
   EXPECT_EQ(loose.totals().flows_timed_out, 0u);
   EXPECT_GT(tight.totals().flows_timed_out, 0u);
   expect_accounting_identical(tight, loose, "timeout vs none");
+}
+
+TEST(FlowEquivalence, ArrivalTickOverflowIsAnError) {
+  // On the product path file 2 would arrive at 2 * 2^63 ticks, past the
+  // end of the tick clock; the diurnal path's running sum passes it at
+  // file 3.
+  const auto topo = make_topology(60, 4, 3);
+  SimulationConfig cfg;
+  cfg.flow_level = true;
+  cfg.flow.interarrival = engine::SimTime{1} << 63;
+  Simulation product(topo, cfg, Rng(8));
+  product.run(2);
+  EXPECT_THROW(product.step(), std::overflow_error);
+
+  cfg.demand.diurnal_period = 4.0;
+  cfg.demand.diurnal_amp = 0.5;
+  Simulation diurnal(topo, cfg, Rng(8));
+  EXPECT_THROW(diurnal.run(5), std::overflow_error);
 }
 
 TEST(FlowEquivalence, CongestionProducesSaturationAndSpreadPercentiles) {

@@ -1,5 +1,5 @@
 // FlowSimulator unit tests: exact completion times under max-min sharing,
-// timeouts, reset, and EventQueue-driven determinism (completion order
+// timeouts, reset, and event-order determinism (completion order
 // independent of batch insertion order — there is no hash-map iteration
 // anywhere in the flow layer to leak container order into results).
 #include "net/flow_sim.hpp"
@@ -129,6 +129,30 @@ TEST(FlowSimulator, TimeoutAbandonsUnfinishedFlows) {
   // utilization can never exceed 1.
   EXPECT_GT(report.max_link_utilization, 0.0);
   EXPECT_LE(report.max_link_utilization, 1.0 + 1e-9);
+}
+
+TEST(FlowSimulator, HugeTimeoutMeansNever) {
+  const auto topo = make_topology(64, 4, 1);
+  Rng rng(7);
+  const auto route = multi_hop_route(topo, rng);
+
+  FlowConfig cfg;
+  cfg.link_capacity = 0.1;  // solo FCT 10
+  cfg.timeout = engine::kForever;
+  FlowSimulator sim(topo.compiled(), topo.node_count(), cfg);
+  // Started after tick 0, start + timeout does not fit the tick clock:
+  // the deadline saturates instead of wrapping to a tick already past.
+  sim.advance_to(5);
+  sim.start_chunk(route, false);
+  sim.commit();
+  sim.drain();
+
+  const FlowReport report = sim.report();
+  EXPECT_EQ(report.completed, 1u);
+  EXPECT_EQ(report.timed_out, 0u);
+  ASSERT_EQ(sim.fct_samples().size(), 1u);
+  EXPECT_EQ(sim.fct_samples()[0], 10u);
+  EXPECT_EQ(report.makespan, 15u);
 }
 
 TEST(FlowSimulator, UploadsLoadTheOppositeDirection) {
