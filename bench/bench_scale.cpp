@@ -473,8 +473,8 @@ WorkloadBenchResult workload_bench(std::size_t requests, std::uint64_t seed) {
                                   Rng(seed));
     const std::size_t verify = std::min<std::size_t>(2'000, requests);
     for (std::size_t i = 0; i < verify; ++i) {
-      const auto a = plain.next();
-      const auto b = engine.next();
+      const auto& a = plain.next();
+      const auto& b = engine.next();
       if (a.originator != b.originator || a.is_upload != b.is_upload ||
           a.chunks != b.chunks) {
         result.default_identical = false;
@@ -511,7 +511,7 @@ WorkloadBenchResult workload_bench(std::size_t requests, std::uint64_t seed) {
     workload::DemandEngine engine(topo, mixed, demand, Rng(seed));
     const auto start = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < requests; ++i) {
-      const auto req = engine.next();
+      const auto& req = engine.next();
       composed_chunks += req.chunks.size();
       chunks_per_request.add(static_cast<double>(req.chunks.size()));
       interarrival_sum += engine.interarrival_for(i, 1.0);

@@ -229,40 +229,15 @@ class Parser {
   bool value(JsonValue& out) {
     if (at_ >= text_.size()) return fail("unexpected end of input");
     switch (text_[at_]) {
-      case '{': {
-        ++at_;
-        out.kind = JsonValue::Kind::kObject;
-        skip_ws();
-        if (peek('}')) { ++at_; return true; }
-        while (true) {
-          skip_ws();
-          std::string key;
-          if (!string(key)) return false;
-          skip_ws();
-          if (!expect(':')) return false;
-          skip_ws();
-          JsonValue member;
-          if (!value(member)) return false;
-          out.object.emplace(std::move(key), std::move(member));
-          skip_ws();
-          if (peek(',')) { ++at_; continue; }
-          return expect('}');
-        }
-      }
+      case '{':
       case '[': {
-        ++at_;
-        out.kind = JsonValue::Kind::kArray;
-        skip_ws();
-        if (peek(']')) { ++at_; return true; }
-        while (true) {
-          skip_ws();
-          JsonValue element;
-          if (!value(element)) return false;
-          out.array.push_back(std::move(element));
-          skip_ws();
-          if (peek(',')) { ++at_; continue; }
-          return expect(']');
+        if (depth_ == kMaxJsonDepth) {
+          return fail("nesting deeper than " + std::to_string(kMaxJsonDepth));
         }
+        ++depth_;
+        const bool ok = text_[at_] == '{' ? object(out) : array(out);
+        --depth_;
+        return ok;
       }
       case '"': {
         out.kind = JsonValue::Kind::kString;
@@ -275,9 +250,47 @@ class Parser {
     }
   }
 
+  bool object(JsonValue& out) {
+    ++at_;
+    out.kind = JsonValue::Kind::kObject;
+    skip_ws();
+    if (peek('}')) { ++at_; return true; }
+    while (true) {
+      skip_ws();
+      std::string key;
+      if (!string(key)) return false;
+      skip_ws();
+      if (!expect(':')) return false;
+      skip_ws();
+      JsonValue member;
+      if (!value(member)) return false;
+      out.object.emplace(std::move(key), std::move(member));
+      skip_ws();
+      if (peek(',')) { ++at_; continue; }
+      return expect('}');
+    }
+  }
+
+  bool array(JsonValue& out) {
+    ++at_;
+    out.kind = JsonValue::Kind::kArray;
+    skip_ws();
+    if (peek(']')) { ++at_; return true; }
+    while (true) {
+      skip_ws();
+      JsonValue element;
+      if (!value(element)) return false;
+      out.array.push_back(std::move(element));
+      skip_ws();
+      if (peek(',')) { ++at_; continue; }
+      return expect(']');
+    }
+  }
+
   const std::string& text_;
   std::string* error_;
   std::size_t at_{0};
+  std::size_t depth_{0};  ///< arrays and objects currently open
 };
 
 }  // namespace

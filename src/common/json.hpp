@@ -84,9 +84,15 @@ struct JsonValue {
   [[nodiscard]] const JsonValue& at(const std::string& key) const;
 };
 
+/// Deepest nesting of arrays and objects parse_json accepts. The parser
+/// recurses once per level, so a bound keeps a hostile document from
+/// exhausting the stack; the repo's own documents nest a handful deep.
+inline constexpr std::size_t kMaxJsonDepth = 256;
+
 /// Strict parse of one JSON document (trailing garbage is an error).
 /// Returns nullopt-style failure via the bool; `error` (optional) receives
-/// a message with the byte offset.
+/// a message with the byte offset. Nesting deeper than kMaxJsonDepth is
+/// an error.
 [[nodiscard]] bool parse_json(const std::string& text, JsonValue& out,
                               std::string* error = nullptr);
 

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 
 namespace fairswap {
 
@@ -86,7 +87,14 @@ Rng Rng::split(std::uint64_t stream) const noexcept {
 }
 
 ZipfSampler::ZipfSampler(std::size_t n, double alpha) : alpha_(alpha) {
-  assert(n > 0);
+  if (n == 0) throw std::invalid_argument("ZipfSampler: n must be positive");
+  if (n > (std::size_t{1} << 32)) {
+    throw std::invalid_argument("ZipfSampler: n must be at most 2^32");
+  }
+  if (!std::isfinite(alpha) || alpha < 0.0) {
+    throw std::invalid_argument(
+        "ZipfSampler: alpha must be finite and non-negative");
+  }
   cdf_.resize(n);
   double total = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -95,22 +103,19 @@ ZipfSampler::ZipfSampler(std::size_t n, double alpha) : alpha_(alpha) {
   }
   for (auto& c : cdf_) c /= total;
   cdf_.back() = 1.0;  // guard against floating-point shortfall
-}
 
-std::size_t ZipfSampler::sample(Rng& rng) const noexcept {
-  const double u = rng.uniform01();
-  // Binary search for the first cdf entry >= u.
-  std::size_t lo = 0;
-  std::size_t hi = cdf_.size() - 1;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (cdf_[mid] < u) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
+  // guide_[j] = first i with cdf_[i] >= j/m. Both j/m and (in rank_of)
+  // u*m are exact because m is a power of two; cdf_.back() == 1.0 > j/m
+  // keeps the scan inside the table.
+  const std::size_t m = std::bit_ceil(n);
+  buckets_ = static_cast<double>(m);
+  guide_.resize(m);
+  std::size_t i = 0;
+  for (std::size_t j = 0; j < m; ++j) {
+    const double threshold = static_cast<double>(j) / buckets_;
+    while (cdf_[i] < threshold) ++i;
+    guide_[j] = static_cast<std::uint32_t>(i);
   }
-  return lo;
 }
 
 }  // namespace fairswap

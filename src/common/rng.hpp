@@ -109,21 +109,44 @@ class Rng {
   std::uint64_t seed_{0};
 };
 
-/// Zipf(α) sampler over ranks {0, .., n-1} using precomputed CDF inversion.
-/// Used by the content-popularity extension (paper §V: "adding content
-/// popularity and caching policies"). α == 0 degenerates to uniform.
+/// Zipf(α) sampler over ranks {0, .., n-1}. Used by the content-popularity
+/// extension (paper §V: "adding content popularity and caching policies").
+/// α == 0 degenerates to uniform.
+///
+/// A draw inverts the CDF through a guide table (Chen & Asau 1974): with
+/// m = bit_ceil(n) buckets, guide[j] is the first rank whose CDF reaches
+/// j/m, so a draw u starts at guide[floor(u*m)] and scans forward, under
+/// two probes on average. m is a power of two so that u*m and j/m are
+/// exact in double precision: the guide can never start past the answer,
+/// and every u maps to the first rank with cdf >= u, exactly the rank a
+/// binary search over the CDF returns.
 class ZipfSampler {
  public:
+  /// Throws std::invalid_argument for n == 0, n > 2^32 (the guide's index
+  /// width), or an alpha that is negative or not finite.
   ZipfSampler(std::size_t n, double alpha);
 
-  /// Draws a rank in [0, n). Rank 0 is the most popular item.
-  std::size_t sample(Rng& rng) const noexcept;
+  /// Draws a rank in [0, n) from one uniform01() value. Rank 0 is the
+  /// most popular item.
+  std::size_t sample(Rng& rng) const noexcept {
+    return rank_of(rng.uniform01());
+  }
+
+  /// The rank a uniform value u in [0, 1) maps to: the first rank whose
+  /// CDF is >= u.
+  [[nodiscard]] std::size_t rank_of(double u) const noexcept {
+    std::size_t i = guide_[static_cast<std::size_t>(u * buckets_)];
+    while (cdf_[i] < u) ++i;
+    return i;
+  }
 
   [[nodiscard]] std::size_t size() const noexcept { return cdf_.size(); }
   [[nodiscard]] double alpha() const noexcept { return alpha_; }
 
  private:
   std::vector<double> cdf_;
+  std::vector<std::uint32_t> guide_;
+  double buckets_{};  ///< m, the guide length, as a double
   double alpha_;
 };
 

@@ -57,7 +57,7 @@ void drive_simulation(Simulation& sim, const ExperimentConfig& config,
   if (!config.trace_out.empty()) {
     workload::TraceRecorder recorder;
     for (std::size_t f = 0; f < config.files; ++f) {
-      const auto request = sim.demand_mut().next();
+      const auto& request = sim.demand_mut().next();
       recorder.record(request);
       sim.apply(request);
     }

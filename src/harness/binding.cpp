@@ -1,6 +1,7 @@
 #include "harness/binding.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -31,12 +32,16 @@ std::optional<std::int64_t> parse_i64(const std::string& s) {
   return static_cast<std::int64_t>(v);
 }
 
+/// A finite double. strtod also accepts "nan" and "inf", which no binding
+/// takes: NaN passes every range check written as `x < lo || x > hi`.
 std::optional<double> parse_double(const std::string& s) {
   if (s.empty()) return std::nullopt;
   char* end = nullptr;
   errno = 0;
   const double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || !end || *end != '\0') return std::nullopt;
+  if (errno != 0 || !end || *end != '\0' || !std::isfinite(v)) {
+    return std::nullopt;
+  }
   return v;
 }
 
@@ -80,6 +85,16 @@ std::string set_share(double& field, const std::string& key,
   if (*parsed < 0.0 || *parsed > 1.0 || (!allow_zero && *parsed == 0.0)) {
     return key + ": must be in " + (allow_zero ? "[0, 1]" : "(0, 1]");
   }
+  field = *parsed;
+  return {};
+}
+
+/// A Zipf exponent: a finite, non-negative number.
+std::string set_exponent(double& field, const std::string& key,
+                         const std::string& v) {
+  const auto parsed = parse_double(v);
+  if (!parsed) return bad(key, v, "a finite number");
+  if (*parsed < 0.0) return key + ": must be non-negative";
   field = *parsed;
   return {};
 }
@@ -254,12 +269,8 @@ BindingTable::BindingTable() {
       +[](const Cfg& c) { return format_double(c.sim.workload.upload_share); });
 
   add("zipf", "Zipf exponent over originators (0 = uniform)",
-      +[](Cfg& c, const std::string& v) -> std::string {
-        const auto p = parse_double(v);
-        if (!p) return bad("zipf", v, "a number");
-        if (*p < 0.0) return "zipf: must be non-negative";
-        c.sim.workload.originator_zipf_alpha = *p;
-        return {};
+      +[](Cfg& c, const std::string& v) {
+        return set_exponent(c.sim.workload.originator_zipf_alpha, "zipf", v);
       },
       +[](const Cfg& c) {
         return format_double(c.sim.workload.originator_zipf_alpha);
@@ -269,6 +280,10 @@ BindingTable::BindingTable() {
       +[](Cfg& c, const std::string& v) -> std::string {
         const auto p = parse_u64(v);
         if (!p) return bad("catalog", v, "a catalog size");
+        // The Zipf sampler indexes its guide table with 32-bit ranks.
+        if (*p > std::numeric_limits<std::uint32_t>::max()) {
+          return "catalog: must be at most 4294967295";
+        }
         c.sim.workload.catalog_size = static_cast<std::size_t>(*p);
         return {};
       },
@@ -277,12 +292,9 @@ BindingTable::BindingTable() {
       });
 
   add("catalog_zipf", "Zipf exponent over the catalog",
-      +[](Cfg& c, const std::string& v) -> std::string {
-        const auto p = parse_double(v);
-        if (!p) return bad("catalog_zipf", v, "a number");
-        if (*p < 0.0) return "catalog_zipf: must be non-negative";
-        c.sim.workload.catalog_zipf_alpha = *p;
-        return {};
+      +[](Cfg& c, const std::string& v) {
+        return set_exponent(c.sim.workload.catalog_zipf_alpha, "catalog_zipf",
+                            v);
       },
       +[](const Cfg& c) {
         return format_double(c.sim.workload.catalog_zipf_alpha);
@@ -304,12 +316,8 @@ BindingTable::BindingTable() {
       });
 
   add("zipf_s", "Zipf exponent over catalog ranks (demand=zipf)",
-      +[](Cfg& c, const std::string& v) -> std::string {
-        const auto p = parse_double(v);
-        if (!p) return bad("zipf_s", v, "a number");
-        if (*p < 0.0) return "zipf_s: must be non-negative";
-        c.sim.demand.zipf_s = *p;
-        return {};
+      +[](Cfg& c, const std::string& v) {
+        return set_exponent(c.sim.demand.zipf_s, "zipf_s", v);
       },
       +[](const Cfg& c) { return format_double(c.sim.demand.zipf_s); });
 

@@ -23,23 +23,26 @@ DownloadGenerator::DownloadGenerator(const overlay::Topology& topo,
   for (std::size_t p : picks) originators_.push_back(static_cast<NodeIndex>(p));
   std::sort(originators_.begin(), originators_.end());
 
-  if (config_.originator_zipf_alpha > 0.0) {
+  // Any non-zero exponent goes through the sampler, which rejects a
+  // negative or non-finite one; 0 is the paper's uniform pick.
+  if (config_.originator_zipf_alpha != 0.0) {
     originator_zipf_.emplace(originators_.size(),
                              config_.originator_zipf_alpha);
   }
 
   if (config_.catalog_size > 0) {
+    // The sampler validates the size before the catalog allocates it.
+    catalog_zipf_.emplace(config_.catalog_size, config_.catalog_zipf_alpha);
     catalog_.reserve(config_.catalog_size);
     for (std::size_t i = 0; i < config_.catalog_size; ++i) {
       catalog_.push_back(Address{
           static_cast<AddressValue>(rng_.next_below(topo.space().size()))});
     }
-    catalog_zipf_.emplace(catalog_.size(), config_.catalog_zipf_alpha);
   }
 }
 
-DownloadRequest DownloadGenerator::next() {
-  DownloadRequest req;
+const DownloadRequest& DownloadGenerator::next() {
+  DownloadRequest& req = request_;
   req.is_upload = rng_.chance(config_.upload_share);
 
   // Originator.
@@ -49,18 +52,23 @@ DownloadRequest DownloadGenerator::next() {
     req.originator = originators_[rng_.index(originators_.size())];
   }
 
-  // Chunk count: uniform in [min, max].
+  // Chunk count: uniform in [min, max]. clear() keeps the buffer's
+  // capacity, so once it has held the largest file nothing allocates.
   const auto chunks = static_cast<std::size_t>(rng_.uniform_int(
       static_cast<std::int64_t>(config_.min_chunks_per_file),
       static_cast<std::int64_t>(config_.max_chunks_per_file)));
+  req.chunks.clear();
   req.chunks.reserve(chunks);
 
-  for (std::size_t c = 0; c < chunks; ++c) {
-    if (catalog_zipf_) {
+  if (catalog_zipf_) {
+    for (std::size_t c = 0; c < chunks; ++c) {
       req.chunks.push_back(catalog_[catalog_zipf_->sample(rng_)]);
-    } else {
-      req.chunks.push_back(Address{
-          static_cast<AddressValue>(rng_.next_below(topo_->space().size()))});
+    }
+  } else {
+    const std::uint64_t space = topo_->space().size();
+    for (std::size_t c = 0; c < chunks; ++c) {
+      req.chunks.push_back(
+          Address{static_cast<AddressValue>(rng_.next_below(space))});
     }
   }
   return req;

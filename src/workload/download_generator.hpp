@@ -69,8 +69,11 @@ class DownloadGenerator {
   DownloadGenerator(const overlay::Topology& topo, WorkloadConfig config,
                     Rng rng);
 
-  /// Produces the next file download.
-  [[nodiscard]] DownloadRequest next();
+  /// Produces the next file download. The request lives in a buffer the
+  /// generator owns: the reference stays valid until the next call to
+  /// next() (or the generator's destruction), and the next call
+  /// overwrites it. Copy the request to keep it longer.
+  [[nodiscard]] const DownloadRequest& next();
 
   [[nodiscard]] const WorkloadConfig& config() const noexcept {
     return config_;
@@ -95,6 +98,8 @@ class DownloadGenerator {
   std::optional<ZipfSampler> originator_zipf_;
   std::vector<Address> catalog_;
   std::optional<ZipfSampler> catalog_zipf_;
+  /// The request next() refills and returns.
+  DownloadRequest request_;
 };
 
 }  // namespace fairswap::workload

@@ -69,26 +69,28 @@ DemandEngine::DemandEngine(const overlay::Topology& topo, WorkloadConfig base,
     const auto chunks = static_cast<std::size_t>(hot_rng.uniform_int(
         static_cast<std::int64_t>(base_.config().min_chunks_per_file),
         static_cast<std::int64_t>(base_.config().max_chunks_per_file)));
-    hot_chunks_.reserve(chunks);
+    hot_.chunks.reserve(chunks);
     for (std::size_t c = 0; c < chunks; ++c) {
-      hot_chunks_.push_back(Address{static_cast<AddressValue>(
+      hot_.chunks.push_back(Address{static_cast<AddressValue>(
           hot_rng.next_below(topo.space().size()))});
     }
   }
 }
 
-DownloadRequest DemandEngine::next() {
+const DownloadRequest& DemandEngine::next() {
   const std::uint64_t i = index_++;
   // Always pull the base stream first: its rng consumption is identical
   // whether or not the burst fires, so demand knobs never perturb the
   // underlying request sequence.
-  DownloadRequest req = base_.next();
+  const DownloadRequest& req = base_.next();
   if (burst_window(i) && burst_rng_.chance(demand_.burst_share)) {
-    req.chunks = hot_chunks_;
-    req.is_upload = false;  // flash crowds are download stampedes
+    // The hot file replaces the base draw's chunks and upload flag; the
+    // originator stays the base draw's.
+    hot_.originator = req.originator;
     if (counters_ != nullptr) {
       counters_->bump(telemetry::Counter::kBurstDraws);
     }
+    return hot_;
   }
   return req;
 }

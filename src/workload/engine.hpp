@@ -85,8 +85,12 @@ class DemandEngine {
   DemandEngine(const overlay::Topology& topo, WorkloadConfig base,
                DemandConfig demand, Rng rng);
 
-  /// Produces the next file request (request index advances by one).
-  [[nodiscard]] DownloadRequest next();
+  /// Produces the next file request (request index advances by one). The
+  /// request lives in a buffer the engine owns: the reference stays valid
+  /// until the next call to next() (or the engine's destruction). Copy
+  /// the request to keep it longer. A burst request is the engine's
+  /// hot-file request, not a copy of the hot file.
+  [[nodiscard]] const DownloadRequest& next();
 
   /// The flow-level interarrival ahead of request `request_index`:
   /// `base_interarrival` scaled by the diurnal triangle wave, or exactly
@@ -123,7 +127,7 @@ class DemandEngine {
   }
   /// The flash-crowd hot file (empty when the burst is disabled).
   [[nodiscard]] const std::vector<Address>& hot_chunks() const noexcept {
-    return hot_chunks_;
+    return hot_.chunks;
   }
 
  private:
@@ -136,7 +140,10 @@ class DemandEngine {
   /// Burst redirect decisions; a side stream so toggling the burst never
   /// perturbs the base request stream.
   Rng burst_rng_;
-  std::vector<Address> hot_chunks_;
+  /// The request a burst returns: the hot file's chunks, built once, with
+  /// the originator of the base draw it replaces. is_upload stays false:
+  /// flash crowds are download stampedes.
+  DownloadRequest hot_;
   std::uint64_t index_{0};
   /// Sim-plane counters (not owned); null until attached. Mutable slots
   /// behind a pointer so const queries like interarrival_for can count.

@@ -76,6 +76,35 @@ TEST(JsonParse, AcceptsScalarsAndRejectsGarbage) {
   EXPECT_FALSE(parse_json("truish", v, &error));
 }
 
+TEST(JsonParse, DeepNestingIsAnErrorNotACrash) {
+  // 100,000 open brackets used to recurse until the stack overflowed.
+  JsonValue v;
+  std::string error;
+  EXPECT_FALSE(parse_json(std::string(100'000, '['), v, &error));
+  EXPECT_NE(error.find("nesting"), std::string::npos) << error;
+  EXPECT_FALSE(parse_json(std::string(100'000, '{'), v, &error));
+
+  // Exactly kMaxJsonDepth levels parse, objects and arrays mixed; one
+  // more is refused.
+  const auto nested = [](std::size_t levels) {
+    std::string doc;
+    for (std::size_t i = 0; i < levels; ++i) {
+      doc += i % 2 == 0 ? "{\"a\":" : "[";
+    }
+    doc += '1';
+    for (std::size_t i = levels; i-- > 0;) doc += i % 2 == 0 ? '}' : ']';
+    return doc;
+  };
+  EXPECT_TRUE(parse_json(nested(kMaxJsonDepth), v, &error)) << error;
+  const JsonValue* inner = &v;
+  for (std::size_t i = 0; i < kMaxJsonDepth; ++i) {
+    inner = i % 2 == 0 ? &inner->at("a") : &inner->array.at(0);
+  }
+  EXPECT_DOUBLE_EQ(inner->number, 1.0);
+  EXPECT_FALSE(parse_json(nested(kMaxJsonDepth + 1), v, &error));
+  EXPECT_NE(error.find("nesting"), std::string::npos) << error;
+}
+
 TEST(JsonValue, MissingKeysChainToNull) {
   JsonValue v;
   ASSERT_TRUE(parse_json("{\"a\": 1}", v));

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 namespace fairswap {
@@ -194,6 +196,20 @@ TEST(ZipfSampler, SingleItemAlwaysRankZero) {
   ZipfSampler zipf(1, 1.0);
   Rng rng(7);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(zipf.sample(rng), 0u);
+}
+
+TEST(ZipfSampler, RejectsAnEmptyOrOversizedRangeAndABadExponent) {
+  EXPECT_THROW(ZipfSampler(0, 1.0), std::invalid_argument);
+  // Above 2^32 the guide's 32-bit ranks would wrap; the size is refused
+  // before anything is allocated.
+  EXPECT_THROW(ZipfSampler((std::size_t{1} << 32) + 1, 1.0),
+               std::invalid_argument);
+  for (const double alpha : {-0.5, std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(ZipfSampler(64, alpha), std::invalid_argument) << alpha;
+  }
+  EXPECT_NO_THROW(ZipfSampler(64, 0.0));
 }
 
 class RngDistributionProperty

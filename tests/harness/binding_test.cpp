@@ -237,6 +237,51 @@ TEST(Binding, MalformedValueIsAnErrorAndDoesNotMutate) {
   EXPECT_NE(table().apply(cfg, "bits", "40"), "");
 }
 
+TEST(Binding, ZipfExponentsMustBeFiniteAndNonNegative) {
+  // NaN passes a plain `< 0` test; zipf_s=nan used to run as zipf_s=inf,
+  // every chunk drawn from catalog rank 0.
+  for (const char* key : {"zipf", "catalog_zipf", "zipf_s"}) {
+    for (const char* value : {"nan", "NaN", "-nan", "inf", "-inf",
+                              "infinity", "-0.5"}) {
+      ExperimentConfig cfg;
+      const ExperimentConfig before = cfg;
+      EXPECT_NE(table().apply(cfg, key, value), "") << key << "=" << value;
+      EXPECT_EQ(table().snapshot(cfg), table().snapshot(before))
+          << key << "=" << value;
+    }
+    ExperimentConfig cfg;
+    EXPECT_EQ(table().apply(cfg, key, "0"), "") << key;
+    EXPECT_EQ(table().apply(cfg, key, "40"), "") << key;
+  }
+}
+
+TEST(Binding, NoNumericKeyTakesANaNOrAnInfinity) {
+  // Range checks written as `x < lo || x > hi` let NaN through:
+  // originators=nan used to run with a NaN originator share.
+  for (const char* key :
+       {"originators", "upload_share", "upload_mix", "burst_share",
+        "diurnal_period", "diurnal_amp", "free_riders", "link_capacity",
+        "bandwidth_cost", "revision_rate", "noise", "initial_free_riders"}) {
+    ASSERT_NE(table().find(key), nullptr) << key;
+    for (const char* value : {"nan", "inf", "-inf"}) {
+      ExperimentConfig cfg;
+      EXPECT_NE(table().apply(cfg, key, value), "") << key << "=" << value;
+      EXPECT_EQ(table().snapshot(cfg), table().snapshot(ExperimentConfig{}))
+          << key << "=" << value;
+    }
+  }
+}
+
+TEST(Binding, CatalogFitsTheZipfGuideIndex) {
+  ExperimentConfig cfg;
+  EXPECT_EQ(table().apply(cfg, "catalog", "4294967295"), "");
+  EXPECT_EQ(cfg.sim.workload.catalog_size, 4294967295u);
+  for (const char* value : {"4294967296", "10000000000"}) {
+    EXPECT_NE(table().apply(cfg, "catalog", value), "") << value;
+    EXPECT_EQ(cfg.sim.workload.catalog_size, 4294967295u) << value;
+  }
+}
+
 TEST(Binding, ApplyAllReportsEveryErrorAndSkipsReserved) {
   ExperimentConfig cfg;
   Config args;

@@ -30,8 +30,8 @@ TEST(BenchGuard, BaselineAgainstItselfIsClean) {
   EXPECT_TRUE(r.error.empty()) << r.error;
   EXPECT_TRUE(r.drifts.empty());
   // 2 routing k-points x 3 metrics + 2 ledger k-points x 2 metrics + 2
-  // flow k-points x 1 metric.
-  EXPECT_EQ(r.compared, 12u);
+  // flow k-points x 1 metric + the workload overhead.
+  EXPECT_EQ(r.compared, 13u);
 }
 
 TEST(BenchGuard, InjectedRegressionFiresOnExactlyTheSlowedMetrics) {
@@ -40,14 +40,21 @@ TEST(BenchGuard, InjectedRegressionFiresOnExactlyTheSlowedMetrics) {
               Options{});
   ASSERT_TRUE(r.error.empty()) << r.error;
   // The regression fixture doubles batched_ns_per_route,
-  // edge_ns_per_debit and ns_per_flow at both k points; everything else
-  // moves < 2%.
-  ASSERT_EQ(r.drifts.size(), 6u);
+  // edge_ns_per_debit and ns_per_flow at both k points, and the workload
+  // overhead; everything else moves < 2%.
+  ASSERT_EQ(r.drifts.size(), 7u);
   std::size_t routing_hits = 0;
   std::size_t ledger_hits = 0;
   std::size_t flow_hits = 0;
+  std::size_t workload_hits = 0;
   for (const Drift& d : r.drifts) {
     EXPECT_GT(d.ratio, 1.5);
+    if (d.section == "workload") {
+      EXPECT_EQ(d.metric, "overhead");
+      EXPECT_FALSE(d.k.has_value());
+      ++workload_hits;
+      continue;
+    }
     if (d.section == "routing") {
       EXPECT_EQ(d.metric, "batched_ns_per_route");
       ++routing_hits;
@@ -64,6 +71,25 @@ TEST(BenchGuard, InjectedRegressionFiresOnExactlyTheSlowedMetrics) {
   EXPECT_EQ(routing_hits, 2u);
   EXPECT_EQ(ledger_hits, 2u);
   EXPECT_EQ(flow_hits, 2u);
+  EXPECT_EQ(workload_hits, 1u);
+}
+
+TEST(BenchGuard, BaselineWithoutAWorkloadSectionStillGatesTheOtherRows) {
+  // A baseline written before the workload row was gated: its routing
+  // and flow rows still compare, and the fresh workload row is ignored.
+  const std::string baseline =
+      R"({"routing":[{"k":4,"greedy_ns_per_route":850.0,)"
+      R"("compiled_ns_per_route":310.0,"batched_ns_per_route":120.0}],)"
+      R"("flow":[{"k":4,"ns_per_flow":46000.0}]})";
+  const GuardResult r =
+      compare(baseline, fixture("regression.json"), Options{});
+  ASSERT_TRUE(r.error.empty()) << r.error;
+  EXPECT_EQ(r.compared, 4u);
+  ASSERT_EQ(r.drifts.size(), 2u);
+  for (const Drift& d : r.drifts) {
+    EXPECT_NE(d.section, "workload");
+    EXPECT_EQ(d.k, 4u);
+  }
 }
 
 TEST(BenchGuard, GettingFasterNeverFails) {
@@ -71,7 +97,7 @@ TEST(BenchGuard, GettingFasterNeverFails) {
                                 fixture("improved.json"), Options{});
   EXPECT_TRUE(r.error.empty()) << r.error;
   EXPECT_TRUE(r.drifts.empty());
-  EXPECT_EQ(r.compared, 12u);
+  EXPECT_EQ(r.compared, 13u);
 }
 
 TEST(BenchGuard, ToleranceIsAdjustable) {
@@ -87,7 +113,7 @@ TEST(BenchGuard, ToleranceIsAdjustable) {
   const GuardResult s = compare(fixture("baseline.json"),
                                 fixture("regression.json"), strict);
   // With no band, every metric that moved up at all drifts.
-  EXPECT_GE(s.drifts.size(), 6u);
+  EXPECT_GE(s.drifts.size(), 7u);
 }
 
 TEST(BenchGuard, SweepPointsMatchByKNotArrayIndex) {
@@ -112,6 +138,30 @@ TEST(BenchGuard, MalformedInputIsAHardError) {
   EXPECT_TRUE(r.drifts.empty());
 }
 
+TEST(BenchGuard, DeepNestingIsAnErrorNotACrash) {
+  // 100,000 open brackets used to recurse until the stack overflowed.
+  const std::string deep(100'000, '[');
+  const std::string base = fixture("baseline.json");
+  EXPECT_NE(compare(deep, base, Options{}).error.find("nesting"),
+            std::string::npos);
+  EXPECT_NE(compare(base, deep, Options{}).error.find("nesting"),
+            std::string::npos);
+
+  // At the limit a document still parses: the root object is one level,
+  // the "deep" arrays the other kMaxDepth - 1.
+  const auto nested = [](std::size_t levels) {
+    return R"({"deep":)" + std::string(levels, '[') + "1" +
+           std::string(levels, ']') +
+           R"(,"routing":[{"k":4,"batched_ns_per_route":120.0}]})";
+  };
+  const std::string at_limit = nested(kMaxDepth - 1);
+  const GuardResult ok = compare(at_limit, at_limit, Options{});
+  EXPECT_TRUE(ok.error.empty()) << ok.error;
+  EXPECT_EQ(ok.compared, 1u);
+  const std::string too_deep = nested(kMaxDepth);
+  EXPECT_FALSE(compare(too_deep, too_deep, Options{}).error.empty());
+}
+
 TEST(BenchGuard, UnrelatedSchemaIsAHardError) {
   // Parseable JSON with no routing/ledger/flow metrics must error, not
   // pass.
@@ -127,6 +177,11 @@ TEST(BenchGuard, FormatNamesTheMetricAndBand) {
   EXPECT_NE(line.find("batched_ns_per_route"), std::string::npos);
   EXPECT_NE(line.find("2.00x"), std::string::npos);
   EXPECT_NE(line.find("1.50x"), std::string::npos);
+
+  // A section without sweep points names no k, and a ratio has no unit.
+  const Drift w{"workload", std::nullopt, "overhead", 2.5, 5.0, 2.0};
+  const std::string ratio_line = format(w, Options{});
+  EXPECT_EQ(ratio_line, "workload overhead: 2.50 -> 5.00 (2.00x, limit 1.50x)");
 }
 
 }  // namespace

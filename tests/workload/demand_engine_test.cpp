@@ -28,6 +28,82 @@ bool same_request(const DownloadRequest& a, const DownloadRequest& b) {
          a.chunks == b.chunks;
 }
 
+/// FNV-1a, 64-bit, over the first `count` requests of a stream: each
+/// request folds its originator, its upload flag and every chunk address.
+template <typename Stream>
+std::uint64_t stream_hash(Stream& stream, int count) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto fold = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (int i = 0; i < count; ++i) {
+    const DownloadRequest& req = stream.next();
+    fold(req.originator);
+    fold(req.is_upload ? 1 : 0);
+    for (const Address c : req.chunks) fold(c.v);
+  }
+  return h;
+}
+
+/// The paper's topology: 1000 nodes, 16-bit addresses, k = 4.
+overlay::Topology paper_topology() {
+  overlay::TopologyConfig cfg;
+  cfg.node_count = 1000;
+  cfg.address_bits = 16;
+  cfg.buckets.k = 4;
+  Rng rng(1);
+  return overlay::Topology::build(cfg, rng);
+}
+
+// The four request streams below are pinned to hashes of their first
+// 2,000 requests. A change to the generators, the Zipf sampler or the
+// order of Rng draws moves a hash; a pure speed-up must not.
+constexpr int kPinnedRequests = 2'000;
+
+TEST(PinnedStream, PlainGenerator) {
+  const auto topo = paper_topology();
+  DownloadGenerator gen(topo, {}, Rng(61));
+  EXPECT_EQ(stream_hash(gen, kPinnedRequests), 0xcc116cdd773fe608ULL);
+}
+
+TEST(PinnedStream, CatalogZipf) {
+  const auto topo = paper_topology();
+  WorkloadConfig cfg;
+  cfg.catalog_size = 5000;
+  cfg.catalog_zipf_alpha = 0.8;
+  DownloadGenerator gen(topo, cfg, Rng(67));
+  EXPECT_EQ(stream_hash(gen, kPinnedRequests), 0x67243604f0bd726aULL);
+}
+
+TEST(PinnedStream, OriginatorZipf) {
+  const auto topo = paper_topology();
+  WorkloadConfig cfg;
+  cfg.originator_share = 0.2;
+  cfg.originator_zipf_alpha = 1.1;
+  DownloadGenerator gen(topo, cfg, Rng(71));
+  EXPECT_EQ(stream_hash(gen, kPinnedRequests), 0x5d8f21afff92fbb8ULL);
+}
+
+TEST(PinnedStream, HeavyTrafficComposedDemand) {
+  // heavy_traffic's defaults: Zipf(0.9) over a 2048-entry catalog, a
+  // flash crowd over requests [10, 110) at share 0.5, 10% uploads.
+  const auto topo = paper_topology();
+  WorkloadConfig base;
+  base.upload_share = 0.1;
+  DemandConfig demand;
+  demand.kind = DemandConfig::Kind::kZipf;
+  demand.zipf_s = 0.9;
+  demand.catalog = 2048;
+  demand.burst_start = 10;
+  demand.burst_files = 100;
+  demand.burst_share = 0.5;
+  DemandEngine engine(topo, base, demand, Rng(73));
+  EXPECT_EQ(stream_hash(engine, kPinnedRequests), 0xbec9c85ae91e8a86ULL);
+}
+
 TEST(DemandEngine, DefaultConfigReproducesDownloadGeneratorBitForBit) {
   const auto topo = make_topology();
   WorkloadConfig base;
@@ -118,6 +194,8 @@ TEST(DemandEngine, BurstLeavesBaseStreamUntouched) {
   // Toggling the flash crowd must not perturb the base stream: outside
   // the window the composed engine still emits the plain generator's
   // requests, because burst decisions come from a split side stream.
+  // Inside the window a burst request swaps in the hot file but keeps
+  // the originator of the base draw it replaces.
   const auto topo = make_topology();
   WorkloadConfig base;
   base.min_chunks_per_file = 3;
@@ -129,10 +207,13 @@ TEST(DemandEngine, BurstLeavesBaseStreamUntouched) {
   DemandEngine with_burst(topo, base, burst, Rng(41));
   DemandEngine without(topo, base, DemandConfig{}, Rng(41));
   for (std::uint64_t i = 0; i < 40; ++i) {
-    const auto a = with_burst.next();
-    const auto b = without.next();
+    const auto& a = with_burst.next();
+    const auto& b = without.next();
     if (i < 10 || i >= 15) {
       EXPECT_TRUE(same_request(a, b)) << "request " << i;
+    } else {
+      EXPECT_EQ(a.originator, b.originator) << "request " << i;
+      EXPECT_EQ(a.chunks, with_burst.hot_chunks()) << "request " << i;
     }
   }
 }

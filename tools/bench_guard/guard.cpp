@@ -20,6 +20,7 @@ namespace {
 struct Parser {
   const std::string& text;
   std::size_t pos{0};
+  std::size_t depth{0};  ///< arrays and objects currently open
   std::string error;
 
   explicit Parser(const std::string& t) : text(t) {}
@@ -187,10 +188,20 @@ void parse_array(Parser& p, const std::string& prefix, FlatDoc& out) {
 
 void parse_value(Parser& p, const std::string& prefix, FlatDoc& out) {
   const char c = p.peek();
-  if (c == '{') {
-    parse_object(p, prefix, out);
-  } else if (c == '[') {
-    parse_array(p, prefix, out);
+  if (c == '{' || c == '[') {
+    // One recursion per level: bound it so a hostile document cannot
+    // exhaust the stack.
+    if (p.depth == kMaxDepth) {
+      p.fail("nesting deeper than " + std::to_string(kMaxDepth));
+      return;
+    }
+    ++p.depth;
+    if (c == '{') {
+      parse_object(p, prefix, out);
+    } else {
+      parse_array(p, prefix, out);
+    }
+    --p.depth;
   } else if (c == '"') {
     (void)p.parse_string();  // compared metrics are numeric only
   } else if (p.consume_word("true") || p.consume_word("false") ||
@@ -220,21 +231,45 @@ std::optional<FlatDoc> parse_doc(const std::string& json, std::string& error,
 
 /// The guarded unit costs. Everything else in the document (speedups,
 /// memory, correctness booleans) is covered by its own tests; the guard
-/// exists for the hot-path ns numbers: route walks, debits, and the flow
-/// plane's cost per flow.
+/// exists for the hot-path costs: route walks, debits, the flow plane's
+/// cost per flow and the demand layer's cost per request.
 struct GuardedMetric {
   const char* section;
   const char* metric;
+  /// True for an array of sweep points keyed by k ("routing[k8].metric"),
+  /// false for a single object ("workload.metric").
+  bool per_k;
 };
 
 constexpr GuardedMetric kGuarded[] = {
-    {"routing", "greedy_ns_per_route"},
-    {"routing", "compiled_ns_per_route"},
-    {"routing", "batched_ns_per_route"},
-    {"ledger", "map_ns_per_debit"},
-    {"ledger", "edge_ns_per_debit"},
-    {"flow", "ns_per_flow"},
+    {"routing", "greedy_ns_per_route", true},
+    {"routing", "compiled_ns_per_route", true},
+    {"routing", "batched_ns_per_route", true},
+    {"ledger", "map_ns_per_debit", true},
+    {"ledger", "edge_ns_per_debit", true},
+    {"flow", "ns_per_flow", true},
+    // Composed over plain ns per request. Both streams are timed back to
+    // back in one process, so host speed drift mostly cancels.
+    {"workload", "overhead", false},
 };
+
+/// Whether flat `key` names guarded metric `g`; for a per-k section also
+/// returns the sweep point through `k`.
+bool matches(const std::string& key, const GuardedMetric& g,
+             std::optional<std::uint64_t>& k) {
+  const std::string section = g.section;
+  const std::string suffix = std::string(".") + g.metric;
+  if (!g.per_k) return key == section + suffix;
+  // Keys look like "routing[k8].batched_ns_per_route".
+  if (key.rfind(section + "[k", 0) != 0) return false;
+  if (key.size() < suffix.size() ||
+      key.compare(key.size() - suffix.size(), suffix.size(), suffix) != 0) {
+    return false;
+  }
+  const std::size_t digits = section.size() + 2;
+  k = std::stoull(key.substr(digits, key.find(']') - digits));
+  return true;
+}
 
 }  // namespace
 
@@ -248,26 +283,14 @@ GuardResult compare(const std::string& baseline_json,
 
   for (const auto& [key, base_value] : *baseline) {
     for (const GuardedMetric& g : kGuarded) {
-      // Keys look like "routing[k8].batched_ns_per_route".
-      if (key.rfind(std::string(g.section) + "[k", 0) != 0) continue;
-      const std::string suffix = std::string(".") + g.metric;
-      if (key.size() < suffix.size() ||
-          key.compare(key.size() - suffix.size(), suffix.size(), suffix) !=
-              0) {
-        continue;
-      }
+      std::optional<std::uint64_t> k;
+      if (!matches(key, g, k)) continue;
       const auto fresh_it = fresh->find(key);
       if (fresh_it == fresh->end()) continue;  // sweep point removed: skip
       ++result.compared;
       if (base_value <= 0) continue;  // degenerate baseline: nothing to gate
       const double ratio = fresh_it->second / base_value;
       if (ratio > 1.0 + options.tolerance) {
-        const std::size_t open = key.find("[k");
-        const std::size_t close = key.find(']', open);
-        std::uint64_t k = 0;
-        if (open != std::string::npos && close != std::string::npos) {
-          k = std::stoull(key.substr(open + 2, close - open - 2));
-        }
         result.drifts.push_back(
             {g.section, k, g.metric, base_value, fresh_it->second, ratio});
       }
@@ -275,18 +298,21 @@ GuardResult compare(const std::string& baseline_json,
   }
   if (result.compared == 0) {
     result.error =
-        "no comparable routing/ledger/flow metrics between baseline and fresh "
-        "documents (wrong schema?)";
+        "no comparable routing/ledger/flow/workload metrics between baseline "
+        "and fresh documents (wrong schema?)";
   }
   return result;
 }
 
 std::string format(const Drift& d, const Options& options) {
+  std::string where = d.section;
+  if (d.k) where += " k=" + std::to_string(*d.k);
+  // The per-k rows are ns costs; workload.overhead is a ratio.
+  const bool ns = d.metric.find("ns_per") != std::string::npos;
   char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "%s k=%llu %s: %.1f -> %.1f ns (%.2fx, limit %.2fx)",
-                d.section.c_str(), static_cast<unsigned long long>(d.k),
-                d.metric.c_str(), d.baseline, d.fresh, d.ratio,
+  std::snprintf(buf, sizeof buf, "%s %s: %.*f -> %.*f%s (%.2fx, limit %.2fx)",
+                where.c_str(), d.metric.c_str(), ns ? 1 : 2, d.baseline,
+                ns ? 1 : 2, d.fresh, ns ? " ns" : "", d.ratio,
                 1.0 + options.tolerance);
   return buf;
 }

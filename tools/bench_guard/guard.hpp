@@ -3,20 +3,28 @@
 // Compares a freshly produced fairswap.bench_scale.v1 document against
 // the committed reference (bench/baseline.json) on the hot-path unit
 // costs: routing ns/route (greedy, compiled, batched), ledger ns/debit
-// (map, edge) and flow-plane ns/flow, matched per k. A metric drifts when
-// the fresh value exceeds baseline * (1 + tolerance) — regression
-// direction only; getting faster never fails the gate.
+// (map, edge) and flow-plane ns/flow, matched per k, plus the demand
+// layer's workload.overhead (composed over plain ns per request, one
+// object, no k). A metric drifts when the fresh value exceeds
+// baseline * (1 + tolerance) — regression direction only; getting faster
+// never fails the gate.
 //
 // Like fairswap_lint, this is a standalone library + CLI with no
 // fairswap-lib link (it parses JSON itself), so the gate builds in
 // seconds and cannot be skewed by the code it is guarding.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace fairswap::guard {
+
+/// Deepest nesting of arrays and objects the reader accepts (the same
+/// bound as common/json's kMaxJsonDepth); deeper input is a parse error.
+inline constexpr std::size_t kMaxDepth = 256;
 
 struct Options {
   /// Allowed relative slowdown before a metric counts as drift: 0.5
@@ -32,8 +40,10 @@ struct Options {
 
 /// One metric that regressed past the tolerance band.
 struct Drift {
-  std::string section;  ///< "routing", "ledger" or "flow"
-  std::uint64_t k{0};   ///< the sweep point the metric belongs to
+  std::string section;  ///< "routing", "ledger", "flow" or "workload"
+  /// The sweep point the metric belongs to; empty for a section that is
+  /// one object rather than an array of k points ("workload").
+  std::optional<std::uint64_t> k;
   std::string metric;   ///< e.g. "batched_ns_per_route"
   double baseline{0};
   double fresh{0};
@@ -45,10 +55,11 @@ struct GuardResult {
   /// comparable metrics; drifts/compared are then meaningless.
   std::string error;
   std::vector<Drift> drifts;
-  /// Number of (section, k, metric) points compared. A baseline k
+  /// Number of (section, k, metric) points compared. A baseline point
   /// missing from the fresh document is skipped, not an error, so the
   /// gate survives deliberate sweep-point changes (the CI log still
-  /// shows the count shrinking).
+  /// shows the count shrinking). A section missing from the baseline is
+  /// simply not compared.
   std::size_t compared{0};
 };
 
@@ -56,7 +67,8 @@ struct GuardResult {
 GuardResult compare(const std::string& baseline_json,
                     const std::string& fresh_json, const Options& options);
 
-/// "routing k=8 batched_ns_per_route: 123.0 -> 310.1 (2.52x, limit 1.50x)"
+/// "routing k=8 batched_ns_per_route: 123.0 -> 310.1 ns (2.52x, limit
+/// 1.50x)", or "workload overhead: 2.47 -> 4.94 (2.00x, limit 1.50x)".
 std::string format(const Drift& d, const Options& options);
 
 }  // namespace fairswap::guard
