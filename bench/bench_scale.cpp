@@ -14,7 +14,8 @@
 // speedup and the memory cost of each.
 //
 // Part 3 — flow-level overhead: on the same grid, runs one cell
-// counter-based and once with SimulationConfig::flow_level, verifies the
+// counter-based and with SimulationConfig::flow_level, alternating, until
+// the flow-level runs have started a fixed flow quota; verifies the
 // accounting is bit-identical (the flow layer is purely temporal) and
 // reports the wall-clock overhead plus the FCT/saturation outputs.
 //
@@ -301,7 +302,8 @@ LedgerResult ledger_microbench(std::size_t k, std::size_t route_count,
 
   result.identical = map_ledger.income() == edge_ledger.income() &&
                      map_ledger.spent() == edge_ledger.spent() &&
-                     map_ledger.settlements() == edge_ledger.settlements() &&
+                     accounting::fold_settlements(map_ledger.settlements()) ==
+                         edge_ledger.settlements() &&
                      map_ledger.outstanding_debt() ==
                          edge_ledger.outstanding_debt() &&
                      map_ledger.active_pairs() == edge_ledger.active_pairs();
@@ -358,12 +360,23 @@ CellReferenceCheck scale_reference_check(const core::ExperimentConfig& cfg,
   return check;
 }
 
+/// Flows each flow-level cell times before it reports: the cell repeats,
+/// identically, until the flows its runs started reach this quota. At
+/// flow_files=40 that is 12 runs, 2–4 s per cell, long enough to average
+/// over the sub-second host-speed swings a 0.1–0.2 s window reads as
+/// drift.
+constexpr std::uint64_t kFlowQuota = 250'000;
+
 struct FlowBenchResult {
   std::size_t k{0};
+  /// Mean wall time of one run, over the runs that fill the flow quota.
   double counter_wall_s{0};
   double flow_wall_s{0};
+  /// Runs timed per mode (runs × flows >= kFlowQuota).
+  std::size_t runs{0};
   /// Counter-based and flow-level runs agree on every accounting field.
   bool identical{true};
+  /// Flows one flow-level run starts.
   std::uint64_t flows{0};
   double fct_p50{0};
   double fct_p99{0};
@@ -373,8 +386,8 @@ struct FlowBenchResult {
   [[nodiscard]] double overhead() const {
     return flow_wall_s / counter_wall_s;
   }
-  /// Flow-level wall time per started flow — the unit cost bench_guard
-  /// gates for the flow plane.
+  /// Flow-level wall time per started flow over the whole quota — the
+  /// unit cost bench_guard gates for the flow plane.
   [[nodiscard]] double ns_per_flow() const {
     return flows > 0 ? flow_wall_s * 1e9 / static_cast<double>(flows) : 0.0;
   }
@@ -382,8 +395,9 @@ struct FlowBenchResult {
 
 /// Runs one paper-grid cell counter-based and flow-level (same seed), times
 /// both, cross-checks the accounting and reports the temporal outputs —
-/// the bench leg of tests/net/flow_equivalence_test.cpp. The flow-level
-/// time is the best of three identical runs, since bench_guard gates it.
+/// the bench leg of tests/net/flow_equivalence_test.cpp. The two modes
+/// alternate, run for run, until the flow-level runs have started
+/// kFlowQuota flows, so both means see the same stretch of host time.
 FlowBenchResult flow_bench(std::size_t k, std::size_t files,
                            std::uint64_t seed) {
   auto cfg = core::paper_config(k, 1.0, files, seed);
@@ -405,14 +419,22 @@ FlowBenchResult flow_bench(std::size_t k, std::size_t files,
 
   FlowBenchResult result;
   result.k = k;
-  const auto counter_sim = run_one(false, result.counter_wall_s);
+  std::unique_ptr<core::Simulation> counter_sim;
   std::unique_ptr<core::Simulation> flow_sim;
-  result.flow_wall_s = std::numeric_limits<double>::infinity();
-  for (int pass = 0; pass < 3; ++pass) {
+  double counter_total_s = 0;
+  double flow_total_s = 0;
+  std::uint64_t timed_flows = 0;
+  do {
     double wall_s = 0;
+    counter_sim = run_one(false, wall_s);
+    counter_total_s += wall_s;
     flow_sim = run_one(true, wall_s);
-    result.flow_wall_s = std::min(result.flow_wall_s, wall_s);
-  }
+    flow_total_s += wall_s;
+    timed_flows += flow_sim->totals().flows_started;
+    ++result.runs;
+  } while (timed_flows < kFlowQuota && flow_sim->totals().flows_started > 0);
+  result.counter_wall_s = counter_total_s / static_cast<double>(result.runs);
+  result.flow_wall_s = flow_total_s / static_cast<double>(result.runs);
   const auto& a = counter_sim->totals();
   const auto& b = flow_sim->totals();
   result.identical =
@@ -607,17 +629,19 @@ int main(int argc, char** argv) {
       args.cfg.get_or("flow_files", std::uint64_t{100}));
   bench::banner("Flow-level simulation: counter vs flow-level (1000 nodes, " +
                 std::to_string(flow_files) + " files)");
-  TextTable flow_table({"grid cell", "counter wall (s)", "flow wall (s)",
-                        "overhead", "flows", "FCT p50", "FCT p99",
-                        "saturated links", "max util", "bit-identical"});
+  TextTable flow_table({"grid cell", "runs", "counter wall (s)",
+                        "flow wall (s)", "overhead", "flows", "ns/flow",
+                        "FCT p50", "FCT p99", "saturated links", "max util",
+                        "bit-identical"});
   std::vector<FlowBenchResult> flow_results;
   for (const std::size_t k : {std::size_t{4}, std::size_t{20}}) {
     const auto r = flow_bench(k, flow_files, args.seed);
     all_identical = all_identical && r.identical;
     flow_table.add_row(
-        {"k=" + std::to_string(k), TextTable::num(r.counter_wall_s, 2),
-         TextTable::num(r.flow_wall_s, 2), TextTable::num(r.overhead(), 2),
-         std::to_string(r.flows), TextTable::num(r.fct_p50, 0),
+        {"k=" + std::to_string(k), std::to_string(r.runs),
+         TextTable::num(r.counter_wall_s, 3), TextTable::num(r.flow_wall_s, 3),
+         TextTable::num(r.overhead(), 2), std::to_string(r.flows),
+         TextTable::num(r.ns_per_flow(), 0), TextTable::num(r.fct_p50, 0),
          TextTable::num(r.fct_p99, 0), std::to_string(r.saturated_links),
          TextTable::num(r.max_utilization, 2), r.identical ? "yes" : "NO"});
     flow_results.push_back(r);
@@ -758,6 +782,7 @@ int main(int argc, char** argv) {
     json.field("flow_wall_s", r.flow_wall_s);
     json.field("overhead", r.overhead());
     json.field("flows", r.flows);
+    json.field("runs", r.runs);
     json.field("ns_per_flow", r.ns_per_flow());
     json.field("fct_p50", r.fct_p50);
     json.field("fct_p99", r.fct_p99);

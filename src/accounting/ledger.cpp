@@ -11,7 +11,10 @@ Ledger::Ledger(const overlay::CompiledRouter& router, SwapConfig config)
       config_(config),
       income_(router.node_count()),
       spent_(router.node_count()) {
-  assert(config.disconnect_threshold >= config.payment_threshold);
+  if (config.disconnect_threshold < config.payment_threshold) {
+    throw std::invalid_argument(
+        "Ledger: disconnect_threshold must be >= payment_threshold");
+  }
 
   // Group every directed edge under its unordered pair's lower endpoint,
   // then number pairs densely in (lo, hi) order. Sorting per lo-bucket
@@ -84,7 +87,7 @@ DebitResult Ledger::apply_debit(NodeIndex consumer, NodeIndex provider,
   if (can_settle && new_credit >= config_.payment_threshold) {
     income_[provider] += new_credit;
     spent_[consumer] += new_credit;
-    settlements_.push_back({consumer, provider, new_credit, tick_});
+    settlements_.add({consumer, provider, new_credit, tick_});
     if (!bal.is_zero()) {
       bal = Token(0);
       deactivate(slot);
@@ -109,7 +112,7 @@ void Ledger::pay_direct(NodeIndex consumer, NodeIndex provider, Token amount) {
   assert(!amount.negative());
   income_[provider] += amount;
   spent_[consumer] += amount;
-  settlements_.push_back({consumer, provider, amount, tick_});
+  settlements_.add({consumer, provider, amount, tick_});
 }
 
 void Ledger::mint(NodeIndex node, Token amount) {
@@ -136,7 +139,7 @@ void Ledger::reset() {
   active_.clear();
   std::fill(income_.begin(), income_.end(), Token(0));
   std::fill(spent_.begin(), spent_.end(), Token(0));
-  settlements_.clear();
+  settlements_ = SettlementLog{};
   tick_ = 0;
 }
 
@@ -193,8 +196,7 @@ std::size_t Ledger::memory_bytes() const noexcept {
          pair_balance_.size() * sizeof(Token) +
          pair_active_pos_.size() * sizeof(std::uint32_t) +
          active_.capacity() * sizeof(std::uint32_t) +
-         income_.size() * sizeof(Token) + spent_.size() * sizeof(Token) +
-         settlements_.capacity() * sizeof(Settlement);
+         income_.size() * sizeof(Token) + spent_.size() * sizeof(Token);
 }
 
 }  // namespace fairswap::accounting

@@ -26,7 +26,7 @@
 // tests/accounting/ledger_equivalence_test.cpp fuzzes both with identical
 // operation sequences and tests/core/compiled_equivalence_test.cpp replays
 // whole simulations against it; both enforce bit-identical observable
-// state (balances, settlements, income/spent, totals).
+// state (balances, settlement count and digest, income/spent, totals).
 #pragma once
 
 #include <cstdint>
@@ -54,6 +54,8 @@ using overlay::NodeIndex;
 /// provider to b), so balance(a, b) == -balance(b, a) by construction.
 class Ledger {
  public:
+  /// Throws std::invalid_argument if the disconnect threshold is below
+  /// the payment threshold.
   Ledger(const overlay::CompiledRouter& router, SwapConfig config);
 
   /// Points the ledger at a sim-plane counter block (owned by the
@@ -144,8 +146,9 @@ class Ledger {
     return spent_;
   }
 
-  /// Full settlement log, in order.
-  [[nodiscard]] const std::vector<Settlement>& settlements() const noexcept {
+  /// Count and order-sensitive digest of every settlement and direct
+  /// payment so far, in constant memory.
+  [[nodiscard]] const SettlementLog& settlements() const noexcept {
     return settlements_;
   }
 
@@ -172,8 +175,8 @@ class Ledger {
   }
 
   /// Bytes held by the arena arrays (edge->slot map, balance slots,
-  /// active list, income/spent, settlement log), reported by bench_scale
-  /// and perfbench.
+  /// active list, income/spent), reported by bench_scale and perfbench.
+  /// Settlements add nothing: the log is a fixed-size count and digest.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
  private:
@@ -222,7 +225,7 @@ class Ledger {
 
   std::vector<Token> income_;
   std::vector<Token> spent_;
-  std::vector<Settlement> settlements_;
+  SettlementLog settlements_;
   std::uint64_t tick_{0};
   /// Sim-plane counters (not owned); null until the owning simulation
   /// attaches its block.

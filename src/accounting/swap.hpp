@@ -10,10 +10,11 @@
 // slowly for free.
 //
 // This header holds the protocol's vocabulary — its parameters, debit
-// outcomes and settlement records. The ledger itself is
-// accounting/ledger.hpp.
+// outcomes, settlement records and the constant-memory settlement log. The
+// ledger itself is accounting/ledger.hpp.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/token.hpp"
@@ -52,6 +53,50 @@ struct Settlement {
   std::uint64_t tick{0};
 
   friend bool operator==(const Settlement&, const Settlement&) = default;
+};
+
+/// A settlement sequence in constant memory: how many settlements were
+/// made, and an order-sensitive 64-bit digest over each one's debtor,
+/// creditor, amount and tick. Runs report only the count; the digest lets
+/// the equivalence tests compare two whole sequences without a log.
+///
+/// Each record is hashed on its own. Its position, debtor and creditor,
+/// each times a distinct odd constant, are summed and mixed; amount and
+/// tick are weighted and summed likewise; the two sums are combined and
+/// mixed again. The digest is the sum of the record hashes, so the one
+/// dependency from record to record is an add, and the position makes the
+/// sum order-sensitive. Every step is a bijection of each input with the
+/// others held fixed (odd multipliers and the mixer are invertible mod
+/// 2^64), so changing any single field of any record changes the digest.
+class SettlementLog {
+ public:
+  void add(const Settlement& s) noexcept {
+    const std::uint64_t who = mix(count_ * 0x9E3779B97F4A7C15ULL +
+                                  s.debtor * 0xC2B2AE3D27D4EB4FULL +
+                                  s.creditor * 0x165667B19E3779F9ULL);
+    const std::uint64_t what =
+        static_cast<std::uint64_t>(s.amount.base_units()) *
+            0xD6E8FEB86659FD93ULL +
+        s.tick * 0xFF51AFD7ED558CCDULL;
+    digest_ += mix(who ^ what);
+    ++count_;
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return count_; }
+  [[nodiscard]] std::uint64_t digest() const noexcept { return digest_; }
+
+  friend bool operator==(const SettlementLog&, const SettlementLog&) = default;
+
+ private:
+  /// SplitMix64's finalizer: a bijection with full avalanche.
+  static constexpr std::uint64_t mix(std::uint64_t x) noexcept {
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+    return x ^ (x >> 31);
+  }
+
+  std::size_t count_{0};
+  std::uint64_t digest_{0};
 };
 
 }  // namespace fairswap::accounting

@@ -42,7 +42,7 @@ void store_trace_text(const std::string& path, const std::string& text) {
 /// plain generated run. Factored so run_experiment stays one read.
 void drive_simulation(Simulation& sim, const ExperimentConfig& config,
                       const overlay::Topology& topo) {
-  TELEM_SPAN("routing");
+  TELEM_SPAN("drive");
   if (!config.trace_in.empty()) {
     const auto requests =
         workload::trace_from_csv(preload_trace_text(config.trace_in),
@@ -133,7 +133,7 @@ ExperimentResult run_experiment(const overlay::Topology& topo,
 ExperimentResult package_experiment(const ExperimentConfig& config,
                                     const Simulation& sim,
                                     double runtime_seconds) {
-  TELEM_SPAN("settlement");
+  TELEM_SPAN("package");
   ExperimentResult result;
   result.config = config;
   result.totals = sim.totals();

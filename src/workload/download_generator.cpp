@@ -1,16 +1,23 @@
 #include "workload/download_generator.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 namespace fairswap::workload {
 
 DownloadGenerator::DownloadGenerator(const overlay::Topology& topo,
                                      WorkloadConfig config, Rng rng)
     : topo_(&topo), config_(config), rng_(rng) {
-  assert(config_.min_chunks_per_file >= 1);
-  assert(config_.max_chunks_per_file >= config_.min_chunks_per_file);
+  if (config_.min_chunks_per_file < 1) {
+    throw std::invalid_argument(
+        "DownloadGenerator: min_chunks_per_file must be at least 1");
+  }
+  if (config_.max_chunks_per_file < config_.min_chunks_per_file) {
+    throw std::invalid_argument(
+        "DownloadGenerator: max_chunks_per_file must be >= "
+        "min_chunks_per_file");
+  }
 
   // Eligible originators: a uniformly sampled subset of ceil(share * n).
   const double share = std::clamp(config_.originator_share, 0.0, 1.0);

@@ -65,7 +65,8 @@ class DownloadGenerator {
   /// The eligible-originator subset and the catalog (if any) are sampled
   /// once at construction from `rng`; subsequent requests consume the same
   /// stream, so a (topology, config, seed) triple fully determines the
-  /// workload.
+  /// workload. Throws std::invalid_argument unless
+  /// 1 <= min_chunks_per_file <= max_chunks_per_file.
   DownloadGenerator(const overlay::Topology& topo, WorkloadConfig config,
                     Rng rng);
 

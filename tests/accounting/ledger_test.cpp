@@ -1,6 +1,7 @@
 // Unit tests for the SWAP ledger on the edge arena: slot resolution from
 // edge ids, debit/settlement semantics, the active-list bookkeeping (only
-// nonzero balances are ever scanned) and the sim-plane counter bumps.
+// nonzero balances are ever scanned), the sim-plane counter bumps and the
+// constant-memory settlement log.
 #include "accounting/ledger.hpp"
 
 #include <gtest/gtest.h>
@@ -74,7 +75,7 @@ TEST_F(EdgeLedgerFixture, FreshLedgerHasZeroEverything) {
   const Ledger ledger(*router_, small_config());
   EXPECT_EQ(ledger.active_pairs(), 0u);
   EXPECT_TRUE(ledger.outstanding_debt().is_zero());
-  EXPECT_TRUE(ledger.settlements().empty());
+  EXPECT_EQ(ledger.settlements(), SettlementLog{});
   EXPECT_GT(ledger.pair_count(), 0u);
   EXPECT_LE(ledger.pair_count(), router_->edge_count());
   EXPECT_GT(ledger.memory_bytes(), 0u);
@@ -113,9 +114,9 @@ TEST_F(EdgeLedgerFixture, SettlementClearsBalanceAndRecordsIncome) {
   EXPECT_TRUE(ledger.balance(provider, 5).is_zero());
   EXPECT_EQ(ledger.income()[provider], Token(120));
   EXPECT_EQ(ledger.spent()[5], Token(120));
-  ASSERT_EQ(ledger.settlements().size(), 1u);
-  EXPECT_EQ(ledger.settlements()[0].debtor, 5u);
-  EXPECT_EQ(ledger.settlements()[0].creditor, provider);
+  SettlementLog expected;
+  expected.add({5, provider, Token(120), 0});
+  EXPECT_EQ(ledger.settlements(), expected);
   // Settled back to zero: the pair is no longer active.
   EXPECT_EQ(ledger.active_pairs(), 0u);
 }
@@ -225,6 +226,72 @@ TEST_F(EdgeLedgerFixture, TickSemanticsMatchSwapNetwork) {
   ledger.advance_tick();
   ledger.amortize_tick();
   EXPECT_EQ(ledger.tick(), 2u);
+}
+
+TEST_F(EdgeLedgerFixture, RejectsADisconnectThresholdBelowThePaymentOne) {
+  SwapConfig cfg = small_config();
+  cfg.disconnect_threshold = Token(99);
+  EXPECT_THROW(Ledger bad(*router_, cfg), std::invalid_argument);
+  cfg.disconnect_threshold = cfg.payment_threshold;
+  EXPECT_NO_THROW(Ledger equal(*router_, cfg));
+}
+
+TEST_F(EdgeLedgerFixture, MemoryStaysFlatOverAMillionSettlements) {
+  Ledger ledger(*router_, small_config());
+  const std::size_t fresh = ledger.memory_bytes();
+  const auto n = static_cast<NodeIndex>(topo_->node_count());
+  constexpr std::size_t kSettlements = 1'000'000;
+  for (std::size_t i = 0; i < kSettlements; ++i) {
+    const auto consumer = static_cast<NodeIndex>(i % n);
+    const EdgeId e = first_edge_of(consumer);
+    if (i % 2 == 0) {
+      ledger.pay_direct(consumer, router_->edge_target(e), Token(7));
+    } else {
+      // One debit at the payment threshold settles at once.
+      ASSERT_EQ(ledger.debit(consumer, router_->edge_target(e), Token(100),
+                             true, e),
+                DebitResult::kSettled);
+    }
+    if (i % 1000 == 0) ledger.advance_tick();
+  }
+  EXPECT_EQ(ledger.settlements().size(), kSettlements);
+  EXPECT_EQ(ledger.memory_bytes(), fresh);
+}
+
+TEST(SettlementLog, SwappingTwoSettlementsChangesTheDigest) {
+  const Settlement a{3, 9, Token(120), 4};
+  const Settlement b{5, 2, Token(100), 4};
+  const Settlement c{1, 8, Token(130), 6};
+  SettlementLog in_order;
+  SettlementLog swapped;
+  for (const Settlement& s : {a, b, c}) in_order.add(s);
+  for (const Settlement& s : {c, b, a}) swapped.add(s);
+  EXPECT_EQ(in_order.size(), swapped.size());
+  EXPECT_NE(in_order.digest(), swapped.digest());
+}
+
+TEST(SettlementLog, ChangingAnySingleFieldChangesTheDigest) {
+  const Settlement first{3, 9, Token(120), 4};
+  const Settlement base{5, 2, Token(100), 7};
+  auto log_of = [&](const Settlement& second) {
+    SettlementLog log;
+    log.add(first);
+    log.add(second);
+    return log;
+  };
+  const SettlementLog reference = log_of(base);
+  std::vector<Settlement> changed(4, base);
+  changed[0].debtor = 6;
+  changed[1].creditor = 3;
+  changed[2].amount = Token(101);
+  changed[3].tick = 8;
+  for (const Settlement& s : changed) {
+    const SettlementLog log = log_of(s);
+    EXPECT_EQ(log.size(), reference.size());
+    EXPECT_NE(log.digest(), reference.digest())
+        << s.debtor << " " << s.creditor << " " << s.amount.base_units()
+        << " " << s.tick;
+  }
 }
 
 }  // namespace

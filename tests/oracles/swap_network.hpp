@@ -85,7 +85,8 @@ class SwapNetwork {
     return spent_;
   }
 
-  /// Full settlement log, in order.
+  /// Full settlement log, in order (fold_settlements() compares it with a
+  /// Ledger's).
   [[nodiscard]] const std::vector<Settlement>& settlements() const noexcept {
     return settlements_;
   }
@@ -140,5 +141,15 @@ class SwapNetwork {
   std::vector<Settlement> settlements_;
   std::uint64_t tick_{0};
 };
+
+/// Folds a full settlement log through the same SettlementLog::add that
+/// accounting::Ledger runs per payment, so the oracle's vector compares
+/// against a Ledger's count and digest.
+[[nodiscard]] inline SettlementLog fold_settlements(
+    const std::vector<Settlement>& log) {
+  SettlementLog folded;
+  for (const Settlement& s : log) folded.add(s);
+  return folded;
+}
 
 }  // namespace fairswap::accounting

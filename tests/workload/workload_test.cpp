@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
 
 #include "workload/trace.hpp"
 
@@ -31,6 +32,29 @@ TEST(DownloadGenerator, ChunkCountWithinConfiguredRange) {
     EXPECT_GE(req.chunks.size(), 100u);
     EXPECT_LE(req.chunks.size(), 1000u);
   }
+}
+
+TEST(DownloadGenerator, RejectsAZeroMinimumChunkCount) {
+  // With an assert alone, a Release build ran zero requests per file.
+  const auto topo = make_topology();
+  WorkloadConfig cfg;
+  cfg.min_chunks_per_file = 0;
+  cfg.max_chunks_per_file = 0;
+  EXPECT_THROW(DownloadGenerator(topo, cfg, Rng(3)), std::invalid_argument);
+  cfg.min_chunks_per_file = 1;
+  cfg.max_chunks_per_file = 1;
+  EXPECT_NO_THROW(DownloadGenerator(topo, cfg, Rng(3)));
+}
+
+TEST(DownloadGenerator, RejectsAMaximumBelowTheMinimum) {
+  // With an assert alone, a Release build ended in std::bad_alloc.
+  const auto topo = make_topology();
+  WorkloadConfig cfg;
+  cfg.min_chunks_per_file = 100;
+  cfg.max_chunks_per_file = 10;
+  EXPECT_THROW(DownloadGenerator(topo, cfg, Rng(3)), std::invalid_argument);
+  cfg.max_chunks_per_file = 100;
+  EXPECT_NO_THROW(DownloadGenerator(topo, cfg, Rng(3)));
 }
 
 TEST(DownloadGenerator, ChunkAddressesInSpace) {
