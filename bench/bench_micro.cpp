@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the simulator's hot paths:
 // routing-table next-hop selection, end-to-end compiled routing, the
-// closest-node trie, Gini computation, Keccak-256 and the BMT hasher.
+// closest-node trie and Gini computation.
 // bench_scale times the greedy walk test oracle (greedy_ns_per_route).
 // These guard the performance envelope that makes 10k-file paper runs
 // take seconds, not hours.
@@ -14,9 +14,6 @@
 #include "core/simulation.hpp"
 #include "overlay/compiled_router.hpp"
 #include "overlay/topology.hpp"
-#include "storage/bmt.hpp"
-#include "storage/chunker.hpp"
-#include "storage/keccak.hpp"
 
 namespace {
 
@@ -128,44 +125,6 @@ void BM_GiniSorted(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GiniSorted)->Arg(1000)->Arg(10000);
-
-void BM_Keccak256(benchmark::State& state) {
-  std::vector<std::uint8_t> data(static_cast<std::size_t>(state.range(0)));
-  Rng rng(6);
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(storage::keccak256(data));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_Keccak256)->Arg(32)->Arg(4096);
-
-void BM_BmtChunkAddress(benchmark::State& state) {
-  std::vector<std::uint8_t> payload(storage::kChunkSize);
-  Rng rng(7);
-  for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        storage::bmt_chunk_address(payload, payload.size()));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(storage::kChunkSize));
-}
-BENCHMARK(BM_BmtChunkAddress);
-
-void BM_ChunkFile(benchmark::State& state) {
-  std::vector<std::uint8_t> data(
-      static_cast<std::size_t>(state.range(0)) * storage::kChunkSize);
-  Rng rng(8);
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(storage::chunk_data(data));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(data.size()));
-}
-BENCHMARK(BM_ChunkFile)->Arg(16)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

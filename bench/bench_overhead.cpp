@@ -8,13 +8,10 @@
 // This bench quantifies, for every paper configuration:
 //  * total bandwidth (chunk transmissions) vs paid bandwidth,
 //  * the unpaid-forwarding overhang (SWAP debt left to amortization),
-//  * income per transmitted chunk — the "money received per overhead",
-//  * the settlement economics: cashing cheques under a transaction fee
-//    (when is a reward worth collecting at all?).
+//  * income per transmitted chunk — the "money received per overhead".
 #include <cstdio>
 #include <sstream>
 
-#include "accounting/cheque.hpp"
 #include "bench_util.hpp"
 #include "common/csv.hpp"
 #include "common/table.hpp"
@@ -53,39 +50,6 @@ int main(int argc, char** argv) {
   std::printf("\nreading: only the first hop of every route is paid; with "
               "k=20 routes are shorter, so a larger share of transmissions "
               "is paid work — more money per unit of bandwidth overhead.\n");
-
-  // Settlement economics: distribute each node's income as one cumulative
-  // cheque and cash it under increasing transaction fees (§V: "the
-  // transaction cost for receiving the reward might be more than the
-  // reward amount").
-  bench::banner("Cheque-cashing economics under transaction fees");
-  TextTable fee_table({"configuration", "tx fee (units)",
-                       "nodes with income", "nodes better off cashing"});
-  for (const auto& r : results) {
-    for (const double fee_frac : {0.0, 0.001, 0.01, 0.1}) {
-      const double mean_income =
-          r.total_income /
-          static_cast<double>(
-              r.fairness.earning_nodes ? r.fairness.earning_nodes : 1);
-      const Token fee(static_cast<Token::rep>(mean_income * fee_frac));
-      accounting::SettlementChain chain(fee);
-      std::size_t earning = 0;
-      std::size_t profitable = 0;
-      for (std::size_t n = 0; n < r.income_per_node.size(); ++n) {
-        const auto income = static_cast<Token::rep>(r.income_per_node[n]);
-        if (income <= 0) continue;
-        ++earning;
-        accounting::Chequebook book(static_cast<accounting::NodeIndex>(n));
-        book.issue(0, Token(income));
-        const auto cashed = chain.cash(*book.latest(0));
-        if (cashed && cashed->net > Token(0)) ++profitable;
-      }
-      fee_table.add_row({r.config.label,
-                         std::to_string(fee.base_units()),
-                         std::to_string(earning), std::to_string(profitable)});
-    }
-  }
-  std::printf("%s", fee_table.render().c_str());
 
   core::write_text_file(args.out_dir + "/overhead.csv", csv_text.str());
   std::printf("wrote %s/overhead.csv\n", args.out_dir.c_str());
