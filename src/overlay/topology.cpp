@@ -61,8 +61,13 @@ Topology::Topology(TopologyConfig config, AddressSpace space)
 
 Topology Topology::build(const TopologyConfig& config, Rng& rng) {
   AddressSpace space(config.address_bits);
-  if (config.node_count == 0) {
-    throw std::invalid_argument("node_count must be > 0");
+  // One node has no peer to route through: every request would count as
+  // delivered over zero transmissions. A zero k leaves every table empty.
+  if (config.node_count < 2) {
+    throw std::invalid_argument("node_count must be at least 2");
+  }
+  if (config.buckets.k == 0) {
+    throw std::invalid_argument("buckets.k must be > 0");
   }
   if (config.node_count > space.size()) {
     throw std::invalid_argument("node_count exceeds address-space size");

@@ -19,8 +19,14 @@ DownloadGenerator::DownloadGenerator(const overlay::Topology& topo,
         "min_chunks_per_file");
   }
 
+  // Written so that NaN fails too: it would reach the cast below.
+  const double share = config_.originator_share;
+  if (!(share > 0.0 && share <= 1.0)) {
+    throw std::invalid_argument(
+        "DownloadGenerator: originator_share must be in (0, 1]");
+  }
+
   // Eligible originators: a uniformly sampled subset of ceil(share * n).
-  const double share = std::clamp(config_.originator_share, 0.0, 1.0);
   const auto n = topo.node_count();
   const auto want = static_cast<std::size_t>(
       std::ceil(share * static_cast<double>(n)));

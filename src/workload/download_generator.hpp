@@ -44,7 +44,8 @@ struct WorkloadConfig {
   /// Chunks per file are drawn uniformly from [min, max].
   std::size_t min_chunks_per_file{100};
   std::size_t max_chunks_per_file{1000};
-  /// Fraction of nodes eligible to originate downloads (paper: 0.2 or 1.0).
+  /// Fraction of nodes eligible to originate downloads, in (0, 1] (paper:
+  /// 0.2 or 1.0).
   double originator_share{1.0};
   /// Fraction of file transfers that are uploads (paper: 0; uploads use
   /// the same routing and pricing in the opposite data direction).

@@ -71,7 +71,10 @@ TEST(GraphMetrics, ReachabilityFullOnHealthyTopology) {
 }
 
 TEST(GraphMetrics, SingleNodeReachabilityIsOne) {
-  const auto topo = make_topology(1, 4, 7);
+  // Topology::build rejects a single node (Topology.RejectsASingleNode), so
+  // the smallest overlay that builds stands in: each of two nodes holds the
+  // other, and both ordered pairs reach.
+  const auto topo = make_topology(2, 4, 7);
   EXPECT_DOUBLE_EQ(reachability(topo), 1.0);
 }
 

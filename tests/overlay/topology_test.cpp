@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "common/rng.hpp"
 
@@ -126,6 +127,28 @@ TEST(Topology, RejectsZeroNodes) {
   cfg.node_count = 0;
   Rng rng(1);
   EXPECT_THROW(Topology::build(cfg, rng), std::invalid_argument);
+}
+
+TEST(Topology, RejectsASingleNode) {
+  // One node used to build, and its runs counted every request as
+  // delivered over zero transmissions.
+  TopologyConfig cfg;
+  cfg.node_count = 1;
+  Rng rng(1);
+  EXPECT_THROW(Topology::build(cfg, rng), std::invalid_argument);
+  cfg.node_count = 2;
+  EXPECT_NO_THROW(Topology::build(cfg, rng));
+}
+
+TEST(Topology, RejectsAZeroBucketCapacity) {
+  // k = 0 used to build empty routing tables, so almost no route succeeded.
+  TopologyConfig cfg;
+  cfg.node_count = 50;
+  cfg.buckets.k = 0;
+  Rng rng(1);
+  EXPECT_THROW(Topology::build(cfg, rng), std::invalid_argument);
+  cfg.buckets.k = 1;
+  EXPECT_NO_THROW(Topology::build(cfg, rng));
 }
 
 TEST(Topology, RejectsMoreNodesThanAddresses) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -43,6 +44,21 @@ TEST(DownloadGenerator, RejectsAZeroMinimumChunkCount) {
   EXPECT_THROW(DownloadGenerator(topo, cfg, Rng(3)), std::invalid_argument);
   cfg.min_chunks_per_file = 1;
   cfg.max_chunks_per_file = 1;
+  EXPECT_NO_THROW(DownloadGenerator(topo, cfg, Rng(3)));
+}
+
+TEST(DownloadGenerator, RejectsAnOriginatorShareOutsideTheUnitInterval) {
+  // The share used to be clamped: 0 and -0.5 ran as one originator, 2 ran
+  // as 1.0, and NaN reached an undefined float-to-integer cast.
+  const auto topo = make_topology();
+  WorkloadConfig cfg;
+  for (const double share :
+       {0.0, -0.5, 2.0, std::numeric_limits<double>::quiet_NaN()}) {
+    cfg.originator_share = share;
+    EXPECT_THROW(DownloadGenerator(topo, cfg, Rng(3)), std::invalid_argument)
+        << "share " << share;
+  }
+  cfg.originator_share = 1.0;
   EXPECT_NO_THROW(DownloadGenerator(topo, cfg, Rng(3)));
 }
 
