@@ -262,11 +262,11 @@ const std::map<std::string, std::set<std::string>>& layer_allowed() {
       {"common", {}},
       {"engine", {}},
       {"overlay", {"common"}},
-      {"storage", {"common", "overlay"}},
+      {"storage", {"common"}},
       {"accounting", {"common", "overlay"}},
       {"workload", {"common", "overlay"}},
       {"net", {"common", "engine", "overlay"}},
-      {"incentives", {"accounting", "common", "overlay", "storage"}},
+      {"incentives", {"accounting", "common", "overlay"}},
       {"core",
        {"accounting", "common", "engine", "incentives", "net", "overlay",
         "storage", "workload"}},
