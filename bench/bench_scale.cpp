@@ -4,14 +4,14 @@
 // (k in {4, 20}), routes a batch of random (origin, chunk) pairs through
 // the Address-keyed greedy walk (the ForwardingRouter test oracle) and
 // through the compiled NodeIndex path (Topology::compiled()), verifies the
-// routes are bit-identical, and reports ns/route plus the speedup
-// (target: >= 5x).
+// routes are bit-identical, and reports ns/route, the speedup (target:
+// >= 5x) and the compiled-over-greedy ratios that bench_guard gates.
 //
 // Part 2 — ledger (debit path) microbenchmark: replays the SWAP debit
 // sequence of those routes through the hash-map SwapNetwork test oracle
 // and through the edge-arena Ledger (slots resolved from the routes' edge
-// ids), verifies identical ledger state, and reports ns/debit plus the
-// speedup and the memory cost of each.
+// ids), verifies identical ledger state, and reports ns/debit, the
+// speedup, the gated edge-over-map ratio and the memory cost of each.
 //
 // Part 3 — flow-level overhead: on the same grid, runs one cell
 // counter-based and with SimulationConfig::flow_level, alternating, until
@@ -45,6 +45,7 @@
 //            routes=<n> flow_files=<n> workload_requests=<n> seed=<n>
 //            out=<dir>
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <limits>
@@ -78,9 +79,19 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 
 /// Every micro-benchmark loop runs this many times and reports the
 /// fastest pass. Scheduling noise and cold caches only ever add time, so
-/// best-of-N is the stable estimate the bench_guard drift gate compares
-/// against its committed baseline.
+/// best-of-N is the stable estimate of each absolute cost.
 constexpr int kTimingReps = 5;
+
+/// Per-repetition ratios of a production loop over its test oracle. Both
+/// loops run back to back inside each repetition, so a host that runs
+/// slower for seconds at a time slows both sides of a ratio alike; the
+/// median repetition is the estimate bench_guard gates.
+using RepRatios = std::array<double, kTimingReps>;
+
+double median(RepRatios ratios) {
+  std::sort(ratios.begin(), ratios.end());
+  return ratios[kTimingReps / 2];
+}
 
 struct RoutePair {
   overlay::NodeIndex origin;
@@ -92,6 +103,9 @@ struct MicroResult {
   double greedy_ns{0};
   double compiled_ns{0};
   double batched_ns{0};
+  /// Median per-repetition ratios over the greedy oracle (lower is better).
+  double compiled_over_greedy{0};
+  double batched_over_greedy{0};
   bool identical{true};
   std::size_t hops{0};
 
@@ -143,66 +157,67 @@ MicroResult route_microbench(std::size_t k, std::size_t route_count,
     }
   }
 
-  // Both sides reuse one path buffer so the comparison isolates the
-  // routing machinery rather than per-route allocation. Every timed loop
-  // runs kTimingReps times and keeps the fastest pass: scheduling noise
-  // only ever adds time, so the minimum is the stable estimate the
-  // bench_guard baseline comparison needs (the loops are read-only, so
-  // repetition cannot change results).
-  overlay::Route buf;
-  std::size_t greedy_hops = 0;
-  result.greedy_ns = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < kTimingReps; ++rep) {
-    greedy_hops = 0;
-    const auto start = std::chrono::steady_clock::now();
-    for (const auto& p : pairs) {
-      greedy.route_into(p.origin, p.chunk, buf);
-      greedy_hops += buf.hops();
-    }
-    result.greedy_ns =
-        std::min(result.greedy_ns,
-                 seconds_since(start) * 1e9 / static_cast<double>(route_count));
-  }
-
-  std::size_t compiled_hops = 0;
-  result.compiled_ns = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < kTimingReps; ++rep) {
-    compiled_hops = 0;
-    const auto start = std::chrono::steady_clock::now();
-    for (const auto& p : pairs) {
-      compiled.route_into(p.origin, p.chunk, buf);
-      compiled_hops += buf.hops();
-    }
-    result.compiled_ns =
-        std::min(result.compiled_ns,
-                 seconds_since(start) * 1e9 / static_cast<double>(route_count));
-  }
-
-  // Batched walk — the per-file shape the simulation routes with. Batches
-  // of 512 approximate a paper file's chunk count.
+  // All three walks reuse one path buffer so the comparison isolates the
+  // routing machinery rather than per-route allocation. Each repetition
+  // times greedy, compiled and batched back to back (the loops are
+  // read-only, so repetition cannot change results). The batched walk is
+  // the per-file shape the simulation routes with; batches of 512
+  // approximate a paper file's chunk count.
   std::vector<overlay::NodeIndex> origins(pairs.size());
   std::vector<Address> chunks(pairs.size());
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     origins[i] = pairs[i].origin;
     chunks[i] = pairs[i].chunk;
   }
-  std::vector<overlay::Route> batch;
-  std::size_t batched_hops = 0;
   constexpr std::size_t kBatch = 512;
+  overlay::Route buf;
+  std::vector<overlay::Route> batch;
+  std::size_t greedy_hops = 0;
+  std::size_t compiled_hops = 0;
+  std::size_t batched_hops = 0;
+  const auto ns_per_route = [&](std::chrono::steady_clock::time_point start) {
+    return seconds_since(start) * 1e9 / static_cast<double>(route_count);
+  };
+  RepRatios compiled_ratios{};
+  RepRatios batched_ratios{};
+  result.greedy_ns = std::numeric_limits<double>::infinity();
+  result.compiled_ns = std::numeric_limits<double>::infinity();
   result.batched_ns = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < kTimingReps; ++rep) {
+    greedy_hops = 0;
+    auto start = std::chrono::steady_clock::now();
+    for (const auto& p : pairs) {
+      greedy.route_into(p.origin, p.chunk, buf);
+      greedy_hops += buf.hops();
+    }
+    const double greedy_ns = ns_per_route(start);
+
+    compiled_hops = 0;
+    start = std::chrono::steady_clock::now();
+    for (const auto& p : pairs) {
+      compiled.route_into(p.origin, p.chunk, buf);
+      compiled_hops += buf.hops();
+    }
+    const double compiled_ns = ns_per_route(start);
+
     batched_hops = 0;
-    const auto start = std::chrono::steady_clock::now();
+    start = std::chrono::steady_clock::now();
     for (std::size_t at = 0; at < pairs.size(); at += kBatch) {
       const std::size_t n = std::min(kBatch, pairs.size() - at);
       compiled.route_batch({origins.data() + at, n}, {chunks.data() + at, n},
                            batch);
       for (const auto& r : batch) batched_hops += r.hops();
     }
-    result.batched_ns =
-        std::min(result.batched_ns,
-                 seconds_since(start) * 1e9 / static_cast<double>(route_count));
+    const double batched_ns = ns_per_route(start);
+
+    result.greedy_ns = std::min(result.greedy_ns, greedy_ns);
+    result.compiled_ns = std::min(result.compiled_ns, compiled_ns);
+    result.batched_ns = std::min(result.batched_ns, batched_ns);
+    compiled_ratios[static_cast<std::size_t>(rep)] = compiled_ns / greedy_ns;
+    batched_ratios[static_cast<std::size_t>(rep)] = batched_ns / greedy_ns;
   }
+  result.compiled_over_greedy = median(compiled_ratios);
+  result.batched_over_greedy = median(batched_ratios);
 
   if (greedy_hops != compiled_hops || greedy_hops != batched_hops) {
     result.identical = false;
@@ -216,6 +231,8 @@ struct LedgerResult {
   std::size_t debits{0};
   double map_ns{0};
   double edge_ns{0};
+  /// Median per-repetition ratio over the map oracle (lower is better).
+  double edge_over_map{0};
   bool identical{true};
   std::size_t map_bytes{0};
   std::size_t edge_bytes{0};
@@ -259,34 +276,30 @@ LedgerResult ledger_microbench(std::size_t k, std::size_t route_count,
     if (r.reached_storer) result.debits += r.hops();
   }
 
-  // Best-of-kTimingReps, like the routing micro: the replay mutates
-  // ledger state, so each rep starts from a fresh ledger and replays the
-  // identical deterministic sequence — every rep ends in the same state,
-  // and the fastest pass is the noise-robust estimate bench_guard
-  // compares against its baseline. The ledgers from the last rep feed
-  // the state-identity check below.
+  // Interleaved like the routing micro: each repetition replays the
+  // identical deterministic sequence into a fresh map ledger and then a
+  // fresh edge ledger, so every repetition ends in the same state. The
+  // ledgers from the last repetition feed the state-identity check below.
+  const double debits =
+      static_cast<double>(std::max<std::size_t>(1, result.debits));
   accounting::SwapNetwork map_ledger(topo.node_count(), swap_cfg);
+  accounting::Ledger edge_ledger(router, swap_cfg);
+  RepRatios ratios{};
   result.map_ns = std::numeric_limits<double>::infinity();
+  result.edge_ns = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < kTimingReps; ++rep) {
     map_ledger = accounting::SwapNetwork(topo.node_count(), swap_cfg);
-    const auto start = std::chrono::steady_clock::now();
+    auto start = std::chrono::steady_clock::now();
     for (const auto& r : routes) {
       if (!r.reached_storer) continue;
       for (std::size_t i = 0; i + 1 < r.path.size(); ++i) {
         (void)map_ledger.debit(r.path[i], r.path[i + 1], price);
       }
     }
-    result.map_ns = std::min(
-        result.map_ns,
-        seconds_since(start) * 1e9 /
-            static_cast<double>(std::max<std::size_t>(1, result.debits)));
-  }
+    const double map_ns = seconds_since(start) * 1e9 / debits;
 
-  accounting::Ledger edge_ledger(router, swap_cfg);
-  result.edge_ns = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < kTimingReps; ++rep) {
     edge_ledger = accounting::Ledger(router, swap_cfg);
-    const auto start = std::chrono::steady_clock::now();
+    start = std::chrono::steady_clock::now();
     for (const auto& r : routes) {
       if (!r.reached_storer) continue;
       for (std::size_t i = 0; i + 1 < r.path.size(); ++i) {
@@ -294,11 +307,13 @@ LedgerResult ledger_microbench(std::size_t k, std::size_t route_count,
                                 /*can_settle=*/true, r.edges[i]);
       }
     }
-    result.edge_ns = std::min(
-        result.edge_ns,
-        seconds_since(start) * 1e9 /
-            static_cast<double>(std::max<std::size_t>(1, result.debits)));
+    const double edge_ns = seconds_since(start) * 1e9 / debits;
+
+    result.map_ns = std::min(result.map_ns, map_ns);
+    result.edge_ns = std::min(result.edge_ns, edge_ns);
+    ratios[static_cast<std::size_t>(rep)] = edge_ns / map_ns;
   }
+  result.edge_over_map = median(ratios);
 
   result.identical = map_ledger.income() == edge_ledger.income() &&
                      map_ledger.spent() == edge_ledger.spent() &&
@@ -383,11 +398,12 @@ struct FlowBenchResult {
   std::uint64_t saturated_links{0};
   double max_utilization{0};
 
+  /// Flow-level over counter-based wall time, the two modes alternating
+  /// run for run — the ratio bench_guard gates for the flow plane.
   [[nodiscard]] double overhead() const {
     return flow_wall_s / counter_wall_s;
   }
-  /// Flow-level wall time per started flow over the whole quota — the
-  /// unit cost bench_guard gates for the flow plane.
+  /// Flow-level wall time per started flow over the whole quota.
   [[nodiscard]] double ns_per_flow() const {
     return flows > 0 ? flow_wall_s * 1e9 / static_cast<double>(flows) : 0.0;
   }
@@ -576,7 +592,8 @@ int main(int argc, char** argv) {
   bench::banner("Routing hot path: greedy reference vs compiled (1000 nodes, " +
                 std::to_string(route_count) + " routes)");
   TextTable micro({"grid cell", "greedy ns/route", "compiled ns/route",
-                   "batched ns/route", "speedup", "bit-identical"});
+                   "batched ns/route", "compiled/greedy", "batched/greedy",
+                   "speedup", "bit-identical"});
   std::ostringstream micro_csv_text;
   CsvWriter micro_csv(micro_csv_text);
   micro_csv.cells("k", "greedy_ns_per_route", "compiled_ns_per_route",
@@ -591,6 +608,8 @@ int main(int argc, char** argv) {
     micro.add_row({"k=" + std::to_string(k), TextTable::num(r.greedy_ns, 1),
                    TextTable::num(r.compiled_ns, 1),
                    TextTable::num(r.batched_ns, 1),
+                   TextTable::num(r.compiled_over_greedy, 3),
+                   TextTable::num(r.batched_over_greedy, 3),
                    TextTable::num(r.speedup(), 2),
                    r.identical ? "yes" : "NO"});
     micro_csv.cells(k, r.greedy_ns, r.compiled_ns, r.batched_ns, r.speedup(),
@@ -607,8 +626,8 @@ int main(int argc, char** argv) {
   bench::banner("Ledger hot path: SwapNetwork (hash oracle) vs Ledger "
                 "(arena) (1000 nodes, debit replay)");
   TextTable ledger_table({"grid cell", "debits", "map ns/debit",
-                          "edge ns/debit", "speedup", "map KiB", "edge KiB",
-                          "bit-identical"});
+                          "edge ns/debit", "edge/map", "speedup", "map KiB",
+                          "edge KiB", "bit-identical"});
   std::vector<LedgerResult> ledger_results;
   for (const std::size_t k : {std::size_t{4}, std::size_t{20}}) {
     const auto r = ledger_microbench(k, route_count, args.seed);
@@ -616,7 +635,7 @@ int main(int argc, char** argv) {
     ledger_table.add_row(
         {"k=" + std::to_string(k), std::to_string(r.debits),
          TextTable::num(r.map_ns, 1), TextTable::num(r.edge_ns, 1),
-         TextTable::num(r.speedup(), 2),
+         TextTable::num(r.edge_over_map, 3), TextTable::num(r.speedup(), 2),
          TextTable::num(static_cast<double>(r.map_bytes) / 1024.0, 0),
          TextTable::num(static_cast<double>(r.edge_bytes) / 1024.0, 0),
          r.identical ? "yes" : "NO"});
@@ -754,6 +773,8 @@ int main(int argc, char** argv) {
     json.field("greedy_ns_per_route", r.greedy_ns);
     json.field("compiled_ns_per_route", r.compiled_ns);
     json.field("batched_ns_per_route", r.batched_ns);
+    json.field("compiled_over_greedy", r.compiled_over_greedy);
+    json.field("batched_over_greedy", r.batched_over_greedy);
     json.field("speedup", r.speedup());
     json.field("identical", r.identical);
     json.close();
@@ -766,6 +787,7 @@ int main(int argc, char** argv) {
     json.field("debits", r.debits);
     json.field("map_ns_per_debit", r.map_ns);
     json.field("edge_ns_per_debit", r.edge_ns);
+    json.field("edge_over_map", r.edge_over_map);
     json.field("speedup", r.speedup());
     json.field("identical", r.identical);
     json.field("map_memory_bytes", r.map_bytes);

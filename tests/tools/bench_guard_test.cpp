@@ -29,9 +29,9 @@ TEST(BenchGuard, BaselineAgainstItselfIsClean) {
   const GuardResult r = compare(base, base, Options{});
   EXPECT_TRUE(r.error.empty()) << r.error;
   EXPECT_TRUE(r.drifts.empty());
-  // 2 routing k-points x 3 metrics + 2 ledger k-points x 2 metrics + 2
-  // flow k-points x 1 metric + the workload overhead.
-  EXPECT_EQ(r.compared, 13u);
+  // 2 routing k-points x 2 ratios + 2 ledger k-points x 1 ratio + 2 flow
+  // k-points x 1 overhead + the workload overhead.
+  EXPECT_EQ(r.compared, 9u);
 }
 
 TEST(BenchGuard, InjectedRegressionFiresOnExactlyTheSlowedMetrics) {
@@ -39,9 +39,9 @@ TEST(BenchGuard, InjectedRegressionFiresOnExactlyTheSlowedMetrics) {
       compare(fixture("baseline.json"), fixture("regression.json"),
               Options{});
   ASSERT_TRUE(r.error.empty()) << r.error;
-  // The regression fixture doubles batched_ns_per_route,
-  // edge_ns_per_debit and ns_per_flow at both k points, and the workload
-  // overhead; everything else moves < 2%.
+  // The regression fixture doubles batched_over_greedy, edge_over_map and
+  // the flow overhead at both k points, and the workload overhead;
+  // compiled_over_greedy moves < 2%.
   ASSERT_EQ(r.drifts.size(), 7u);
   std::size_t routing_hits = 0;
   std::size_t ledger_hits = 0;
@@ -56,14 +56,14 @@ TEST(BenchGuard, InjectedRegressionFiresOnExactlyTheSlowedMetrics) {
       continue;
     }
     if (d.section == "routing") {
-      EXPECT_EQ(d.metric, "batched_ns_per_route");
+      EXPECT_EQ(d.metric, "batched_over_greedy");
       ++routing_hits;
     } else if (d.section == "ledger") {
-      EXPECT_EQ(d.metric, "edge_ns_per_debit");
+      EXPECT_EQ(d.metric, "edge_over_map");
       ++ledger_hits;
     } else {
       EXPECT_EQ(d.section, "flow");
-      EXPECT_EQ(d.metric, "ns_per_flow");
+      EXPECT_EQ(d.metric, "overhead");
       ++flow_hits;
     }
     EXPECT_TRUE(d.k == 4 || d.k == 8);
@@ -78,13 +78,13 @@ TEST(BenchGuard, BaselineWithoutAWorkloadSectionStillGatesTheOtherRows) {
   // A baseline written before the workload row was gated: its routing
   // and flow rows still compare, and the fresh workload row is ignored.
   const std::string baseline =
-      R"({"routing":[{"k":4,"greedy_ns_per_route":850.0,)"
-      R"("compiled_ns_per_route":310.0,"batched_ns_per_route":120.0}],)"
-      R"("flow":[{"k":4,"ns_per_flow":46000.0}]})";
+      R"({"routing":[{"k":4,"compiled_over_greedy":0.365,)"
+      R"("batched_over_greedy":0.141}],)"
+      R"("flow":[{"k":4,"overhead":205.18}]})";
   const GuardResult r =
       compare(baseline, fixture("regression.json"), Options{});
   ASSERT_TRUE(r.error.empty()) << r.error;
-  EXPECT_EQ(r.compared, 4u);
+  EXPECT_EQ(r.compared, 3u);
   ASSERT_EQ(r.drifts.size(), 2u);
   for (const Drift& d : r.drifts) {
     EXPECT_NE(d.section, "workload");
@@ -97,7 +97,7 @@ TEST(BenchGuard, GettingFasterNeverFails) {
                                 fixture("improved.json"), Options{});
   EXPECT_TRUE(r.error.empty()) << r.error;
   EXPECT_TRUE(r.drifts.empty());
-  EXPECT_EQ(r.compared, 13u);
+  EXPECT_EQ(r.compared, 9u);
 }
 
 TEST(BenchGuard, ToleranceIsAdjustable) {
@@ -119,16 +119,16 @@ TEST(BenchGuard, ToleranceIsAdjustable) {
 TEST(BenchGuard, SweepPointsMatchByKNotArrayIndex) {
   // Fresh document carries only k=8, listed first: the k=4 baseline
   // entries are skipped, and k=8 compares against k=8 (clean), not
-  // against the k=4 index-0 baseline (which would drift).
+  // against the k=4 index-0 baseline (its edge_over_map of 0.232 would
+  // drift at 0.396).
   const std::string fresh =
-      R"({"routing":[{"k":8,"greedy_ns_per_route":910.0,)"
-      R"("compiled_ns_per_route":340.0,"batched_ns_per_route":131.0}],)"
-      R"("ledger":[{"k":8,"map_ns_per_debit":101.0,)"
-      R"("edge_ns_per_debit":24.0}]})";
+      R"({"routing":[{"k":8,"compiled_over_greedy":0.374,)"
+      R"("batched_over_greedy":0.144}],)"
+      R"("ledger":[{"k":8,"edge_over_map":0.396}]})";
   const GuardResult r = compare(fixture("baseline.json"), fresh, Options{});
   EXPECT_TRUE(r.error.empty()) << r.error;
   EXPECT_TRUE(r.drifts.empty());
-  EXPECT_EQ(r.compared, 5u);
+  EXPECT_EQ(r.compared, 3u);
 }
 
 TEST(BenchGuard, MalformedInputIsAHardError) {
@@ -152,7 +152,7 @@ TEST(BenchGuard, DeepNestingIsAnErrorNotACrash) {
   const auto nested = [](std::size_t levels) {
     return R"({"deep":)" + std::string(levels, '[') + "1" +
            std::string(levels, ']') +
-           R"(,"routing":[{"k":4,"batched_ns_per_route":120.0}]})";
+           R"(,"routing":[{"k":4,"batched_over_greedy":0.141}]})";
   };
   const std::string at_limit = nested(kMaxDepth - 1);
   const GuardResult ok = compare(at_limit, at_limit, Options{});
@@ -171,14 +171,14 @@ TEST(BenchGuard, UnrelatedSchemaIsAHardError) {
 }
 
 TEST(BenchGuard, FormatNamesTheMetricAndBand) {
-  Drift d{"routing", 8, "batched_ns_per_route", 120.0, 240.0, 2.0};
+  Drift d{"routing", 8, "batched_over_greedy", 0.14, 0.28, 2.0};
   const std::string line = format(d, Options{});
   EXPECT_NE(line.find("routing k=8"), std::string::npos);
-  EXPECT_NE(line.find("batched_ns_per_route"), std::string::npos);
+  EXPECT_NE(line.find("batched_over_greedy"), std::string::npos);
   EXPECT_NE(line.find("2.00x"), std::string::npos);
   EXPECT_NE(line.find("1.50x"), std::string::npos);
 
-  // A section without sweep points names no k, and a ratio has no unit.
+  // A section without sweep points names no k.
   const Drift w{"workload", std::nullopt, "overhead", 2.5, 5.0, 2.0};
   const std::string ratio_line = format(w, Options{});
   EXPECT_EQ(ratio_line, "workload overhead: 2.50 -> 5.00 (2.00x, limit 1.50x)");

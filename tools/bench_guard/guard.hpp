@@ -1,13 +1,15 @@
 // bench_guard — the CI perf-drift gate over BENCH_scale.json.
 //
 // Compares a freshly produced fairswap.bench_scale.v1 document against
-// the committed reference (bench/baseline.json) on the hot-path unit
-// costs: routing ns/route (greedy, compiled, batched), ledger ns/debit
-// (map, edge) and flow-plane ns/flow, matched per k, plus the demand
-// layer's workload.overhead (composed over plain ns per request, one
-// object, no k). A metric drifts when the fresh value exceeds
-// baseline * (1 + tolerance) — regression direction only; getting faster
-// never fails the gate.
+// the committed reference (bench/baseline.json) on the hot-path costs,
+// each a ratio of two loops timed back to back so that host speed drift
+// cancels: routing compiled_over_greedy and batched_over_greedy, ledger
+// edge_over_map and the flow plane's overhead (flow-level over
+// counter-based wall time), matched per k, plus the demand layer's
+// workload.overhead (composed over plain ns per request, one object, no
+// k). A metric drifts when the fresh value exceeds baseline *
+// (1 + tolerance) — regression direction only; getting faster never
+// fails the gate.
 //
 // Like fairswap_lint, this is a standalone library + CLI with no
 // fairswap-lib link (it parses JSON itself), so the gate builds in
@@ -29,12 +31,11 @@ inline constexpr std::size_t kMaxDepth = 256;
 struct Options {
   /// Allowed relative slowdown before a metric counts as drift: 0.5
   /// means "fresh may be up to 1.5x the baseline". The band is wide on
-  /// purpose: even with bench_scale's best-of-N timing loops, shared CI
-  /// runners jitter these millisecond-scale measurements by up to ~1.3x
-  /// run-to-run, and the gate exists to catch structural regressions
-  /// (an accidental O(n) probe, a dropped batch path — the committed
-  /// regression fixture is 2x), not scheduler noise. Tighten with
-  /// --tolerance= on a quiet, dedicated machine.
+  /// purpose: even as interleaved ratios, the gated rows spread by up to
+  /// ~1.3x over ten runs on a shared host, and the gate exists to catch
+  /// structural regressions (an accidental O(n) probe, a dropped batch
+  /// path — the committed regression fixture is 2x), not scheduler
+  /// noise. Tighten with --tolerance= on a quiet, dedicated machine.
   double tolerance{0.5};
 };
 
@@ -44,7 +45,7 @@ struct Drift {
   /// The sweep point the metric belongs to; empty for a section that is
   /// one object rather than an array of k points ("workload").
   std::optional<std::uint64_t> k;
-  std::string metric;   ///< e.g. "batched_ns_per_route"
+  std::string metric;   ///< e.g. "batched_over_greedy"
   double baseline{0};
   double fresh{0};
   double ratio{0};  ///< fresh / baseline
@@ -67,8 +68,8 @@ struct GuardResult {
 GuardResult compare(const std::string& baseline_json,
                     const std::string& fresh_json, const Options& options);
 
-/// "routing k=8 batched_ns_per_route: 123.0 -> 310.1 ns (2.52x, limit
-/// 1.50x)", or "workload overhead: 2.47 -> 4.94 (2.00x, limit 1.50x)".
+/// "routing k=8 batched_over_greedy: 0.14 -> 0.29 (2.00x, limit 1.50x)",
+/// or "workload overhead: 2.47 -> 4.94 (2.00x, limit 1.50x)".
 std::string format(const Drift& d, const Options& options);
 
 }  // namespace fairswap::guard

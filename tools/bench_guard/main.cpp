@@ -2,8 +2,8 @@
 //
 //   bench_guard <baseline.json> <fresh.json> [--tolerance=0.5]
 //
-// Compares the hot-path unit costs (routing ns/route, ledger ns/debit,
-// flow ns/flow, the workload overhead ratio) of a fresh
+// Compares the hot-path cost ratios (routing and ledger over their test
+// oracles, the flow and workload overheads) of a fresh
 // fairswap.bench_scale.v1 document against the committed baseline. Exit 0 when every compared metric is within the
 // tolerance band (or faster), 1 on drift, 2 on usage/parse errors — a
 // malformed document can never masquerade as a clean gate.
