@@ -27,8 +27,7 @@ struct StoreStats {
 
 /// A node-local chunk index keyed by overlay address. The simulator does
 /// not need payload bytes to measure fairness, so the store tracks
-/// addresses only; the `storage::Chunk` pipeline is exercised by the
-/// chunker tests and examples instead.
+/// addresses only.
 class ChunkStore {
  public:
   /// `cache_capacity` bounds the LRU cache; 0 disables caching entirely
