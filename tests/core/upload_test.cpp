@@ -83,6 +83,11 @@ TEST(Upload, UploadsUseSameRoutesAndAccounting) {
   EXPECT_EQ(down.income_per_node(), up.income_per_node());
   EXPECT_EQ(up.totals().upload_files, 1u);
   EXPECT_EQ(up.totals().upload_requests, 3u);
+  // An upload counts as a file, and it pays first hops.
+  EXPECT_EQ(up.totals().files, 1u);
+  double income = 0;
+  for (const double v : up.income_per_node()) income += v;
+  EXPECT_GT(income, 0.0);
 }
 
 TEST(Upload, FairnessIsWorkloadDirectionAgnostic) {
