@@ -79,8 +79,8 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 
 /// Every micro-benchmark loop runs this many times and reports the
 /// fastest pass. Scheduling noise and cold caches only ever add time, so
-/// best-of-N is the stable estimate of each absolute cost. Fifteen rather
-/// than five: over twelve paired runs, the median of fifteen
+/// best-of-N is the stable estimate of each absolute cost. Fifteen
+/// because, over twelve paired runs, the median of fifteen
 /// per-repetition ratios mostly varied less between processes than the
 /// median of the first five (batched over greedy at k = 20: x1.13
 /// against x1.25).
