@@ -32,7 +32,7 @@ struct Options {
   /// Allowed relative slowdown before a metric counts as drift: 0.5
   /// means "fresh may be up to 1.5x the baseline". The band is wide on
   /// purpose: even as interleaved ratios, the gated rows spread by up to
-  /// ~1.3x over ten runs on a shared host, and the gate exists to catch
+  /// ~1.4x over ten runs on a shared host, and the gate exists to catch
   /// structural regressions (an accidental O(n) probe, a dropped batch
   /// path — the committed regression fixture is 2x), not scheduler
   /// noise. Tighten with --tolerance= on a quiet, dedicated machine.
@@ -68,7 +68,7 @@ struct GuardResult {
 GuardResult compare(const std::string& baseline_json,
                     const std::string& fresh_json, const Options& options);
 
-/// "routing k=8 batched_over_greedy: 0.14 -> 0.29 (2.00x, limit 1.50x)",
+/// "routing k=8 batched_over_greedy: 0.14 -> 0.28 (2.00x, limit 1.50x)",
 /// or "workload overhead: 2.47 -> 4.94 (2.00x, limit 1.50x)".
 std::string format(const Drift& d, const Options& options);
 
