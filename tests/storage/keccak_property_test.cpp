@@ -1,13 +1,13 @@
-// Parameterized Keccak/BMT structural properties: incremental hashing
-// must match one-shot hashing for every input length and split point, and
-// chunk addresses must be injective over content and span in practice.
+// Parameterized Keccak structural properties: incremental hashing must
+// match one-shot hashing for every input length and split point, and
+// digests of distinct random inputs must be distinct in practice.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "storage/bmt.hpp"
-#include "storage/chunk.hpp"
 #include "storage/keccak.hpp"
 
 namespace fairswap::storage {
@@ -58,26 +58,6 @@ TEST(KeccakCollisions, NoCollisionsInRandomSample) {
     std::vector<std::uint8_t> data(64);
     for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
     EXPECT_TRUE(seen.insert(to_hex(keccak256(data))).second) << i;
-  }
-}
-
-TEST(BmtInjectivity, DistinctContentDistinctAddress) {
-  Rng rng(7);
-  std::set<std::string> seen;
-  for (int i = 0; i < 500; ++i) {
-    std::vector<std::uint8_t> payload(128);
-    for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next());
-    EXPECT_TRUE(
-        seen.insert(to_hex(bmt_chunk_address(payload, payload.size()))).second);
-  }
-}
-
-TEST(BmtInjectivity, SpanSeparatesEqualRoots) {
-  const auto payload = pattern_bytes(64);
-  std::set<std::string> seen;
-  for (std::uint64_t span = 1; span <= 100; ++span) {
-    EXPECT_TRUE(seen.insert(to_hex(bmt_chunk_address(payload, span))).second)
-        << span;
   }
 }
 
