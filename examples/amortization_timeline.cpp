@@ -1,9 +1,8 @@
 // The SWAP channel over time (paper Fig. 2): two peers exchange service at
 // different rates while time-based amortization pulls the balance back
-// toward zero. Driven by the discrete-event engine so requests and
-// amortization ticks interleave on a realistic timeline. The channel is an
-// accounting::Ledger over a two-node topology, whose one table edge pair
-// holds the single balance.
+// toward zero, one tick at a time. The channel is an accounting::Ledger
+// over a two-node topology, whose one table edge pair holds the single
+// balance.
 //
 // Demonstrates the free-tier property the paper highlights: "nodes may
 // give away a limited amount of bandwidth per time-unit and connection for
@@ -13,13 +12,10 @@
 
 #include "accounting/ledger.hpp"
 #include "common/rng.hpp"
-#include "engine/event_queue.hpp"
 #include "overlay/topology.hpp"
 
 int main() {
   using namespace fairswap;
-  using engine::EventQueue;
-  using engine::SimTime;
 
   accounting::SwapConfig cfg;
   cfg.payment_threshold = Token(100);
@@ -32,7 +28,6 @@ int main() {
   const auto topo = overlay::Topology::build(two_peers, topo_rng);
   accounting::Ledger swap(topo.compiled(), cfg);
 
-  EventQueue queue;
   std::printf("two peers; A consumes 5 units from B every 2 ticks, B "
               "consumes 5 units from A every 6 ticks; amortization forgives "
               "2 units/tick.\n");
@@ -40,21 +35,20 @@ int main() {
   std::printf("%6s %14s %10s %12s\n", "tick", "A owes B", "refused",
               "settlements");
 
-  // Peer A requests from B every 2 ticks (heavy consumer).
-  std::function<void(SimTime)> a_requests = [&](SimTime) {
-    (void)swap.debit(/*consumer=*/0, /*provider=*/1, Token(5),
-                     /*can_settle=*/false);
-    queue.schedule_after(2, a_requests);
-  };
-  // Peer B requests from A every 6 ticks (light consumer).
-  std::function<void(SimTime)> b_requests = [&](SimTime) {
-    (void)swap.debit(/*consumer=*/1, /*provider=*/0, Token(5),
-                     /*can_settle=*/false);
-    queue.schedule_after(6, b_requests);
-  };
-  // Amortization ticks once per time unit; print every 10.
+  // Within a tick, B's request comes first, then A's, then amortization;
+  // the balance is printed every 10 ticks.
   std::uint64_t refused = 0;
-  std::function<void(SimTime)> tick = [&](SimTime now) {
+  for (std::uint64_t now = 1; now <= 120; ++now) {
+    // Peer B requests from A every 6 ticks (light consumer).
+    if (now % 6 == 0) {
+      (void)swap.debit(/*consumer=*/1, /*provider=*/0, Token(5),
+                       /*can_settle=*/false);
+    }
+    // Peer A requests from B every 2 ticks (heavy consumer).
+    if (now % 2 == 0) {
+      (void)swap.debit(/*consumer=*/0, /*provider=*/1, Token(5),
+                       /*can_settle=*/false);
+    }
     swap.amortize_tick();
     if (now % 10 == 0) {
       std::printf("%6llu %14s %10llu %12zu\n",
@@ -63,13 +57,7 @@ int main() {
                   static_cast<unsigned long long>(refused),
                   swap.settlements().size());
     }
-    if (now < 120) queue.schedule_after(1, tick);
-  };
-
-  queue.schedule_at(1, tick);
-  queue.schedule_at(2, a_requests);
-  queue.schedule_at(6, b_requests);
-  queue.run_until(120);
+  }
 
   std::printf("\nA's net consumption (~1.7 units/tick beyond B's) races the "
               "2 units/tick amortization: the balance hovers in a bounded "

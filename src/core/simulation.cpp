@@ -288,13 +288,13 @@ void Simulation::apply(const workload::DownloadRequest& request) {
   if (flow_sim_) {
     if (engine_->modulates_interarrival()) {
       if (!(arrival_tick_ < 0x1p64)) throw_arrival_overflow(totals_.files);
-      flow_sim_->advance_to(static_cast<engine::SimTime>(arrival_tick_));
+      flow_sim_->advance_to(static_cast<net::SimTime>(arrival_tick_));
       arrival_tick_ +=
           engine_->interarrival_for(totals_.files, config_.flow.interarrival);
     } else {
-      const engine::SimTime interarrival = config_.flow.interarrival;
+      const net::SimTime interarrival = config_.flow.interarrival;
       if (interarrival != 0 &&
-          totals_.files > engine::kForever / interarrival) {
+          totals_.files > net::kForever / interarrival) {
         throw_arrival_overflow(totals_.files);
       }
       flow_sim_->advance_to(interarrival * totals_.files);

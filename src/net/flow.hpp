@@ -34,9 +34,13 @@
 #include <span>
 #include <vector>
 
-#include "engine/event_queue.hpp"
-
 namespace fairswap::net {
+
+/// Simulated time in abstract ticks.
+using SimTime = std::uint64_t;
+
+/// The latest representable time: "no horizon".
+inline constexpr SimTime kForever = std::numeric_limits<SimTime>::max();
 
 /// Index of a capacity link inside a FairShareNetwork.
 using LinkId = std::uint32_t;
@@ -56,12 +60,12 @@ struct FlowConfig {
   double down_capacity{0.0};
   /// Ticks between consecutive file arrivals (file i arrives at time
   /// i * interarrival).
-  engine::SimTime interarrival{50};
+  SimTime interarrival{50};
   /// Flows still unfinished this many ticks after start are abandoned and
   /// counted as timed out; 0 disables timeouts. A deadline past the end of
-  /// the tick clock saturates at engine::kForever. Timeouts are a temporal
+  /// the tick clock saturates at kForever. Timeouts are a temporal
   /// statistic only — accounting already happened at request time.
-  engine::SimTime timeout{0};
+  SimTime timeout{0};
   /// Record flow-completion times in a bounded-memory percentile sketch
   /// (common/stream_stats, relative error <= 1/(2*64)) instead of the
   /// exact per-flow sample vector. Off by default so existing runs keep

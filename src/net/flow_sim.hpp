@@ -46,7 +46,6 @@
 
 #include "common/stream_stats.hpp"
 #include "common/telemetry/counters.hpp"
-#include "engine/event_queue.hpp"
 #include "net/flow.hpp"
 #include "overlay/compiled_router.hpp"
 #include "overlay/forwarding.hpp"
@@ -71,7 +70,7 @@ struct FlowReport {
   /// max over links of delivered volume / (capacity * makespan).
   double max_link_utilization{0.0};
   /// Time of the last flow completion or timeout.
-  engine::SimTime makespan{0};
+  SimTime makespan{0};
 };
 
 /// Drives chunk-transfer flows for one Simulation run.
@@ -96,7 +95,7 @@ class FlowSimulator {
   void commit();
 
   /// Runs all flow events up to and including `t`; the clock ends at `t`.
-  void advance_to(engine::SimTime t);
+  void advance_to(SimTime t);
 
   /// Runs every pending completion and timeout: every remaining flow
   /// completes or times out. Idempotent.
@@ -113,7 +112,7 @@ class FlowSimulator {
   }
 
   [[nodiscard]] FlowReport report() const;
-  [[nodiscard]] engine::SimTime now() const noexcept { return now_; }
+  [[nodiscard]] SimTime now() const noexcept { return now_; }
   [[nodiscard]] std::size_t active_flows() const noexcept {
     return net_.active_flows().size();
   }
@@ -123,8 +122,7 @@ class FlowSimulator {
   [[nodiscard]] const FlowConfig& config() const noexcept { return config_; }
   /// Completion times of all finished flows, in completion order (ticks).
   /// Stays empty under config().bounded_fct — use fct_sketch() there.
-  [[nodiscard]] const std::vector<engine::SimTime>& fct_samples()
-      const noexcept {
+  [[nodiscard]] const std::vector<SimTime>& fct_samples() const noexcept {
     return fct_;
   }
   /// The bounded-memory FCT distribution (populated only under
@@ -138,15 +136,15 @@ class FlowSimulator {
   struct Meta {
     double remaining{0.0};         ///< chunks left, as of `progressed_`
     double rate{-1.0};             ///< rate the pending completion assumes
-    engine::SimTime start{0};
-    engine::SimTime due{0};        ///< pending completion time, if seq != 0
+    SimTime start{0};
+    SimTime due{0};                ///< pending completion time, if seq != 0
     std::uint64_t seq{0};          ///< its (when, seq) tie-break; 0: none
     std::uint64_t timeout_seq{0};  ///< seq of this flow's timeout
   };
 
   /// A pending timeout; `seq` identifies the flow it was queued for.
   struct Timeout {
-    engine::SimTime when{0};
+    SimTime when{0};
     std::uint64_t seq{0};
     FlowId flow{0};
   };
@@ -154,9 +152,9 @@ class FlowSimulator {
   /// No flow has a pending completion.
   static constexpr FlowId kNoFlow = static_cast<FlowId>(-1);
 
-  void progress_to(engine::SimTime t);
+  void progress_to(SimTime t);
   /// Dispatches every event due at or before `until`.
-  void run_events(engine::SimTime until);
+  void run_events(SimTime until);
   void reallocate_and_reschedule();
   void schedule_completion(FlowId flow);
   /// Makes `flow` the next completion if its pending one is earlier.
@@ -178,18 +176,18 @@ class FlowSimulator {
   /// Pending timeouts, in (when, seq) order.
   std::deque<Timeout> timeouts_;
   /// Superseded completions per due tick, not yet counted.
-  std::map<engine::SimTime, std::uint64_t> superseded_;
+  std::map<SimTime, std::uint64_t> superseded_;
   std::vector<double> link_volume_;  ///< chunks delivered over each link
-  std::vector<engine::SimTime> fct_;
+  std::vector<SimTime> fct_;
   /// Bounded-memory FCT aggregation (config_.bounded_fct): log-binned
   /// sketch for percentiles plus an exact integer tick sum for the mean.
   PercentileSketch fct_sketch_;
   std::uint64_t fct_ticks_sum_{0};
   std::vector<LinkId> links_buf_;
   std::vector<FlowId> finished_buf_;
-  engine::SimTime now_{0};
-  engine::SimTime progressed_{0};  ///< time `remaining` values refer to
-  engine::SimTime makespan_{0};
+  SimTime now_{0};
+  SimTime progressed_{0};  ///< time `remaining` values refer to
+  SimTime makespan_{0};
   std::uint64_t started_{0};
   std::uint64_t timed_out_{0};
   /// The next completion's or timeout's seq; 0 means none is pending.

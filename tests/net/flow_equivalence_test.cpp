@@ -170,7 +170,7 @@ TEST(FlowEquivalence, ArrivalTickOverflowIsAnError) {
   const auto topo = make_topology(60, 4, 3);
   SimulationConfig cfg;
   cfg.flow_level = true;
-  cfg.flow.interarrival = engine::SimTime{1} << 63;
+  cfg.flow.interarrival = net::SimTime{1} << 63;
   Simulation product(topo, cfg, Rng(8));
   product.run(2);
   EXPECT_THROW(product.step(), std::overflow_error);

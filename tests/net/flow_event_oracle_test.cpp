@@ -72,7 +72,7 @@ class Lockstep {
     sim_.commit();
     ref_.commit();
   }
-  void advance_to(engine::SimTime t) {
+  void advance_to(SimTime t) {
     sim_.advance_to(t);
     ref_.advance_to(t);
   }
@@ -84,7 +84,7 @@ class Lockstep {
     sim_.reset();
     ref_.reset();
   }
-  [[nodiscard]] engine::SimTime now() const { return ref_.now(); }
+  [[nodiscard]] SimTime now() const { return ref_.now(); }
 
   /// Everything a caller can read between two calls.
   void expect_same(const std::string& where) const {
@@ -133,7 +133,7 @@ class Lockstep {
 /// 400 random calls on both sides; an advance moves the clock by up to
 /// `max_step` ticks. Returns the oracle's flow counts summed over resets.
 FlowReport drive(const overlay::Topology& topo, const FlowConfig& cfg,
-                 std::uint64_t seed, engine::SimTime max_step) {
+                 std::uint64_t seed, SimTime max_step) {
   Rng rng(seed);
   const std::vector<overlay::Route> routes = route_pool(topo, 10, rng);
   Lockstep both(topo, cfg);
@@ -208,8 +208,8 @@ TEST(FlowSimulatorEventOracle, MatchesTheEventHeapOnTheStarvedPath) {
   const auto topo = make_topology(128, 7);
   FlowConfig cfg;
   cfg.link_capacity = 1e-17;
-  for (const engine::SimTime timeout :
-       {engine::SimTime{0}, engine::SimTime{250'000'000'000'000'000}}) {
+  for (const SimTime timeout :
+       {SimTime{0}, SimTime{250'000'000'000'000'000}}) {
     cfg.timeout = timeout;
     for (std::uint64_t seed = 21; seed <= 23; ++seed) {
       const FlowReport tally =

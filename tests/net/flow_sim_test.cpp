@@ -138,7 +138,7 @@ TEST(FlowSimulator, HugeTimeoutMeansNever) {
 
   FlowConfig cfg;
   cfg.link_capacity = 0.1;  // solo FCT 10
-  cfg.timeout = engine::kForever;
+  cfg.timeout = kForever;
   FlowSimulator sim(topo.compiled(), topo.node_count(), cfg);
   // Started after tick 0, start + timeout does not fit the tick clock:
   // the deadline saturates instead of wrapping to a tick already past.
@@ -287,7 +287,7 @@ TEST(FlowSimulator, BoundedFctMatchesExactPathWithinSketchBound) {
 
   // Percentiles: compare against the rank-ceil(q*n) oracle over the
   // exact run's samples, within the sketch's documented bound.
-  std::vector<engine::SimTime> sorted = exact.fct_samples();
+  std::vector<SimTime> sorted = exact.fct_samples();
   std::sort(sorted.begin(), sorted.end());
   const double bound = bounded.fct_sketch().relative_error_bound();
   const std::pair<double, double> probes[] = {

@@ -78,7 +78,7 @@ void ReferenceFlowSimulator::start_chunk(const overlay::Route& route,
   }
 }
 
-void ReferenceFlowSimulator::progress_to(engine::SimTime t) {
+void ReferenceFlowSimulator::progress_to(SimTime t) {
   if (t <= progressed_) return;
   const double dt = static_cast<double>(t - progressed_);
   for (const FlowId f : net_.active_flows()) {
@@ -94,7 +94,7 @@ void ReferenceFlowSimulator::schedule_completion(FlowId flow) {
   if (rate <= 0.0) return;  // starved; only a timeout can end it
   const double ticks = std::ceil(meta_[flow].remaining / rate);
   if (!(ticks < 1e18)) return;  // effectively starved
-  events_.push(events_.now() + static_cast<engine::SimTime>(ticks),
+  events_.push(events_.now() + static_cast<SimTime>(ticks),
                FlowEvent{flow, meta_[flow].uid, meta_[flow].sched});
 }
 
@@ -121,7 +121,7 @@ void ReferenceFlowSimulator::finish_flow(FlowId flow, bool completed) {
   for (const LinkId l : net_.flow_links(flow)) link_volume_[l] += transferred;
   if (completed) {
     if (config_.bounded_fct) {
-      const engine::SimTime fct = progressed_ - m.start;
+      const SimTime fct = progressed_ - m.start;
       fct_sketch_.add(static_cast<double>(fct));
       fct_ticks_sum_ += fct;
     } else {
@@ -135,7 +135,7 @@ void ReferenceFlowSimulator::finish_flow(FlowId flow, bool completed) {
   net_.remove_flow(flow);
 }
 
-void ReferenceFlowSimulator::run_events(engine::SimTime until) {
+void ReferenceFlowSimulator::run_events(SimTime until) {
   FlowEvent ev;
   while (events_.pop_due(until, ev)) {
     if (counters_ != nullptr) {
@@ -188,7 +188,7 @@ void ReferenceFlowSimulator::commit() {
   reallocate_and_reschedule();
 }
 
-void ReferenceFlowSimulator::advance_to(engine::SimTime t) {
+void ReferenceFlowSimulator::advance_to(SimTime t) {
   commit();
   run_events(t);
   events_.advance_to(t);
@@ -196,7 +196,7 @@ void ReferenceFlowSimulator::advance_to(engine::SimTime t) {
 
 void ReferenceFlowSimulator::drain() {
   commit();
-  run_events(engine::kForever);
+  run_events(kForever);
   // Starved flows (a zero-capacity link and no timeout) have no pending
   // events; abandon them instead of looping forever.
   while (!net_.active_flows().empty()) {
@@ -206,7 +206,7 @@ void ReferenceFlowSimulator::drain() {
 }
 
 void ReferenceFlowSimulator::reset() {
-  events_ = engine::EventHeap<FlowEvent>{};
+  events_ = EventHeap<FlowEvent>{};
   net_.clear_flows();
   meta_.clear();
   link_volume_.assign(net_.link_count(), 0.0);

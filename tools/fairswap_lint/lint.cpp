@@ -260,16 +260,15 @@ void check_pragma_once(const SourceFile& file, const Suppressions& sup,
 const std::map<std::string, std::set<std::string>>& layer_allowed() {
   static const std::map<std::string, std::set<std::string>> kAllowed = {
       {"common", {}},
-      {"engine", {}},
       {"overlay", {"common"}},
       {"storage", {"common"}},
       {"accounting", {"common", "overlay"}},
       {"workload", {"common", "overlay"}},
-      {"net", {"common", "engine", "overlay"}},
+      {"net", {"common", "overlay"}},
       {"incentives", {"accounting", "common", "overlay"}},
       {"core",
-       {"accounting", "common", "engine", "incentives", "net", "overlay",
-        "storage", "workload"}},
+       {"accounting", "common", "incentives", "net", "overlay", "storage",
+        "workload"}},
       {"agents", {"common", "core", "overlay"}},
       {"harness", {"agents", "common", "core"}},
   };
