@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -26,13 +27,20 @@ struct BenchArgs {
   std::uint64_t seed{kDefaultSeed};
   std::string out_dir{"bench_out"};
 
+  /// Exits 2 with a message when a shared key's value is malformed,
+  /// instead of running with its default.
   static BenchArgs parse(int argc, char** argv) {
     BenchArgs args;
     args.cfg = Config::from_args(argc, argv);
     args.files = args.cfg.get_or("files", std::uint64_t{10'000});
     args.seed = args.cfg.get_or("seed", kDefaultSeed);
     args.out_dir = args.cfg.get_or("out", std::string{"bench_out"});
-    if (args.cfg.get_or("verbose", false)) Log::set_level(LogLevel::kInfo);
+    const bool verbose = args.cfg.get_or("verbose", false);
+    if (const std::string error = args.cfg.last_error(); !error.empty()) {
+      std::fprintf(stderr, "error: %s\n", error.c_str());
+      std::exit(2);
+    }
+    if (verbose) Log::set_level(LogLevel::kInfo);
     return args;
   }
 };

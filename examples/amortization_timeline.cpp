@@ -35,20 +35,21 @@ int main() {
   std::printf("%6s %14s %10s %12s\n", "tick", "A owes B", "refused",
               "settlements");
 
+  std::uint64_t refused = 0;
+  const auto request = [&](overlay::NodeIndex consumer,
+                           overlay::NodeIndex provider) {
+    if (swap.debit(consumer, provider, Token(5), /*can_settle=*/false) ==
+        accounting::DebitResult::kDisconnected) {
+      ++refused;
+    }
+  };
   // Within a tick, B's request comes first, then A's, then amortization;
   // the balance is printed every 10 ticks.
-  std::uint64_t refused = 0;
   for (std::uint64_t now = 1; now <= 120; ++now) {
     // Peer B requests from A every 6 ticks (light consumer).
-    if (now % 6 == 0) {
-      (void)swap.debit(/*consumer=*/1, /*provider=*/0, Token(5),
-                       /*can_settle=*/false);
-    }
+    if (now % 6 == 0) request(/*consumer=*/1, /*provider=*/0);
     // Peer A requests from B every 2 ticks (heavy consumer).
-    if (now % 2 == 0) {
-      (void)swap.debit(/*consumer=*/0, /*provider=*/1, Token(5),
-                       /*can_settle=*/false);
-    }
+    if (now % 2 == 0) request(/*consumer=*/0, /*provider=*/1);
     swap.amortize_tick();
     if (now % 10 == 0) {
       std::printf("%6llu %14s %10llu %12zu\n",

@@ -3,17 +3,23 @@
 // the "coping with the network churn" challenge from the paper's
 // introduction, made concrete.
 #include <cstdio>
+#include <exception>
+#include <string>
 
 #include "common/config.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "overlay/churn.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fairswap;
   const Config args = Config::from_args(argc, argv);
   const auto nodes = args.get_or("nodes", std::uint64_t{500});
   const auto probes = args.get_or("probes", std::uint64_t{5000});
+  if (const std::string error = args.last_error(); !error.empty()) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return 2;
+  }
 
   overlay::TopologyConfig cfg;
   cfg.node_count = nodes;
@@ -77,4 +83,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   overlay.stats().dead_peer_encounters));
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

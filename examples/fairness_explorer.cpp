@@ -8,13 +8,15 @@
 //
 // Prints the full fairness report plus the per-node distribution tables.
 #include <cstdio>
+#include <exception>
+#include <string>
 
 #include "common/config.hpp"
 #include "common/histogram.hpp"
 #include "core/experiment.hpp"
 #include "core/report.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fairswap;
   const Config args = Config::from_args(argc, argv);
 
@@ -37,6 +39,10 @@ int main(int argc, char** argv) {
   cfg.sim.free_rider_share = args.get_or("riders", 0.0);
   cfg.files = args.get_or("files", std::uint64_t{2000});
   cfg.seed = args.get_or("seed", kDefaultSeed);
+  if (const std::string error = args.last_error(); !error.empty()) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return 2;
+  }
   cfg.label = "explorer(k=" + std::to_string(cfg.topology.buckets.k) +
               ", policy=" + cfg.sim.policy + ")";
 
@@ -73,4 +79,7 @@ int main(int argc, char** argv) {
     std::printf("\nwrote Lorenz CSV to %s\n", csv->c_str());
   }
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

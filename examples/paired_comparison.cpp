@@ -8,6 +8,8 @@
 // Replaying one trace removes workload noise entirely: every difference
 // in the table below is caused by the bucket size alone.
 #include <cstdio>
+#include <exception>
+#include <string>
 
 #include "common/config.hpp"
 #include "common/gini.hpp"
@@ -15,11 +17,15 @@
 #include "core/simulation.hpp"
 #include "workload/trace.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fairswap;
   const Config args = Config::from_args(argc, argv);
   const auto files = args.get_or("files", std::uint64_t{500});
   const auto nodes = args.get_or("nodes", std::uint64_t{1000});
+  if (const std::string error = args.last_error(); !error.empty()) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return 2;
+  }
 
   // 1) Record one workload trace against a throwaway topology.
   overlay::TopologyConfig base_cfg;
@@ -72,4 +78,7 @@ int main(int argc, char** argv) {
   std::printf("\nsame chunks, same originators, same order — the fairness "
               "gap is attributable to the routing-table width k alone.\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

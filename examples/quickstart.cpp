@@ -6,13 +6,15 @@
 // Simulation with the paper's default zero-proximity policy, and the
 // F1/F2 fairness report.
 #include <cstdio>
+#include <exception>
+#include <string>
 
 #include "common/config.hpp"
 #include "core/experiment.hpp"
 #include "core/report.hpp"
 #include "core/scenarios.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fairswap;
   const Config args = Config::from_args(argc, argv);
 
@@ -25,6 +27,10 @@ int main(int argc, char** argv) {
       /*seed=*/args.get_or("seed", kDefaultSeed));
   cfg.topology.node_count = args.get_or("nodes", std::uint64_t{500});
   cfg.label = "quickstart";
+  if (const std::string error = args.last_error(); !error.empty()) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return 2;
+  }
 
   std::printf("simulating %zu file downloads over %zu nodes (k=%zu)...\n",
               cfg.files, cfg.topology.node_count, cfg.topology.buckets.k);
@@ -48,4 +54,7 @@ int main(int argc, char** argv) {
               "one node earns everything.\nTry k=20 and compare — that is "
               "the paper's headline experiment.\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }
