@@ -14,13 +14,14 @@ namespace {
 /// tick-quantized completion times.
 constexpr double kDoneEps = 1e-9;
 
-/// `now + ticks`, saturated at engine::kForever: a deadline past the end
+/// `now + ticks`, saturated at kForever: a deadline past the end
 /// of the tick clock means never, not a wrap into the past.
 SimTime due_after(SimTime now, SimTime ticks) {
   return ticks > kForever - now ? kForever : now + ticks;
 }
 
-/// The (when, seq) order engine::EventHeap pops entries in.
+/// The (when, seq) order the oracle's EventHeap pops entries in
+/// (tests/net/reference_flow_sim.hpp).
 bool before(SimTime when_a, std::uint64_t seq_a, SimTime when_b,
             std::uint64_t seq_b) {
   return when_a != when_b ? when_a < when_b : seq_a < seq_b;

@@ -17,9 +17,9 @@
 // allocation already visits every active flow, so it also picks the
 // earliest. Timeouts are due at start + timeout, which never decreases,
 // so they wait in a FIFO that is already in (when, seq) order. The next
-// event is the earlier of that flow and the FIFO head under the same
-// (when, seq) rule engine::EventHeap runs on, with one seq counter for
-// both kinds. A completion superseded by a reschedule, a timeout or a
+// event is the earlier of that flow and the FIFO head under the (when,
+// seq) rule the oracle's EventHeap pops by, with one seq counter for both
+// kinds. A completion superseded by a reschedule, a timeout or a
 // sweep is only counted, per due tick, and adds to flow_events_popped
 // (and moves the clock) when its tick falls due — as popping it off a
 // heap would. The active flows live in the network's slot bitmap, so
@@ -32,11 +32,13 @@
 // flow-level runs agree bit-for-bit on everything except the new FCT /
 // utilization outputs (tests/net/flow_equivalence_test.cpp).
 //
-// Concurrency boundary: like engine::EventQueue, a FlowSimulator is
-// thread-compatible and single-owner — one per Simulation, one Simulation
-// per TaskPool task. Nothing here is locked, and the `shared-capture`
-// lint rule plus the TSan CI job keep it that way (see
-// engine/event_queue.hpp).
+// Concurrency boundary: a FlowSimulator is thread-compatible, not
+// thread-safe — it carries no lock on purpose. Each one is owned by
+// exactly one Simulation, and each Simulation by exactly one TaskPool
+// task; parallelism stays between simulators, never inside one. The
+// `shared-capture` fairswap_lint rule enforces this statically (a
+// simulator cannot be ref-captured into a parallel_for lambda without a
+// reasoned allow), and the TSan CI job backstops it dynamically.
 #pragma once
 
 #include <cstdint>

@@ -244,8 +244,9 @@ TEST(FlowEquivalence, RunPlanBitIdenticalForAnyThreadCount) {
   const auto serial = run_with(1);
   const auto parallel = run_with(4);
   ASSERT_FALSE(serial.empty());
-  // Bitwise equality of every folded metric — flow completion events run
-  // on the per-run EventQueue, never on anything thread- or hash-ordered.
+  // Bitwise equality of every folded metric — each run owns its
+  // FlowSimulator, whose events fall due in (when, seq) order, never in a
+  // thread- or hash-dependent one.
   EXPECT_EQ(serial, parallel);
 
   // The sweep actually exercised the flow layer: the congested cell's FCT
