@@ -73,6 +73,7 @@ int main(int argc, char** argv) {
   using namespace fairswap;
   const auto args = bench::BenchArgs::parse(argc, argv);
   const auto requests = args.cfg.get_or("requests", std::uint64_t{200'000});
+  args.require_valid();
 
   bench::banner("Extension: routing & fairness under churn (k=4, 1000 nodes)");
 

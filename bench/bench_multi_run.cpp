@@ -46,6 +46,7 @@ int main(int argc, char** argv) {
   const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
   const auto max_threads = static_cast<std::size_t>(
       args.cfg.get_or("threads", static_cast<std::uint64_t>(hw)));
+  args.require_valid();
 
   auto cfg = core::paper_config(4, 0.2, args.files, args.seed);
   bench::banner("Parallel run_seeds (" + std::to_string(seed_count) +

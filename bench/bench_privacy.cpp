@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
   using namespace fairswap;
   const auto args = bench::BenchArgs::parse(argc, argv);
   const auto lookups = args.cfg.get_or("lookups", std::uint64_t{20'000});
+  args.require_valid();
 
   bench::banner("Baseline: forwarding vs iterative Kademlia (privacy & cost)");
 

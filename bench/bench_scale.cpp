@@ -591,6 +591,11 @@ int main(int argc, char** argv) {
       args.cfg.get_or("threads", static_cast<std::uint64_t>(hw)));
   const auto route_count = static_cast<std::size_t>(
       args.cfg.get_or("routes", std::uint64_t{200'000}));
+  const auto flow_files = static_cast<std::size_t>(
+      args.cfg.get_or("flow_files", std::uint64_t{100}));
+  const auto workload_requests = static_cast<std::size_t>(
+      args.cfg.get_or("workload_requests", std::uint64_t{200'000}));
+  args.require_valid();
 
   // --- Part 1: routing microbenchmark on the 1000-node paper grid. ---
   bench::banner("Routing hot path: greedy reference vs compiled (1000 nodes, " +
@@ -648,8 +653,6 @@ int main(int argc, char** argv) {
   std::printf("%s", ledger_table.render().c_str());
 
   // --- Part 3: flow-level overhead + differential on the 1000-node grid. ---
-  const auto flow_files = static_cast<std::size_t>(
-      args.cfg.get_or("flow_files", std::uint64_t{100}));
   bench::banner("Flow-level simulation: counter vs flow-level (1000 nodes, " +
                 std::to_string(flow_files) + " files)");
   TextTable flow_table({"grid cell", "runs", "counter wall (s)",
@@ -672,8 +675,6 @@ int main(int argc, char** argv) {
   std::printf("%s", flow_table.render().c_str());
 
   // --- Part 4: workload-engine throughput on the paper topology. ---
-  const auto workload_requests = static_cast<std::size_t>(
-      args.cfg.get_or("workload_requests", std::uint64_t{200'000}));
   bench::banner("Workload engine: plain generator vs composed demand "
                 "(1000 nodes, " +
                 std::to_string(workload_requests) + " requests)");

@@ -36,12 +36,19 @@ struct BenchArgs {
     args.seed = args.cfg.get_or("seed", kDefaultSeed);
     args.out_dir = args.cfg.get_or("out", std::string{"bench_out"});
     const bool verbose = args.cfg.get_or("verbose", false);
-    if (const std::string error = args.cfg.last_error(); !error.empty()) {
+    args.require_valid();
+    if (verbose) Log::set_level(LogLevel::kInfo);
+    return args;
+  }
+
+  /// Exits 2 with a message when a key read from `cfg` since the last
+  /// check had a malformed value. A main that reads keys of its own calls
+  /// this once after reading all of them, before its first run.
+  void require_valid() const {
+    if (const std::string error = cfg.last_error(); !error.empty()) {
       std::fprintf(stderr, "error: %s\n", error.c_str());
       std::exit(2);
     }
-    if (verbose) Log::set_level(LogLevel::kInfo);
-    return args;
   }
 };
 

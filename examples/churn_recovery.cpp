@@ -20,6 +20,10 @@ int main(int argc, char** argv) try {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 2;
   }
+  if (probes == 0) {
+    std::fprintf(stderr, "error: probes: must be at least 1\n");
+    return 2;
+  }
 
   overlay::TopologyConfig cfg;
   cfg.node_count = nodes;

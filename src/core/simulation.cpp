@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -75,8 +76,12 @@ Simulation::~Simulation() = default;
 
 std::vector<std::uint8_t> Simulation::sample_free_riders(
     std::size_t node_count, double share, Rng rng) {
+  if (!(share >= 0.0 && share <= 1.0)) {
+    throw std::invalid_argument("free-rider share must be in [0, 1], got " +
+                                std::to_string(share));
+  }
   std::vector<std::uint8_t> flags(node_count, 0);
-  if (share <= 0.0) return flags;
+  if (share == 0.0) return flags;
   // Round to nearest so e.g. 10% of 999 nodes selects 100, not the 99 a
   // plain truncation would give.
   const auto want = std::min<std::size_t>(
@@ -308,12 +313,15 @@ void Simulation::apply(const workload::DownloadRequest& request) {
   // walks' cache misses) and accounted afterwards in request order —
   // bit-identical to the per-chunk path.
   if (config_.cache_capacity == 0) {
-    origins_buf_.assign(request.chunks.size(), request.originator);
-    router_->route_batch(origins_buf_, request.chunks, routes_buf_,
+    const std::size_t n = request.chunks.size();
+    if (routes_buf_.size() < n) routes_buf_.resize(n);
+    const std::span<overlay::Route> routes = std::span(routes_buf_).first(n);
+    origins_buf_.assign(n, request.originator);
+    router_->route_batch(origins_buf_, request.chunks, routes,
                          config_.max_route_hops);
     telem_.bump(telemetry::Counter::kRouteBatches);
-    telem_.bump(telemetry::Counter::kRouteWalks, routes_buf_.size());
-    for (const auto& route : routes_buf_) {
+    telem_.bump(telemetry::Counter::kRouteWalks, n);
+    for (const auto& route : routes) {
       note_request(request.originator, request.is_upload);
       account(route, /*from_cache=*/false, request.is_upload);
     }

@@ -210,7 +210,8 @@ class Simulation {
   /// 2 of the simulation rng): round-to-nearest count, distinct indices.
   /// Exposed so other samplers of "a `share` of the population" — the
   /// agents epoch game's initial FREE_RIDE set — are this sampling by
-  /// construction, not by imitation.
+  /// construction, not by imitation. Throws std::invalid_argument when
+  /// `share` is NaN or outside [0, 1].
   [[nodiscard]] static std::vector<std::uint8_t> sample_free_riders(
       std::size_t node_count, double share, Rng rng);
 
@@ -359,7 +360,9 @@ class Simulation {
   incentives::PolicyContext ctx_;
   /// Reused per-request path buffer; the hot path must not allocate.
   overlay::Route route_;
-  /// Reused buffers for the batched per-file routing path.
+  /// Reused buffers for the batched per-file routing path. routes_buf_
+  /// only grows: a file routes into its first n slots, so a smaller file
+  /// after a larger one keeps every route's path and edge buffers.
   std::vector<overlay::Route> routes_buf_;
   std::vector<NodeIndex> origins_buf_;
 };

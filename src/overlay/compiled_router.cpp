@@ -118,11 +118,11 @@ void CompiledRouter::route_into(NodeIndex origin, Address target, Route& r,
 
 void CompiledRouter::route_batch(std::span<const NodeIndex> origins,
                                  std::span<const Address> targets,
-                                 std::vector<Route>& out,
+                                 std::span<Route> out,
                                  std::size_t max_hops) const {
   assert(origins.size() == targets.size());
+  assert(out.size() == targets.size());
   if (max_hops == 0) max_hops = static_cast<std::size_t>(bits_) * 4;
-  out.resize(targets.size());
 
   // Up to kLanes walks advance in lockstep; each outer iteration issues
   // one hop per active lane, so the lanes' independent cache misses
@@ -192,6 +192,14 @@ void CompiledRouter::route_batch(std::span<const NodeIndex> origins,
       }
     }
   }
+}
+
+void CompiledRouter::route_batch(std::span<const NodeIndex> origins,
+                                 std::span<const Address> targets,
+                                 std::vector<Route>& out,
+                                 std::size_t max_hops) const {
+  out.resize(targets.size());
+  route_batch(origins, targets, std::span<Route>(out), max_hops);
 }
 
 std::size_t CompiledRouter::memory_bytes() const noexcept {

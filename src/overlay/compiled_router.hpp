@@ -111,10 +111,20 @@ class CompiledRouter {
   /// in lockstep so their (independent) per-hop loads overlap — the greedy
   /// walk is a pointer chase, and memory-level parallelism across routes
   /// is where the remaining latency hides. out[i] is bit-identical to
-  /// route(origins[i], targets[i]); `out` is resized and its per-route
-  /// path buffers are reused. Requires origins.size() == targets.size().
-  /// This is the simulator's per-file hot path: one file download routes
-  /// its 100..1000 chunks as one batch.
+  /// route(origins[i], targets[i]), written over the caller's Route in
+  /// place, so every route keeps its path and edge buffers' capacity.
+  /// Requires origins.size() == targets.size() == out.size(). This is the
+  /// simulator's per-file hot path: one file download routes its
+  /// 100..1000 chunks as one batch into the first n slots of a buffer
+  /// that only grows, so no route is destroyed and rebuilt between files.
+  void route_batch(std::span<const NodeIndex> origins,
+                   std::span<const Address> targets, std::span<Route> out,
+                   std::size_t max_hops = 0) const;
+
+  /// As above, after resizing `out` to targets.size(). Shrinking destroys
+  /// the routes past the new size, so only the surviving prefix keeps its
+  /// buffers; callers that route batches of varying size use the span
+  /// form over a grow-only buffer instead.
   void route_batch(std::span<const NodeIndex> origins,
                    std::span<const Address> targets, std::vector<Route>& out,
                    std::size_t max_hops = 0) const;

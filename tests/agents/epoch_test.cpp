@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "agents/strategy.hpp"
 #include "core/scenarios.hpp"
 #include "overlay/topology.hpp"
@@ -48,6 +50,11 @@ TEST(EpochDriver, ValidatesItsConfiguration) {
   auto bad_rate = cfg;
   bad_rate.agents.revision_rate = 1.5;
   EXPECT_THROW(EpochDriver(topo, bad_rate), std::invalid_argument);
+
+  auto nan_riders = cfg;
+  nan_riders.agents.initial_free_riders =
+      std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(EpochDriver(topo, nan_riders), std::invalid_argument);
 }
 
 TEST(EpochDriver, ReusesOneCompiledSnapshotAcrossAllEpochs) {

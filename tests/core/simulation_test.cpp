@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
+#include <stdexcept>
 
 #include "common/rng.hpp"
 
@@ -171,6 +173,27 @@ TEST(Simulation, FreeRiderShareMarksNodes) {
   const auto count =
       std::accumulate(riders.begin(), riders.end(), std::size_t{0});
   EXPECT_EQ(count, topo.node_count() / 4);
+}
+
+TEST(Simulation, FreeRiderShareOutsideUnitIntervalThrows) {
+  const auto topo = make_topology();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const double share : {1.5, -0.1, kNaN}) {
+    auto cfg = fast_config();
+    cfg.free_rider_share = share;
+    EXPECT_THROW(Simulation(topo, cfg, Rng(14)), std::invalid_argument)
+        << share;
+  }
+  for (const double share : {0.0, 1.0}) {
+    auto cfg = fast_config();
+    cfg.free_rider_share = share;
+    Simulation sim(topo, cfg, Rng(14));
+    sim.run(3);
+    const auto& riders = sim.free_riders();
+    EXPECT_EQ(std::accumulate(riders.begin(), riders.end(), std::size_t{0}),
+              share == 0.0 ? 0 : topo.node_count());
+    EXPECT_EQ(sim.totals().files, 3u);
+  }
 }
 
 TEST(Simulation, FreeRidersReduceTotalIncome) {

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <span>
 #include <unordered_set>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "oracles/forwarding_router.hpp"
@@ -113,19 +115,32 @@ TEST(CompiledRouter, BatchedWalkerMatchesSequentialRoutes) {
   const auto topo = make_topology(300, 4, 7, 12);
   const auto& compiled = topo.compiled();
   Rng rng(404);
-  std::vector<NodeIndex> origins;
-  std::vector<Address> targets;
-  for (int i = 0; i < 700; ++i) {
-    origins.push_back(static_cast<NodeIndex>(rng.index(topo.node_count())));
-    targets.push_back(Address{
-        static_cast<AddressValue>(rng.next_below(topo.space().size()))});
-  }
-  std::vector<Route> batch;
-  compiled.route_batch(origins, targets, batch);
-  ASSERT_EQ(batch.size(), targets.size());
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    expect_same_route(compiled.route(origins[i], targets[i]), batch[i],
-                      "batch");
+  // Batch sizes shrink and grow as consecutive files do. The span form
+  // writes into the first n slots of one grow-only buffer, whose later
+  // slots still hold an earlier batch's routes; the vector form resizes.
+  std::vector<Route> buffer;
+  std::vector<Route> resized;
+  for (const std::size_t n : {std::size_t{700}, std::size_t{90},
+                              std::size_t{700}, std::size_t{3}}) {
+    std::vector<NodeIndex> origins;
+    std::vector<Address> targets;
+    for (std::size_t i = 0; i < n; ++i) {
+      origins.push_back(static_cast<NodeIndex>(rng.index(topo.node_count())));
+      targets.push_back(Address{
+          static_cast<AddressValue>(rng.next_below(topo.space().size()))});
+    }
+    if (buffer.size() < n) buffer.resize(n);
+    const std::span<Route> routes = std::span(buffer).first(n);
+    compiled.route_batch(origins, targets, routes);
+    compiled.route_batch(origins, targets, resized);
+    ASSERT_EQ(resized.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Route expected = compiled.route(origins[i], targets[i]);
+      expect_same_route(expected, routes[i], "span batch");
+      EXPECT_EQ(expected.edges, routes[i].edges) << "span batch";
+      expect_same_route(expected, resized[i], "vector batch");
+      EXPECT_EQ(expected.edges, resized[i].edges) << "vector batch";
+    }
   }
 }
 
