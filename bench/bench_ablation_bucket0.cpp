@@ -15,10 +15,9 @@
 #include "common/table.hpp"
 #include "overlay/graph_metrics.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fairswap;
-  auto args = bench::BenchArgs::parse(argc, argv);
-  if (!args.cfg.has("files")) args.files = 2'000;
+  const auto args = bench::BenchArgs::parse(argc, argv, 2'000);
 
   bench::banner("Ablation: increasing k for bucket 0 only (base k=4)");
 
@@ -54,4 +53,7 @@ int main(int argc, char** argv) {
   core::write_text_file(args.out_dir + "/ablation_bucket0.csv", csv_text.str());
   std::printf("wrote %s/ablation_bucket0.csv\n", args.out_dir.c_str());
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -16,12 +16,10 @@
 #include "common/table.hpp"
 #include "overlay/graph_metrics.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fairswap;
-  auto args = bench::BenchArgs::parse(argc, argv);
-  // A sweep of 7 k-values at full scale is slow; default to 2k files
-  // unless the caller overrides.
-  if (!args.cfg.has("files")) args.files = 2'000;
+  // A sweep of 7 k-values at full scale is slow; default to 2k files.
+  const auto args = bench::BenchArgs::parse(argc, argv, 2'000);
 
   bench::banner("Ablation: bucket-size sweep (fairness vs overhead)");
 
@@ -61,4 +59,7 @@ int main(int argc, char** argv) {
   core::write_text_file(args.out_dir + "/ablation_k_sweep.csv", csv_text.str());
   std::printf("wrote %s/ablation_k_sweep.csv\n", args.out_dir.c_str());
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -69,11 +69,10 @@ ChurnOutcome run_phase(overlay::DynamicOverlay& overlay, Rng& rng,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fairswap;
-  const auto args = bench::BenchArgs::parse(argc, argv);
-  const auto requests = args.cfg.get_or("requests", std::uint64_t{200'000});
-  args.require_valid();
+  const auto args = bench::BenchArgs::parse(argc, argv, 10'000, {"requests"});
+  const auto requests = args.cfg.get_u64("requests", 200'000, /*min=*/1);
 
   bench::banner("Extension: routing & fairness under churn (k=4, 1000 nodes)");
 
@@ -123,4 +122,7 @@ int main(int argc, char** argv) {
   core::write_text_file(args.out_dir + "/churn.csv", csv_text.str());
   std::printf("wrote %s/churn.csv\n", args.out_dir.c_str());
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

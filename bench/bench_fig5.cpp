@@ -13,7 +13,7 @@
 #include "bench_util.hpp"
 #include "common/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fairswap;
   const auto args = bench::BenchArgs::parse(argc, argv);
 
@@ -44,4 +44,7 @@ int main(int argc, char** argv) {
                         core::lorenz_csv(bench::as_ptrs(results), false));
   std::printf("wrote %s/fig5_lorenz_f2.csv\n", args.out_dir.c_str());
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

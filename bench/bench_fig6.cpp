@@ -15,7 +15,7 @@
 #include "bench_util.hpp"
 #include "common/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fairswap;
   const auto args = bench::BenchArgs::parse(argc, argv);
 
@@ -48,4 +48,7 @@ int main(int argc, char** argv) {
                         core::lorenz_csv(bench::as_ptrs(results), true));
   std::printf("wrote %s/fig6_lorenz_f1.csv\n", args.out_dir.c_str());
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -36,17 +36,14 @@ bool identical(const fairswap::core::AggregateResult& a,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fairswap;
-  auto args = bench::BenchArgs::parse(argc, argv);
   // Multi-seed runs multiply cost by the seed count; default files down.
-  args.files = args.cfg.get_or("files", std::uint64_t{1'000});
-  const auto seed_count =
-      static_cast<std::size_t>(args.cfg.get_or("seeds", std::uint64_t{8}));
+  const auto args =
+      bench::BenchArgs::parse(argc, argv, 1'000, {"seeds", "threads"});
+  const std::size_t seed_count = args.cfg.get_u64("seeds", 8, /*min=*/1);
   const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  const auto max_threads = static_cast<std::size_t>(
-      args.cfg.get_or("threads", static_cast<std::uint64_t>(hw)));
-  args.require_valid();
+  const std::size_t max_threads = args.cfg.get_u64("threads", hw);
 
   auto cfg = core::paper_config(4, 0.2, args.files, args.seed);
   bench::banner("Parallel run_seeds (" + std::to_string(seed_count) +
@@ -100,4 +97,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -16,10 +16,9 @@
 #include "common/csv.hpp"
 #include "common/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fairswap;
-  auto args = bench::BenchArgs::parse(argc, argv);
-  if (!args.cfg.has("files")) args.files = 2'000;
+  const auto args = bench::BenchArgs::parse(argc, argv, 2'000);
 
   bench::banner("Extension: overhead vs reward (the SWAP trade-off)");
   const auto results = bench::run_paper_grid(args);
@@ -54,4 +53,7 @@ int main(int argc, char** argv) {
   core::write_text_file(args.out_dir + "/overhead.csv", csv_text.str());
   std::printf("wrote %s/overhead.csv\n", args.out_dir.c_str());
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

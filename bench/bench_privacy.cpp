@@ -19,11 +19,10 @@
 #include "overlay/compiled_router.hpp"
 #include "overlay/iterative.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fairswap;
-  const auto args = bench::BenchArgs::parse(argc, argv);
-  const auto lookups = args.cfg.get_or("lookups", std::uint64_t{20'000});
-  args.require_valid();
+  const auto args = bench::BenchArgs::parse(argc, argv, 10'000, {"lookups"});
+  const auto lookups = args.cfg.get_u64("lookups", 20'000, /*min=*/1);
 
   bench::banner("Baseline: forwarding vs iterative Kademlia (privacy & cost)");
 
@@ -88,4 +87,7 @@ int main(int argc, char** argv) {
   core::write_text_file(args.out_dir + "/privacy.csv", csv_text.str());
   std::printf("wrote %s/privacy.csv\n", args.out_dir.c_str());
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

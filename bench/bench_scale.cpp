@@ -51,6 +51,7 @@
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -62,6 +63,7 @@
 #include "common/table.hpp"
 #include "core/multi_run.hpp"
 #include "core/simulation.hpp"
+#include "harness/binding.hpp"
 #include "oracles/forwarding_router.hpp"
 #include "oracles/reference_run.hpp"
 #include "oracles/swap_network.hpp"
@@ -575,27 +577,31 @@ WorkloadBenchResult workload_bench(std::size_t requests, std::uint64_t seed) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fairswap;
-  auto args = bench::BenchArgs::parse(argc, argv);
   // A 10k-node multi-seed run multiplies cost; default files down.
-  args.files = args.cfg.get_or("files", std::uint64_t{1'000});
-  const auto nodes =
-      static_cast<std::size_t>(args.cfg.get_or("nodes", std::uint64_t{10'000}));
-  const auto bits =
-      static_cast<int>(args.cfg.get_or("bits", std::uint64_t{20}));
-  const auto seed_count =
-      static_cast<std::size_t>(args.cfg.get_or("seeds", std::uint64_t{3}));
+  const auto args = bench::BenchArgs::parse(
+      argc, argv, 1'000,
+      {"nodes", "bits", "seeds", "threads", "routes", "flow_files",
+       "workload_requests"});
+  const std::size_t nodes = args.cfg.get_u64("nodes", 10'000);
+  const std::uint64_t bits = args.cfg.get_u64("bits", 20, /*min=*/1);
+  if (bits > 30) throw std::invalid_argument("bits: must be in [1, 30]");
+  const std::size_t seed_count = args.cfg.get_u64("seeds", 3, /*min=*/1);
   const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  const auto threads = static_cast<std::size_t>(
-      args.cfg.get_or("threads", static_cast<std::uint64_t>(hw)));
-  const auto route_count = static_cast<std::size_t>(
-      args.cfg.get_or("routes", std::uint64_t{200'000}));
-  const auto flow_files = static_cast<std::size_t>(
-      args.cfg.get_or("flow_files", std::uint64_t{100}));
-  const auto workload_requests = static_cast<std::size_t>(
-      args.cfg.get_or("workload_requests", std::uint64_t{200'000}));
-  args.require_valid();
+  const std::size_t threads = args.cfg.get_u64("threads", hw);
+  const std::size_t route_count =
+      args.cfg.get_u64("routes", 200'000, /*min=*/1);
+  const std::size_t flow_files = args.cfg.get_u64("flow_files", 100, /*min=*/1);
+  const std::size_t workload_requests =
+      args.cfg.get_u64("workload_requests", 200'000, /*min=*/1);
+  // The scale cells run last; check they fit before the micro parts.
+  const auto scale_cells = core::scale_grid(nodes, static_cast<int>(bits),
+                                            args.files, args.seed);
+  for (const auto& cfg : scale_cells) {
+    const std::string invalid = harness::validate(cfg);
+    if (!invalid.empty()) throw std::invalid_argument(invalid);
+  }
 
   // --- Part 1: routing microbenchmark on the 1000-node paper grid. ---
   bench::banner("Routing hot path: greedy reference vs compiled (1000 nodes, " +
@@ -713,8 +719,7 @@ int main(int argc, char** argv) {
     CellReferenceCheck ledger;
   };
   std::vector<CellRow> cell_rows;
-  for (const auto& cfg :
-       core::scale_grid(nodes, bits, args.files, args.seed)) {
+  for (const auto& cfg : scale_cells) {
     std::printf("running %s (%zu seeds)...\n", cfg.label.c_str(), seed_count);
     std::fflush(stdout);
     const auto topo = core::build_topology(cfg);
@@ -763,7 +768,7 @@ int main(int argc, char** argv) {
   json.field("schema", std::string("fairswap.bench_scale.v1"));
   json.open("config");
   json.field("nodes", nodes);
-  json.field("bits", static_cast<std::uint64_t>(bits));
+  json.field("bits", bits);
   json.field("files", static_cast<std::uint64_t>(args.files));
   json.field("seeds", seed_count);
   json.field("threads", threads);
@@ -872,4 +877,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -5,7 +5,7 @@
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -27,28 +27,22 @@ struct BenchArgs {
   std::uint64_t seed{kDefaultSeed};
   std::string out_dir{"bench_out"};
 
-  /// Exits 2 with a message when a shared key's value is malformed,
-  /// instead of running with its default.
-  static BenchArgs parse(int argc, char** argv) {
+  /// Reads the shared keys (files/seed/out/verbose). `own_keys` names the
+  /// keys the main reads from `cfg` itself; any other key, or a malformed
+  /// value, throws std::invalid_argument, which the main turns into
+  /// exit 2 before any run.
+  static BenchArgs parse(int argc, char** argv,
+                         std::size_t default_files = 10'000,
+                         std::vector<std::string> own_keys = {}) {
     BenchArgs args;
     args.cfg = Config::from_args(argc, argv);
-    args.files = args.cfg.get_or("files", std::uint64_t{10'000});
-    args.seed = args.cfg.get_or("seed", kDefaultSeed);
-    args.out_dir = args.cfg.get_or("out", std::string{"bench_out"});
-    const bool verbose = args.cfg.get_or("verbose", false);
-    args.require_valid();
-    if (verbose) Log::set_level(LogLevel::kInfo);
+    own_keys.insert(own_keys.end(), {"files", "seed", "out", "verbose"});
+    args.cfg.require_known(own_keys);
+    args.files = args.cfg.get_u64("files", default_files);
+    args.seed = args.cfg.get_u64("seed", kDefaultSeed);
+    args.out_dir = args.cfg.get_string("out", "bench_out");
+    if (args.cfg.get_bool("verbose", false)) Log::set_level(LogLevel::kInfo);
     return args;
-  }
-
-  /// Exits 2 with a message when a key read from `cfg` since the last
-  /// check had a malformed value. A main that reads keys of its own calls
-  /// this once after reading all of them, before its first run.
-  void require_valid() const {
-    if (const std::string error = cfg.last_error(); !error.empty()) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      std::exit(2);
-    }
   }
 };
 

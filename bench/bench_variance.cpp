@@ -3,10 +3,14 @@
 // existing scripts: `bench_variance files=500 seeds=3` == `fairswap_run
 // variance files=500 seeds=3`, byte for byte (pinned by
 // tests/harness/scenario_equivalence_test.cpp).
+#include <exception>
 #include <iostream>
 
 #include "harness/scenario.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   return fairswap::harness::run_scenario("variance", argc, argv, std::cout);
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 2;
 }

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/log.hpp"
 #include "common/telemetry/span.hpp"
 #include "core/experiment.hpp"
 #include "core/scenarios.hpp"
@@ -126,27 +127,22 @@ int run_sweep(const Config& args) {
   plan.base = core::paper_config(4, 1.0, 10'000, kDefaultSeed);
   plan.base.label.clear();
   plan.title = "sweep";
-  plan.seeds = static_cast<std::size_t>(args.get_or("seeds", std::uint64_t{1}));
-  plan.threads =
-      static_cast<std::size_t>(args.get_or("threads", std::uint64_t{0}));
-  const std::string out_dir = args.get_or("out", std::string{"bench_out"});
+  plan.seeds = args.get_u64("seeds", 1, /*min=*/1);
+  plan.threads = args.get_u64("threads", 0);
+  const std::string out_dir = args.get_string("out", "bench_out");
   const std::string json_path =
-      args.get_or("json", out_dir + "/RUN_sweep.json");
-  const std::string csv_path = args.get_or("csv", out_dir + "/sweep.csv");
-  const std::string trace_path = args.get_or("trace_spans", std::string{});
-  const std::string parse_error = args.last_error();
-  if (!parse_error.empty()) {
-    std::cerr << "error: " << parse_error << "\n";
-    return 2;
-  }
+      args.get_string("json", out_dir + "/RUN_sweep.json");
+  const std::string csv_path = args.get_string("csv", out_dir + "/sweep.csv");
+  const std::string trace_path = args.get_string("trace_spans", "");
+  const std::string config_path = args.get_string("config", "");
+  if (args.get_bool("verbose", false)) Log::set_level(LogLevel::kInfo);
 
   const auto& table = harness::BindingTable::instance();
 
   // Base-config file first, then command-line overrides on top. The file
   // goes through the same binding table as everything else (apply_all:
   // unknown keys are errors), single values only.
-  if (args.has("config")) {
-    const std::string config_path = *args.get("config");
+  if (!config_path.empty()) {
     std::ifstream config_in(config_path);
     if (!config_in) {
       std::cerr << "error: cannot read config file " << config_path << "\n";
@@ -264,7 +260,7 @@ int run_sweep(const Config& args) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const fairswap::Config args = fairswap::Config::from_args(argc, argv);
   if (args.positional().empty()) {
     usage(std::cerr);
@@ -282,26 +278,25 @@ int main(int argc, char** argv) {
   if (command == "sweep") return run_sweep(args);
   // Scenario registries own their reserved-key tables, so the wall-plane
   // trace_spans= flag is peeled off here before the argv reaches them.
-  const std::string trace_path =
-      args.get_or("trace_spans", std::string{});
+  const std::string trace_path = args.get_string("trace_spans", "");
   std::vector<char*> scenario_argv;
   scenario_argv.reserve(static_cast<std::size_t>(argc));
   for (int i = 0; i < argc; ++i) {
-    if (std::string_view(argv[i]).rfind("trace_spans=", 0) == 0) continue;
+    std::string_view arg(argv[i]);
+    if (arg.rfind("--", 0) == 0) arg.remove_prefix(2);  // as Config reads it
+    if (arg.rfind("trace_spans=", 0) == 0) continue;
     scenario_argv.push_back(argv[i]);
   }
   if (!trace_path.empty() && !begin_trace_capture(trace_path)) return 2;
-  try {
-    const int rc = fairswap::harness::run_scenario(
-        command, static_cast<int>(scenario_argv.size()),
-        scenario_argv.data(), std::cout);
-    if (rc == 0 && !trace_path.empty()) {
-      const int trace_rc = export_trace_spans(trace_path);
-      if (trace_rc != 0) return trace_rc;
-    }
-    return rc;
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
+  const int rc = fairswap::harness::run_scenario(
+      command, static_cast<int>(scenario_argv.size()), scenario_argv.data(),
+      std::cout);
+  if (rc == 0 && !trace_path.empty()) {
+    const int trace_rc = export_trace_spans(trace_path);
+    if (trace_rc != 0) return trace_rc;
   }
+  return rc;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 2;
 }

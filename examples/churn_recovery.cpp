@@ -14,16 +14,9 @@
 int main(int argc, char** argv) try {
   using namespace fairswap;
   const Config args = Config::from_args(argc, argv);
-  const auto nodes = args.get_or("nodes", std::uint64_t{500});
-  const auto probes = args.get_or("probes", std::uint64_t{5000});
-  if (const std::string error = args.last_error(); !error.empty()) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 2;
-  }
-  if (probes == 0) {
-    std::fprintf(stderr, "error: probes: must be at least 1\n");
-    return 2;
-  }
+  args.require_known({"nodes", "probes"});
+  const auto nodes = args.get_u64("nodes", 500);
+  const auto probes = args.get_u64("probes", 5000, /*min=*/1);
 
   overlay::TopologyConfig cfg;
   cfg.node_count = nodes;

@@ -20,12 +20,9 @@
 int main(int argc, char** argv) try {
   using namespace fairswap;
   const Config args = Config::from_args(argc, argv);
-  const auto files = args.get_or("files", std::uint64_t{500});
-  const auto nodes = args.get_or("nodes", std::uint64_t{1000});
-  if (const std::string error = args.last_error(); !error.empty()) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 2;
-  }
+  args.require_known({"files", "nodes"});
+  const auto files = args.get_u64("files", 500);
+  const auto nodes = args.get_u64("nodes", 1000);
 
   // 1) Record one workload trace against a throwaway topology.
   overlay::TopologyConfig base_cfg;

@@ -17,20 +17,17 @@
 int main(int argc, char** argv) try {
   using namespace fairswap;
   const Config args = Config::from_args(argc, argv);
+  args.require_known({"nodes", "k", "files", "share", "seed"});
 
   // 1) Describe the experiment. paper_config() gives the paper's 1000-node
   //    setup; here we default to a smaller network for a fast first run.
   core::ExperimentConfig cfg = core::paper_config(
-      /*k=*/args.get_or("k", std::uint64_t{4}),
-      /*originator_share=*/args.get_or("share", 0.2),
-      /*files=*/args.get_or("files", std::uint64_t{1000}),
-      /*seed=*/args.get_or("seed", kDefaultSeed));
-  cfg.topology.node_count = args.get_or("nodes", std::uint64_t{500});
+      /*k=*/args.get_u64("k", 4),
+      /*originator_share=*/args.get_double("share", 0.2),
+      /*files=*/args.get_u64("files", 1000),
+      /*seed=*/args.get_u64("seed", kDefaultSeed));
+  cfg.topology.node_count = args.get_u64("nodes", 500);
   cfg.label = "quickstart";
-  if (const std::string error = args.last_error(); !error.empty()) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 2;
-  }
 
   std::printf("simulating %zu file downloads over %zu nodes (k=%zu)...\n",
               cfg.files, cfg.topology.node_count, cfg.topology.buckets.k);

@@ -1,8 +1,12 @@
 #include "common/config.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 
 namespace fairswap {
 
@@ -15,7 +19,59 @@ std::string trim(const std::string& s) {
   return s.substr(begin, end - begin + 1);
 }
 
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+[[noreturn]] void reject(const std::string& key, const std::string& value,
+                         const char* expected) {
+  throw std::invalid_argument(key + ": '" + value + "' is not " + expected);
+}
+
 }  // namespace
+
+std::optional<std::uint64_t> parse_u64(const std::string& s) {
+  // strtoull alone is too forgiving: it skips leading whitespace and
+  // accepts a sign, wrapping "-1" around to 2^64 - 1.
+  if (s.empty() || !is_digit(s[0])) return std::nullopt;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+  if (errno != 0 || *end != '\0') return std::nullopt;
+  return static_cast<std::uint64_t>(v);
+}
+
+std::optional<std::int64_t> parse_i64(const std::string& s) {
+  const std::size_t first = !s.empty() && s[0] == '-' ? 1 : 0;
+  if (s.size() <= first || !is_digit(s[first])) return std::nullopt;
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(s.c_str(), &end, 10);
+  if (errno != 0 || *end != '\0') return std::nullopt;
+  return static_cast<std::int64_t>(v);
+}
+
+std::optional<double> parse_double(const std::string& s) {
+  // The first-character rule keeps out whitespace, '+', "nan" and "inf";
+  // the x rule keeps out strtod's hexadecimal floats.
+  if (s.empty() || !(is_digit(s[0]) || s[0] == '-' || s[0] == '.') ||
+      s.find_first_of("xX") != std::string::npos) {
+    return std::nullopt;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(s.c_str(), &end);
+  if (errno != 0 || *end != '\0' || !std::isfinite(v)) return std::nullopt;
+  return v;
+}
+
+std::optional<bool> parse_bool(const std::string& s) {
+  std::string t = s;
+  std::transform(t.begin(), t.end(), t.begin(), [](unsigned char c) {
+    return static_cast<char>(std::tolower(c));
+  });
+  if (t == "1" || t == "true" || t == "yes" || t == "on") return true;
+  if (t == "0" || t == "false" || t == "no" || t == "off") return false;
+  return std::nullopt;
+}
 
 Config Config::from_args(int argc, const char* const* argv) {
   Config cfg;
@@ -64,58 +120,55 @@ std::optional<std::string> Config::get(const std::string& key) const {
   return it->second;
 }
 
-std::string Config::get_or(const std::string& key,
-                           const std::string& dflt) const {
-  return get(key).value_or(dflt);
-}
-
-std::int64_t Config::get_or(const std::string& key, std::int64_t dflt) const {
+std::uint64_t Config::get_u64(const std::string& key, std::uint64_t dflt,
+                              std::uint64_t min) const {
   const auto v = get(key);
   if (!v) return dflt;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(v->c_str(), &end, 10);
-  if (end && *end == '\0' && !v->empty()) return parsed;
-  last_error_ = key + ": cannot parse '" + *v + "' as an integer";
-  return dflt;
+  const auto parsed = parse_u64(*v);
+  if (!parsed) reject(key, *v, "an unsigned integer");
+  if (*parsed < min) {
+    throw std::invalid_argument(key + ": must be at least " +
+                                std::to_string(min));
+  }
+  return *parsed;
 }
 
-std::uint64_t Config::get_or(const std::string& key, std::uint64_t dflt) const {
+double Config::get_double(const std::string& key, double dflt) const {
   const auto v = get(key);
   if (!v) return dflt;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v->c_str(), &end, 10);
-  if (end && *end == '\0' && !v->empty()) return parsed;
-  last_error_ = key + ": cannot parse '" + *v + "' as an unsigned integer";
-  return dflt;
+  const auto parsed = parse_double(*v);
+  if (!parsed) reject(key, *v, "a finite number");
+  return *parsed;
 }
 
-double Config::get_or(const std::string& key, double dflt) const {
+bool Config::get_bool(const std::string& key, bool dflt) const {
   const auto v = get(key);
   if (!v) return dflt;
-  char* end = nullptr;
-  const double parsed = std::strtod(v->c_str(), &end);
-  if (end && *end == '\0' && !v->empty()) return parsed;
-  last_error_ = key + ": cannot parse '" + *v + "' as a number";
-  return dflt;
+  const auto parsed = parse_bool(*v);
+  if (!parsed) reject(key, *v, "a boolean (true/false/1/0/yes/no/on/off)");
+  return *parsed;
 }
 
-bool Config::get_or(const std::string& key, bool dflt) const {
+std::string Config::get_string(const std::string& key,
+                               const std::string& dflt) const {
   const auto v = get(key);
   if (!v) return dflt;
-  std::string s = *v;
-  std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  if (s == "1" || s == "true" || s == "yes" || s == "on") return true;
-  if (s == "0" || s == "false" || s == "no" || s == "off") return false;
-  last_error_ = key + ": cannot parse '" + *v + "' as a boolean";
-  return dflt;
+  if (v->empty()) throw std::invalid_argument(key + ": must not be empty");
+  return *v;
 }
 
-std::string Config::last_error() const {
-  std::string out;
-  std::swap(out, last_error_);
-  return out;
+void Config::require_known(const std::vector<std::string>& known) const {
+  for (const auto& entry : kv_) {
+    if (std::find(known.begin(), known.end(), entry.first) != known.end()) {
+      continue;
+    }
+    std::string message = "unknown argument '" + entry.first + "' (accepted:";
+    for (const std::string& key : known) {
+      message += ' ';
+      message += key;
+    }
+    throw std::invalid_argument(message + ")");
+  }
 }
 
 }  // namespace fairswap

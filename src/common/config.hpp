@@ -1,5 +1,7 @@
 // Tiny key=value configuration parsing for examples and benches
-// (e.g. "nodes=1000 k=4 files=10000 originators=0.2 seed=42").
+// (e.g. "nodes=1000 k=4 files=10000 originators=0.2 seed=42"), and the
+// one scalar grammar every entry point reads numbers and booleans with:
+// the binding table, the Config reads below and the trace reader.
 #pragma once
 
 #include <cstdint>
@@ -9,6 +11,24 @@
 #include <vector>
 
 namespace fairswap {
+
+/// Strict scalar parsers. Each accepts the whole string or nothing; none
+/// skips whitespace or accepts a '+' sign.
+///
+/// An unsigned decimal integer that must start with a digit, so "-1" and
+/// " -1" are errors rather than 2^64 - 1, and that must fit 64 bits.
+[[nodiscard]] std::optional<std::uint64_t> parse_u64(const std::string& s);
+
+/// A signed decimal integer: an optional '-', then as parse_u64.
+[[nodiscard]] std::optional<std::int64_t> parse_i64(const std::string& s);
+
+/// A finite decimal number (a digit, '-' or '.' first). "nan", "inf" and
+/// out-of-range values such as "1e999" are errors: NaN passes every range
+/// check written as `x < lo || x > hi`.
+[[nodiscard]] std::optional<double> parse_double(const std::string& s);
+
+/// true/false/1/0/yes/no/on/off, case-insensitive.
+[[nodiscard]] std::optional<bool> parse_bool(const std::string& s);
 
 /// A flat string->string key/value store parsed from "key=value" tokens,
 /// one per token (CLI args) or one per line (files; '#' starts a comment).
@@ -28,23 +48,22 @@ class Config {
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const;
 
-  /// Typed getters with defaults. Malformed values fall back to the
-  /// default (and are reported via last_error()).
-  [[nodiscard]] std::string get_or(const std::string& key,
-                                   const std::string& dflt) const;
-  [[nodiscard]] std::int64_t get_or(const std::string& key,
-                                    std::int64_t dflt) const;
-  [[nodiscard]] std::uint64_t get_or(const std::string& key,
-                                     std::uint64_t dflt) const;
-  [[nodiscard]] double get_or(const std::string& key, double dflt) const;
-  [[nodiscard]] bool get_or(const std::string& key, bool dflt) const;
+  /// Typed reads. An absent key yields `dflt`; a present value that does
+  /// not parse, or lies below `min`, throws std::invalid_argument in the
+  /// binding table's form ("files: '-1' is not an unsigned integer"), so
+  /// an entry point catches once and exits 2 before any run.
+  [[nodiscard]] std::uint64_t get_u64(const std::string& key,
+                                      std::uint64_t dflt,
+                                      std::uint64_t min = 0) const;
+  [[nodiscard]] double get_double(const std::string& key, double dflt) const;
+  [[nodiscard]] bool get_bool(const std::string& key, bool dflt) const;
+  /// A present value must not be empty: `out=` would aim at "/".
+  [[nodiscard]] std::string get_string(const std::string& key,
+                                       const std::string& dflt) const;
 
-  /// The most recent malformed-value report from a typed get_or, e.g.
-  /// "seed: cannot parse 'abc' as an integer" — empty when every parse
-  /// since the last call succeeded. Reading clears it, so callers can
-  /// check once after a batch of getters (fairswap_run does) without
-  /// stale reports leaking into the next batch.
-  [[nodiscard]] std::string last_error() const;
+  /// Throws std::invalid_argument naming the first key that is not in
+  /// `known`: a typo'd key must not silently run on the default.
+  void require_known(const std::vector<std::string>& known) const;
 
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;
@@ -56,8 +75,6 @@ class Config {
  private:
   std::map<std::string, std::string> kv_;
   std::vector<std::string> positional_;
-  /// Mutable so const getters can report; owned per Config, not global.
-  mutable std::string last_error_;
 };
 
 }  // namespace fairswap

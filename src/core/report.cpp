@@ -4,9 +4,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/csv.hpp"
-#include "common/log.hpp"
 #include "common/table.hpp"
 
 namespace fairswap::core {
@@ -92,19 +92,16 @@ std::string summarize_result(const ExperimentResult& r) {
   return out.str();
 }
 
-bool write_text_file(const std::string& path, const std::string& content) {
+void write_text_file(const std::string& path, const std::string& content) {
   std::error_code ec;
   const std::filesystem::path p(path);
   if (p.has_parent_path()) {
     std::filesystem::create_directories(p.parent_path(), ec);
   }
   std::ofstream out(p);
-  if (!out) {
-    FAIRSWAP_LOG(kError, "report") << "cannot write " << path;
-    return false;
-  }
   out << content;
-  return static_cast<bool>(out);
+  out.close();  // surfaces a failed final flush, not only a failed open
+  if (!out) throw std::runtime_error("cannot write " + path);
 }
 
 }  // namespace fairswap::core

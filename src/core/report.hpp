@@ -34,8 +34,8 @@ namespace fairswap::core {
 /// A one-paragraph text summary of a result (used by examples).
 [[nodiscard]] std::string summarize_result(const ExperimentResult& result);
 
-/// Writes `content` to `path`, creating parent directories; returns false
-/// (and logs) on failure. Benches write their CSVs next to the binary.
-bool write_text_file(const std::string& path, const std::string& content);
+/// Writes `content` to `path`, creating parent directories; throws
+/// std::runtime_error naming the path when the write fails.
+void write_text_file(const std::string& path, const std::string& content);
 
 }  // namespace fairswap::core

@@ -13,6 +13,7 @@
 //    dynamically, in the spirit of Shelby's rational-deviation analysis.
 #include <span>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "agents/epoch.hpp"
@@ -51,35 +52,22 @@ constexpr double kDefaultBandwidthCost = 100.0;
 
 /// Shared scenario plumbing: the base config with the agents defaults,
 /// plus the strict application of every CLI override.
-bool agents_config(ScenarioContext& ctx, const char* label,
-                   core::ExperimentConfig& cfg) {
+core::ExperimentConfig agents_config(const ScenarioContext& ctx,
+                                     const char* label) {
   if (ctx.args.has("files")) {
-    print(ctx.os(),
-          "error: agents scenarios run epochs x files_per_epoch; use "
-          "files_per_epoch=, not files=\n");
-    return false;
+    throw std::invalid_argument(
+        "agents scenarios run epochs x files_per_epoch; use "
+        "files_per_epoch=, not files=");
   }
-  cfg = core::paper_config(4, 1.0, /*files=*/0, ctx.seed);
+  core::ExperimentConfig cfg = core::paper_config(4, 1.0, /*files=*/0,
+                                                  ctx.seed);
   cfg.label = label;
   cfg.agents.epochs = 40;
   cfg.agents.files_per_epoch = 200;
   cfg.agents.revision_rate = 0.25;
   cfg.agents.bandwidth_cost = kDefaultBandwidthCost;
-
-  static const std::vector<std::string> reserved = {"files", "seed", "out",
-                                                    "threads", "verbose"};
-  const auto errors =
-      BindingTable::instance().apply_all(cfg, ctx.args, reserved);
-  for (const std::string& err : errors) {
-    print(ctx.os(), "error: %s\n", err.c_str());
-  }
-  if (!errors.empty()) return false;
-  const std::string invalid = validate(cfg);
-  if (!invalid.empty()) {
-    print(ctx.os(), "error: %s\n", invalid.c_str());
-    return false;
-  }
-  return true;
+  apply_and_validate(cfg, ctx.args, kScenarioKeys);
+  return cfg;
 }
 
 void print_series(ScenarioContext& ctx, const agents::EpochSeries& series) {
@@ -105,25 +93,20 @@ void print_series(ScenarioContext& ctx, const agents::EpochSeries& series) {
   }
 }
 
-int write_series_file(ScenarioContext& ctx, const std::string& name,
-                      const std::string& title,
-                      std::span<const agents::EpochSeries> runs) {
+void write_series_file(ScenarioContext& ctx, const std::string& name,
+                       const std::string& title,
+                       std::span<const agents::EpochSeries> runs) {
   const std::string path = ctx.out_dir + "/" + name;
   std::ostringstream doc;
   agents::write_agents_json(doc, title, runs);
   doc << "\n";
-  if (!core::write_text_file(path, doc.str())) {
-    print(ctx.os(), "error: cannot write %s\n", path.c_str());
-    return 1;
-  }
+  core::write_text_file(path, doc.str());
   print(ctx.os(), "wrote %s (schema fairswap.agents.v1)\n", path.c_str());
-  return 0;
 }
 
 int scenario_equilibrium(ScenarioContext& ctx) {
   banner(ctx.os(), "Adaptive agents: sharing equilibrium");
-  core::ExperimentConfig cfg;
-  if (!agents_config(ctx, "equilibrium", cfg)) return 2;
+  core::ExperimentConfig cfg = agents_config(ctx, "equilibrium");
   // A mixed start inside the sharing basin (see the reading below for
   // what lies outside it); scenario defaults apply only when the caller
   // didn't override.
@@ -152,14 +135,14 @@ int scenario_equilibrium(ScenarioContext& ctx) {
         "(the network-effect result of 'You Share, I Share'). The Gini "
         "columns show fairness once behavior, not just topology, is "
         "endogenous.\n");
-  return write_series_file(ctx, "agents_equilibrium.json", "equilibrium",
-                           {&series, 1});
+  write_series_file(ctx, "agents_equilibrium.json", "equilibrium",
+                    {&series, 1});
+  return 0;
 }
 
 int scenario_invasion(ScenarioContext& ctx) {
   banner(ctx.os(), "Adaptive agents: free-rider invasion vs incentives");
-  core::ExperimentConfig cfg;
-  if (!agents_config(ctx, "invasion", cfg)) return 2;
+  core::ExperimentConfig cfg = agents_config(ctx, "invasion");
   if (!ctx.args.has("initial_free_riders")) {
     cfg.agents.initial_free_riders = 0.1;
   }
@@ -204,7 +187,8 @@ int scenario_invasion(ScenarioContext& ctx) {
         "with the policy ablated, %.3f — %s. SWAP's bandwidth incentives "
         "are what keeps sharing an evolutionarily stable strategy.\n",
         paid_end, paid_verdict, ablated_end, ablated_verdict);
-  return write_series_file(ctx, "agents_invasion.json", "invasion", runs);
+  write_series_file(ctx, "agents_invasion.json", "invasion", runs);
+  return 0;
 }
 
 }  // namespace

@@ -1,59 +1,13 @@
 #include "harness/binding.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
-#include <optional>
+#include <stdexcept>
 
 namespace fairswap::harness {
 
 namespace {
-
-// Strict value parsers. Unlike Config::get_or these never fall back — a
-// malformed sweep value must stop the run, not silently become a default.
-
-std::optional<std::uint64_t> parse_u64(const std::string& s) {
-  if (s.empty() || s[0] == '-') return std::nullopt;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || !end || *end != '\0') return std::nullopt;
-  return static_cast<std::uint64_t>(v);
-}
-
-std::optional<std::int64_t> parse_i64(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno != 0 || !end || *end != '\0') return std::nullopt;
-  return static_cast<std::int64_t>(v);
-}
-
-/// A finite double. strtod also accepts "nan" and "inf", which no binding
-/// takes: NaN passes every range check written as `x < lo || x > hi`.
-std::optional<double> parse_double(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || !end || *end != '\0' || !std::isfinite(v)) {
-    return std::nullopt;
-  }
-  return v;
-}
-
-std::optional<bool> parse_bool(const std::string& s) {
-  std::string t = s;
-  std::transform(t.begin(), t.end(), t.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  if (t == "1" || t == "true" || t == "yes" || t == "on") return true;
-  if (t == "0" || t == "false" || t == "no" || t == "off") return false;
-  return std::nullopt;
-}
 
 /// Shortest decimal rendering that round-trips the double exactly, so a
 /// snapshot re-applied through the (strict) parser reproduces the config
@@ -62,7 +16,7 @@ std::string format_double(double v) {
   char buf[64];
   for (int precision = 1; precision <= 17; ++precision) {
     std::snprintf(buf, sizeof buf, "%.*g", precision, v);
-    if (std::strtod(buf, nullptr) == v) break;
+    if (parse_double(buf) == v) break;
   }
   return buf;
 }
@@ -667,6 +621,18 @@ std::string validate(const core::ExperimentConfig& cfg) {
     return "demand: zipf demand needs a catalog (set catalog=)";
   }
   return {};
+}
+
+void apply_and_validate(core::ExperimentConfig& cfg, const Config& args,
+                        std::span<const std::string> reserved) {
+  std::string errors;
+  for (const std::string& err :
+       BindingTable::instance().apply_all(cfg, args, reserved)) {
+    if (!errors.empty()) errors += "; ";
+    errors += err;
+  }
+  if (errors.empty()) errors = validate(cfg);
+  if (!errors.empty()) throw std::invalid_argument(errors);
 }
 
 }  // namespace fairswap::harness

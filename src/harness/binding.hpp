@@ -1,11 +1,10 @@
 // The parameter-binding table: one validated path from string key=value
 // pairs (CLI args, sweep axes, config files) to ExperimentConfig fields.
 //
-// Every bench used to hand-roll its own Config::get_or calls, which meant
-// a typo'd key was a silent no-op and every binary invented its own key
-// names. Here each key is declared once with a typed, range-checked setter
-// and a canonical getter; unknown keys and malformed or out-of-range
-// values are errors the caller must surface.
+// Each key is declared once with a typed, range-checked setter (values
+// parse through common/config's scalar grammar) and a canonical getter;
+// unknown keys and malformed or out-of-range values are errors the caller
+// must surface.
 #pragma once
 
 #include <span>
@@ -78,5 +77,11 @@ class BindingTable {
 /// address-space size, chunk range ordering, SWAP threshold ordering).
 /// Returns an error message, empty when the config is coherent.
 [[nodiscard]] std::string validate(const core::ExperimentConfig& cfg);
+
+/// apply_all() then validate() for an entry point's overrides: throws
+/// std::invalid_argument carrying every error, so the entry point reports
+/// them and exits 2 before any run.
+void apply_and_validate(core::ExperimentConfig& cfg, const Config& args,
+                        std::span<const std::string> reserved = {});
 
 }  // namespace fairswap::harness

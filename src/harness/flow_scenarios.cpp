@@ -46,41 +46,33 @@ bool accounting_identical(const core::ExperimentResult& a,
 int scenario_flow_fct(ScenarioContext& ctx) {
   using namespace fairswap;
 
-  // One capacity per cell; link_capacity= collapses the sweep to a single
-  // point, the other flow knobs apply to every cell.
-  std::vector<double> capacities{0.01, 0.04, 0.16};
-  if (ctx.args.has("link_capacity")) {
-    capacities = {ctx.args.get_or("link_capacity", 0.04)};
-  }
-  const auto interarrival = ctx.args.get_or("flow_interarrival",
-                                            std::uint64_t{200});
-  const auto timeout = ctx.args.get_or("flow_timeout", std::uint64_t{50'000});
-  const std::string parse_error = ctx.args.last_error();
-  if (!parse_error.empty()) {
-    print(ctx.os(), "error: %s\n", parse_error.c_str());
-    return 2;
-  }
-  if (interarrival == 0) {
-    print(ctx.os(), "error: flow_interarrival: must be at least 1\n");
-    return 2;
-  }
-
-  banner(ctx.os(), "Flow-level FCT: link-capacity sweep, paper grid k=4");
-
   // Cell 0 is the counter-based reference; every flow cell must reproduce
   // its accounting bit-for-bit.
   std::vector<core::ExperimentConfig> cells;
   auto base = core::paper_config(4, 1.0, ctx.files, ctx.seed);
   base.label = "counter reference";
   cells.push_back(base);
+
+  // The flow knobs go through the binding table onto the scenario's
+  // defaults and apply to every cell; link_capacity= collapses the
+  // capacity sweep to a single point.
+  auto flow = base;
+  flow.sim.flow_level = true;
+  flow.sim.flow.interarrival = 200;
+  flow.sim.flow.timeout = 50'000;
+  apply_and_validate(flow, ctx.args, kScenarioKeys);
+  std::vector<double> capacities{0.01, 0.04, 0.16};
+  if (ctx.args.has("link_capacity")) {
+    capacities = {flow.sim.flow.link_capacity};
+  }
+
+  banner(ctx.os(), "Flow-level FCT: link-capacity sweep, paper grid k=4");
+
   const Binding* capacity_binding =
       BindingTable::instance().find("link_capacity");
   for (const double capacity : capacities) {
-    auto cfg = base;
-    cfg.sim.flow_level = true;
+    auto cfg = flow;
     cfg.sim.flow.link_capacity = capacity;
-    cfg.sim.flow.interarrival = interarrival;
-    cfg.sim.flow.timeout = timeout;
     // The binding's canonical double formatting keeps labels replayable
     // as key=value arguments.
     cfg.label = "link_capacity=" + capacity_binding->get(cfg);

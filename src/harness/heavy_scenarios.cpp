@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -93,26 +94,15 @@ std::string hex64(std::uint64_t v) {
 // via Simulation::reset" (ISSUE 9 acceptance).
 int scenario_heavy_traffic(ScenarioContext& ctx) {
   if (ctx.args.has("files")) {
-    print(ctx.os(), "error: heavy_traffic is request-quota driven; use "
-                    "requests=, not files=\n");
-    return 2;
+    throw std::invalid_argument(
+        "heavy_traffic is request-quota driven; use requests=, not files=");
   }
-  const auto requests =
-      ctx.args.get_or("requests", std::uint64_t{1'000'000});
+  const auto requests = ctx.args.get_u64("requests", 1'000'000, /*min=*/1);
   // Shard count is a workload parameter, deliberately independent of
   // threads=: the shard seeds and the canonical merge order are fixed, so
   // any thread count produces the same bits.
-  const auto shards = ctx.args.get_or("shards", std::uint64_t{8});
-  const auto max_rss_mb = ctx.args.get_or("max_rss_mb", std::uint64_t{0});
-  std::string parse_error = ctx.args.last_error();
-  if (!parse_error.empty()) {
-    print(ctx.os(), "error: %s\n", parse_error.c_str());
-    return 2;
-  }
-  if (requests == 0 || shards == 0) {
-    print(ctx.os(), "error: requests= and shards= must be positive\n");
-    return 2;
-  }
+  const auto shards = ctx.args.get_u64("shards", 8, /*min=*/1);
+  const auto max_rss_mb = ctx.args.get_u64("max_rss_mb", 0);
 
   // Scenario defaults: the paper grid cell plus a fully composed demand
   // process. Every knob below is a regular binding, so CLI overrides run
@@ -134,17 +124,7 @@ int scenario_heavy_traffic(ScenarioContext& ctx) {
   static const std::vector<std::string> reserved = {
       "files", "seed", "out", "threads", "verbose",
       "requests", "shards", "max_rss_mb"};
-  const auto errors =
-      BindingTable::instance().apply_all(cfg, ctx.args, reserved);
-  for (const std::string& err : errors) {
-    print(ctx.os(), "error: %s\n", err.c_str());
-  }
-  if (!errors.empty()) return 2;
-  const std::string invalid = validate(cfg);
-  if (!invalid.empty()) {
-    print(ctx.os(), "error: %s\n", invalid.c_str());
-    return 2;
-  }
+  apply_and_validate(cfg, ctx.args, reserved);
 
   banner(ctx.os(), "Heavy traffic: streaming bounded-memory aggregation");
   print(ctx.os(),
@@ -340,10 +320,7 @@ int scenario_heavy_traffic(ScenarioContext& ctx) {
   }
   doc << "\n";
   const std::string path = ctx.out_dir + "/RUN_heavy_traffic.json";
-  if (!core::write_text_file(path, doc.str())) {
-    print(ctx.os(), "error: cannot write %s\n", path.c_str());
-    return 1;
-  }
+  core::write_text_file(path, doc.str());
   print(ctx.os(), "wrote %s (schema fairswap.heavy_traffic.v1)\n",
         path.c_str());
 

@@ -242,12 +242,7 @@ int scenario_free_riders(ScenarioContext& ctx) {
 int scenario_variance(ScenarioContext& ctx) {
   using namespace fairswap;
 
-  const auto seeds = ctx.args.get_or("seeds", std::uint64_t{5});
-  const std::string parse_error = ctx.args.last_error();
-  if (!parse_error.empty()) {
-    print(ctx.os(), "error: %s\n", parse_error.c_str());
-    return 2;
-  }
+  const auto seeds = ctx.args.get_u64("seeds", 5, /*min=*/1);
 
   banner(ctx.os(), "Seed variance across the paper grid (" +
                        std::to_string(seeds) + " seeds)");

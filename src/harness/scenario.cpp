@@ -2,6 +2,7 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <stdexcept>
 #include <vector>
 
 #include "common/log.hpp"
@@ -47,45 +48,22 @@ int run_scenario(const std::string& name, int argc, char** argv,
 
   ScenarioContext ctx;
   ctx.args = Config::from_args(argc, argv);
-
-  // Unknown keys are errors, not silent no-ops: a typo'd files= must not
-  // quietly run the full-scale default.
-  static const char* kSharedKeys[] = {"files", "seed", "out", "threads",
-                                      "verbose"};
-  for (const auto& [key, value] : ctx.args.entries()) {
-    bool known = false;
-    for (const char* shared : kSharedKeys) known = known || key == shared;
-    for (const std::string& extra : scenario->extra_keys) {
-      known = known || key == extra;
-    }
-    if (!known) {
-      out << "error: unknown argument '" << key << "' for scenario '"
-          << scenario->name << "' (accepted:";
-      for (const char* shared : kSharedKeys) out << " " << shared;
-      for (const std::string& extra : scenario->extra_keys) out << " " << extra;
-      out << ")\n";
-      return 2;
-    }
-  }
-
-  ctx.files = ctx.args.get_or(
-      "files", static_cast<std::uint64_t>(scenario->default_files));
-  ctx.seed = ctx.args.get_or("seed", kDefaultSeed);
-  ctx.out_dir = ctx.args.get_or("out", std::string{"bench_out"});
-  ctx.threads =
-      static_cast<std::size_t>(ctx.args.get_or("threads", std::uint64_t{0}));
-  if (ctx.args.get_or("verbose", false)) Log::set_level(LogLevel::kInfo);
   ctx.out = &out;
-
-  // The typed getters above fall back on malformed values; surface the
-  // report instead of silently running a default-sized experiment.
-  const std::string parse_error = ctx.args.last_error();
-  if (!parse_error.empty()) {
-    out << "error: " << parse_error << "\n";
+  try {
+    std::vector<std::string> known = kScenarioKeys;
+    known.insert(known.end(), scenario->extra_keys.begin(),
+                 scenario->extra_keys.end());
+    ctx.args.require_known(known);
+    ctx.files = ctx.args.get_u64("files", scenario->default_files);
+    ctx.seed = ctx.args.get_u64("seed", kDefaultSeed);
+    ctx.out_dir = ctx.args.get_string("out", "bench_out");
+    ctx.threads = ctx.args.get_u64("threads", 0);
+    if (ctx.args.get_bool("verbose", false)) Log::set_level(LogLevel::kInfo);
+    return scenario->run(ctx);
+  } catch (const std::invalid_argument& e) {
+    out << "error: " << e.what() << "\n";
     return 2;
   }
-
-  return scenario->run(ctx);
 }
 
 void print(std::ostream& out, const char* fmt, ...) {

@@ -34,12 +34,17 @@ struct ScenarioContext {
   [[nodiscard]] std::ostream& os() const { return *out; }
 };
 
+/// The arguments every scenario accepts; run_scenario reads them into the
+/// ScenarioContext, so a scenario reserves them when it applies the rest
+/// of its command line through the binding table.
+inline const std::vector<std::string> kScenarioKeys = {"files", "seed", "out",
+                                                       "threads", "verbose"};
+
 /// A registered scenario. `default_files` seeds ScenarioContext::files
 /// when the caller does not pass files= (the expensive paper-grid
 /// scenarios default to 10k, the sweep-style ones lower). `extra_keys`
-/// names the scenario-specific arguments beyond the shared set
-/// (files/seed/out/threads/verbose) — anything else on the command line
-/// is rejected, not silently ignored.
+/// names the scenario-specific arguments beyond kScenarioKeys — anything
+/// else on the command line is rejected, not silently ignored.
 struct Scenario {
   std::string name;
   std::string description;
@@ -83,10 +88,11 @@ void register_flow_scenarios();
 /// heavy_scenarios.cpp): heavy_traffic.
 void register_heavy_scenarios();
 
-/// Parses argv into a ScenarioContext (surfacing Config::last_error() as
-/// a hard error, not a silent default) and runs the named scenario.
-/// Returns the scenario's exit code, or 2 on unknown scenario / malformed
-/// arguments.
+/// Parses argv into a ScenarioContext and runs the named scenario.
+/// Returns the scenario's exit code, or prints `error: …` to `out` and
+/// returns 2 on an unknown scenario, an unknown or malformed argument, or
+/// any std::invalid_argument the scenario throws. Other exceptions (a
+/// failed write, an arrival past the tick clock) propagate.
 int run_scenario(const std::string& name, int argc, char** argv,
                  std::ostream& out);
 

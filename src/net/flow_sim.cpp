@@ -32,8 +32,11 @@ bool before(SimTime when_a, std::uint64_t seq_a, SimTime when_b,
 FlowSimulator::FlowSimulator(const overlay::CompiledRouter& router,
                              std::size_t node_count, FlowConfig config)
     : router_(&router), config_(config), node_count_(node_count) {
-  if (config_.link_capacity <= 0.0) {
-    throw std::invalid_argument("flow link_capacity must be positive");
+  // NaN and +inf both pass `capacity <= 0.0`; this form rejects them too.
+  const double capacity = config_.link_capacity;
+  if (!(std::isfinite(capacity) && capacity > 0.0)) {
+    throw std::invalid_argument(
+        "flow link_capacity must be finite and positive");
   }
   const double up = config_.up_capacity > 0.0 ? config_.up_capacity
                                               : 4.0 * config_.link_capacity;

@@ -1,10 +1,10 @@
 #include "workload/trace.hpp"
 
-#include <cerrno>
-#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+
+#include "common/config.hpp"
 
 namespace fairswap::workload {
 
@@ -33,19 +33,9 @@ namespace {
 std::uint64_t parse_cell(std::size_t line, const std::string& cell,
                          const char* what) {
   if (cell.empty()) fail(line, std::string("empty ") + what + " cell");
-  // strtoull alone is too forgiving: it skips leading whitespace and
-  // accepts a sign (wrapping negatives around 2^64). Demand a digit up
-  // front so " -7" and "+5" are errors, not garbage addresses.
-  if (cell[0] < '0' || cell[0] > '9') {
-    fail(line, "'" + cell + "' is not an unsigned " + what);
-  }
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(cell.c_str(), &end, 10);
-  if (errno != 0 || !end || *end != '\0') {
-    fail(line, "'" + cell + "' is not an unsigned " + what);
-  }
-  return v;
+  const auto v = parse_u64(cell);
+  if (!v) fail(line, "'" + cell + "' is not an unsigned " + what);
+  return *v;
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
+#include <string>
 
 #include "core/report.hpp"
 #include "core/scenarios.hpp"
@@ -135,11 +137,23 @@ TEST(Report, PerNodeCsvRowPerNode) {
 
 TEST(Report, WriteTextFileRoundTrips) {
   const std::string path = ::testing::TempDir() + "/fairswap_report_test.txt";
-  EXPECT_TRUE(write_text_file(path, "hello fairswap"));
+  EXPECT_NO_THROW(write_text_file(path, "hello fairswap"));
   std::ifstream in(path);
   std::string content((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
   EXPECT_EQ(content, "hello fairswap");
+}
+
+TEST(Report, WriteTextFileThrowsWhenTheParentIsAFile) {
+  const std::string file = ::testing::TempDir() + "/fairswap_report_file";
+  write_text_file(file, "a regular file, not a directory");
+  const std::string path = file + "/out.csv";
+  try {
+    write_text_file(path, "x");
+    ADD_FAILURE() << "wrote below a regular file";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "cannot write " + path);
+  }
 }
 
 }  // namespace

@@ -331,8 +331,8 @@ TEST(Scenario, ScenarioSpecificKeysAreAcceptedAndValidated) {
 }
 
 TEST(Scenario, MalformedSharedArgumentIsSurfaced) {
-  // The last_error() contract: a malformed files= must become a hard
-  // error, not a silently defaulted 10k-file run.
+  // A malformed files= must be a hard error, not a silently defaulted
+  // 10k-file run.
   const std::string out = run("fig4", {"files=abc"}, /*expect_code=*/2);
   EXPECT_NE(out.find("error"), std::string::npos);
   EXPECT_NE(out.find("files"), std::string::npos);

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -299,6 +300,17 @@ TEST(FlowSimulator, BoundedFctMatchesExactPathWithinSketchBound) {
     const double oracle = static_cast<double>(sorted[rank - 1]);
     EXPECT_LE(std::abs(estimate - oracle), bound * oracle + 1e-12)
         << "q=" << q;
+  }
+}
+
+TEST(FlowSimulator, RejectsANonFiniteOrNonPositiveLinkCapacity) {
+  const auto topo = make_topology(64, 4, 1);
+  for (const double capacity : {std::nan(""), HUGE_VAL, -1.0, 0.0}) {
+    FlowConfig cfg;
+    cfg.link_capacity = capacity;
+    EXPECT_THROW(FlowSimulator(topo.compiled(), topo.node_count(), cfg),
+                 std::invalid_argument)
+        << capacity;
   }
 }
 

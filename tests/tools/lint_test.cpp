@@ -80,6 +80,29 @@ TEST(LintRawRandom, CommonRngIsTheBlessedEntropySite) {
   EXPECT_TRUE(lint_tree(fixture("raw_random_allowlisted")).empty());
 }
 
+TEST(LintRawParse, FiresOnEveryAdHocNumberParser) {
+  const auto vs = lint_tree(fixture("raw_parse_violation"));
+  ASSERT_EQ(vs.size(), 4u);
+  for (const auto& v : vs) {
+    EXPECT_EQ(v.rule, "raw-parse");
+    EXPECT_EQ(v.file, "bench/own_parser.cpp");
+  }
+  const std::vector<std::size_t> lines = {vs[0].line, vs[1].line, vs[2].line,
+                                          vs[3].line};
+  EXPECT_EQ(lines, (std::vector<std::size_t>{11, 12, 13, 15}));
+}
+
+TEST(LintRawParse, CommonConfigIsTheOneGrammar) {
+  EXPECT_TRUE(lint_tree(fixture("raw_parse_allowlisted")).empty());
+  // The same call anywhere else in src/ fires.
+  const auto vs = lint_file("src/common/json.cpp",
+                            "double f(const char* s) {\n"
+                            "  return strtod(s, nullptr);\n"
+                            "}\n");
+  ASSERT_EQ(vs.size(), 1u);
+  EXPECT_EQ(vs[0].rule, "raw-parse");
+}
+
 TEST(LintWallClock, FiresOnChronoInSimCode) {
   const auto vs = lint_tree(fixture("wall_clock_violation"));
   ASSERT_EQ(vs.size(), 3u);

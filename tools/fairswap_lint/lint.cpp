@@ -228,6 +228,16 @@ std::size_t find_token(const std::string& text, std::string_view token,
   return std::string::npos;
 }
 
+/// True when the token ending at `end` is called: '(' follows, after
+/// spaces.
+bool called_at(const std::string& code, std::size_t end) {
+  while (end < code.size() &&
+         std::isspace(static_cast<unsigned char>(code[end])) != 0) {
+    ++end;
+  }
+  return end < code.size() && code[end] == '(';
+}
+
 // ---------------------------------------------------------------------------
 // Rule: pragma-once
 // ---------------------------------------------------------------------------
@@ -327,17 +337,10 @@ void check_raw_random(const SourceFile& file, const Suppressions& sup,
     for (const std::string_view token : kTokens) {
       std::size_t pos = find_token(code, token);
       while (pos != std::string::npos) {
-        // rand/srand/time only count as calls: require '(' next (after
-        // spaces). random_device is a type; any mention counts.
-        bool is_hit = token == "random_device";
-        if (!is_hit) {
-          std::size_t j = pos + token.size();
-          while (j < code.size() &&
-                 std::isspace(static_cast<unsigned char>(code[j])) != 0) {
-            ++j;
-          }
-          is_hit = j < code.size() && code[j] == '(';
-        }
+        // rand/srand/time only count as calls. random_device is a type;
+        // any mention counts.
+        const bool is_hit =
+            token == "random_device" || called_at(code, pos + token.size());
         if (is_hit && !sup.allows(i, "raw-random")) {
           // Sequential appends: GCC 12's -Wrestrict misfires on the
           // `const char* + std::string&&` chain this replaces.
@@ -349,6 +352,41 @@ void check_raw_random(const SourceFile& file, const Suppressions& sup,
               "flow from common/rng.hpp seeding";
           out.push_back(
               {file.path, i + 1, "raw-random", std::move(message)});
+        }
+        pos = find_token(code, token, pos + 1);
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Rule: raw-parse
+// ---------------------------------------------------------------------------
+
+void check_raw_parse(const SourceFile& file, const Suppressions& sup,
+                     std::vector<Violation>& out) {
+  // The one scalar grammar: common/config's parse_u64/parse_double/...
+  if (file.path == "src/common/config.cpp") return;
+  static constexpr std::array<std::string_view, 22> kTokens = {
+      "strtol", "strtoll", "strtoul", "strtoull", "strtoimax", "strtoumax",
+      "strtof", "strtod",  "strtold", "stoi",     "stol",      "stoll",
+      "stoul",  "stoull",  "stof",    "stod",     "stold",     "atoi",
+      "atol",   "atoll",   "atof",    "sscanf"};
+  for (std::size_t i = 0; i < file.code.size(); ++i) {
+    const std::string& code = file.code[i];
+    for (const std::string_view token : kTokens) {
+      std::size_t pos = find_token(code, token);
+      while (pos != std::string::npos) {
+        if (called_at(code, pos + token.size()) &&
+            !sup.allows(i, "raw-parse")) {
+          std::string message;
+          message += '\'';
+          message += token;
+          message +=
+              "' is a second number grammar; parse through common/config "
+              "(parse_u64, parse_i64, parse_double, parse_bool or the "
+              "Config reads)";
+          out.push_back({file.path, i + 1, "raw-parse", std::move(message)});
         }
         pos = find_token(code, token, pos + 1);
       }
@@ -873,6 +911,9 @@ std::vector<Violation> lint_files(const std::vector<SourceFile>& files,
     }
     if (rule_enabled(options, "raw-random")) {
       check_raw_random(file, sup, out);
+    }
+    if (rule_enabled(options, "raw-parse")) {
+      check_raw_parse(file, sup, out);
     }
     if (rule_enabled(options, "wall-clock")) {
       check_wall_clock(file, sup, out);

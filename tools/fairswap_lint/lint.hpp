@@ -16,6 +16,9 @@
 //   raw-random            rand/srand/std::random_device/time() seeding —
 //                         all randomness flows from common/rng.hpp
 //                         (SplitMix64) so runs replay bit-identically.
+//   raw-parse             strto*/sto*/ato*/sscanf calls outside
+//                         src/common/config.cpp: every entry point reads
+//                         numbers through its one strict grammar.
 //   wall-clock            std::chrono outside src/common/telemetry*,
 //                         src/common/log* and bench/. Wall time is the
 //                         telemetry wall plane's business; sim code that

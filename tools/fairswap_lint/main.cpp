@@ -31,9 +31,9 @@ int main(int argc, char** argv) {
           << "usage: fairswap_lint <repo-root> [--rule=<name>]... "
              "[--format=text|json]\n"
              "rules: unordered-container unordered-iteration raw-random "
-             "wall-clock\n"
-             "       float-type pragma-once include-layering mutable-global\n"
-             "       naked-mutex shared-capture\n";
+             "raw-parse\n"
+             "       wall-clock float-type pragma-once include-layering\n"
+             "       mutable-global naked-mutex shared-capture\n";
       return 0;
     } else if (arg.rfind("--", 0) == 0) {
       std::cerr << "fairswap_lint: unknown option " << arg << "\n";
