@@ -1,7 +1,8 @@
-// Shared helpers for the benchmark harnesses. Every table/figure bench:
-//  * accepts "files=<n> seed=<n> out=<dir>" overrides on the command line,
-//  * prints the paper's reference numbers next to the measured ones,
-//  * writes its plot-ready series as CSV under <out>/ (default bench_out/).
+// Shared helpers for bench_multi_run and bench_scale, the determinism and
+// scale checks. Each accepts "files=<n> seed=<n> out=<dir>" overrides on
+// the command line and writes its CSV and JSON under <out>/ (default
+// bench_out/). The paper tables and figures are fairswap_run scenarios
+// (src/harness/paper_scenarios.cpp).
 #pragma once
 
 #include <cstdio>
@@ -14,7 +15,6 @@
 #include "core/experiment.hpp"
 #include "core/report.hpp"
 #include "core/scenarios.hpp"
-#include "harness/plan.hpp"
 
 namespace fairswap::bench {
 
@@ -49,20 +49,6 @@ struct BenchArgs {
 /// Prints a section header.
 inline void banner(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
-}
-
-/// Runs the paper's 2x2 grid: (k=4,20%), (k=4,100%), (k=20,20%),
-/// (k=20,100%) through the harness grid runner, which shares one built
-/// topology per k — mirroring the paper's reuse of one overlay across
-/// simulations.
-inline std::vector<core::ExperimentResult> run_paper_grid(
-    const BenchArgs& args) {
-  return harness::run_grid(core::paper_grid(args.files, args.seed),
-                           [&](const core::ExperimentConfig& cfg) {
-                             std::printf("running %s (%zu files)...\n",
-                                         cfg.label.c_str(), args.files);
-                             std::fflush(stdout);
-                           });
 }
 
 /// Convenience: result pointer view for report helpers.

@@ -4,8 +4,8 @@
 //   fairswap_run <scenario> key=value...   # run a registered scenario
 //   fairswap_run sweep k=4,20 originators=0.2,1.0 seeds=8 threads=4
 //
-// Scenario mode dispatches to the registry (the bench_fig4 etc. binaries
-// are thin aliases of this). Sweep mode builds a declarative
+// Scenario mode dispatches to the registry, which holds every paper
+// table, figure and ablation. Sweep mode builds a declarative
 // ExperimentPlan: every key goes through the parameter-binding table
 // (unknown keys and malformed values are hard errors, not silent
 // defaults), comma-separated values become sweep axes (expanded in

@@ -11,6 +11,7 @@
 // csv=FILE also writes the income Lorenz curve.
 #include <cstdio>
 #include <exception>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,20 @@ int main(int argc, char** argv) try {
   cfg.files = 2000;
   const std::vector<std::string> reserved = {"csv"};
   harness::apply_and_validate(cfg, args, reserved);
+  // One flat run_experiment plays no epoch game and the explorer names its
+  // run itself, so these keys would be accepted and then ignored.
+  if (!(cfg.agents == core::AgentsConfig{})) {
+    throw std::invalid_argument(
+        "epochs/files_per_epoch/dynamics/revision_rate/noise/bandwidth_cost/"
+        "initial_free_riders shape the epoch game, which the explorer does "
+        "not play; run 'fairswap_run equilibrium' or 'fairswap_run sweep "
+        "epochs=N' instead");
+  }
+  if (args.has("label")) {
+    throw std::invalid_argument(
+        "label: the explorer names its run itself; 'fairswap_run sweep "
+        "label=...' takes a label");
+  }
   const std::string csv_path = args.get_string("csv", "");
   cfg.label = "explorer(k=" + std::to_string(cfg.topology.buckets.k) +
               ", policy=" + cfg.sim.policy + ")";

@@ -1,10 +1,8 @@
 // The scenario registry: named, self-describing experiment entry points
-// (fig4, table1, free_riders, variance, ...) runnable from one driver
-// binary (`fairswap_run <name> key=value...`) or from thin per-scenario
-// alias binaries. A scenario is a plain function over a ScenarioContext;
-// the registry owns name -> function dispatch and the shared CLI
-// conventions (files/seed/out/threads/verbose) every bench used to
-// re-implement by hand.
+// (fig4, table1, overhead, equilibrium, ...) run by one driver binary,
+// `fairswap_run <name> key=value...`. A scenario is a plain function over
+// a ScenarioContext; the registry owns name -> function dispatch and the
+// shared CLI conventions (files/seed/out/threads/verbose).
 #pragma once
 
 #include <cstdint>
@@ -69,11 +67,12 @@ class ScenarioRegistry {
   std::vector<Scenario> scenarios_;
 };
 
-/// Registers the migrated paper scenarios (fig4, table1, free_riders,
-/// variance) and the strategic-agents scenarios (equilibrium, invasion).
-/// Idempotent; called by the driver and the alias binaries (explicit
-/// registration instead of static initializers, which a static library
-/// would drop).
+/// Registers the paper scenarios (fig4, fig5, fig6, table1, overhead,
+/// ablation_k_sweep, ablation_bucket0, free_riders, variance), the
+/// strategic-agents scenarios (equilibrium, invasion), flow_fct and
+/// heavy_traffic. Idempotent; called by run_scenario and the driver's
+/// list (explicit registration instead of static initializers, which a
+/// static library would drop).
 void register_builtin_scenarios();
 
 /// The agents half of register_builtin_scenarios (harness/

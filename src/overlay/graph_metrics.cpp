@@ -72,12 +72,4 @@ double reachability(const Topology& topo) {
          static_cast<double>(n * (n - 1));
 }
 
-std::vector<std::uint64_t> out_degrees(const Topology& topo) {
-  std::vector<std::uint64_t> deg(topo.node_count());
-  for (NodeIndex n = 0; n < topo.node_count(); ++n) {
-    deg[n] = topo.table(n).size();
-  }
-  return deg;
-}
-
 }  // namespace fairswap::overlay

@@ -1,7 +1,6 @@
 // Structural metrics over a topology: bucket fill, hop-count distribution,
-// routing success, reachability. Used by the overlay test-suite and by the
-// ablation benches to report the connection-maintenance overhead that §V
-// identifies as the cost of larger k.
+// routing success, reachability. The overlay test suites use them to check
+// that a built topology routes and connects as Kademlia should.
 #pragma once
 
 #include <cstdint>
@@ -41,9 +40,5 @@ struct RoutingQuality {
 /// following "knows" edges (BFS). 1.0 means the knows-graph is strongly
 /// connected.
 [[nodiscard]] double reachability(const Topology& topo);
-
-/// Count of directed knows-edges per node (out-degree == table size) —
-/// the "open connections" cost of larger k that §V discusses.
-[[nodiscard]] std::vector<std::uint64_t> out_degrees(const Topology& topo);
 
 }  // namespace fairswap::overlay

@@ -118,18 +118,6 @@ std::optional<Address> RoutingTable::next_hop_naive(
   return best;
 }
 
-std::vector<Address> RoutingTable::closest_peers(Address target,
-                                                 std::size_t count) const {
-  std::vector<Address> peers = all_peers();
-  std::sort(peers.begin(), peers.end(), [&](Address a, Address b) {
-    const AddressValue da = xor_distance(a, target);
-    const AddressValue db = xor_distance(b, target);
-    return da != db ? da < db : a.v < b.v;
-  });
-  if (peers.size() > count) peers.resize(count);
-  return peers;
-}
-
 int RoutingTable::neighborhood_depth(std::size_t min_peers) const noexcept {
   // Walk from the deepest bucket upward; the neighborhood starts at the
   // shallowest depth d where the union of buckets >= d still has fewer

@@ -89,11 +89,6 @@ class RoutingTable {
   [[nodiscard]] std::optional<Address> next_hop_naive(
       Address target) const noexcept;
 
-  /// Up to `count` table peers closest to `target`, ascending by distance.
-  /// Used by the iterative-lookup baseline.
-  [[nodiscard]] std::vector<Address> closest_peers(Address target,
-                                                   std::size_t count) const;
-
   /// The neighborhood depth: the shallowest bucket index d such that all
   /// buckets deeper than d hold fewer than `min_peers` peers. Swarm defines
   /// the neighborhood as "the proximity at which the node cannot connect

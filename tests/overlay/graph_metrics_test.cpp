@@ -78,25 +78,5 @@ TEST(GraphMetrics, SingleNodeReachabilityIsOne) {
   EXPECT_DOUBLE_EQ(reachability(topo), 1.0);
 }
 
-TEST(GraphMetrics, OutDegreesMatchTableSizes) {
-  const auto topo = make_topology(100, 4, 8);
-  const auto deg = out_degrees(topo);
-  ASSERT_EQ(deg.size(), topo.node_count());
-  for (NodeIndex i = 0; i < topo.node_count(); ++i) {
-    EXPECT_EQ(deg[i], topo.table(i).size());
-  }
-}
-
-TEST(GraphMetrics, LargerKIncreasesMeanOutDegree) {
-  const auto k4 = make_topology(200, 4, 9);
-  const auto k20 = make_topology(200, 20, 9);
-  const auto d4 = out_degrees(k4);
-  const auto d20 = out_degrees(k20);
-  const auto sum = [](const std::vector<std::uint64_t>& v) {
-    return std::accumulate(v.begin(), v.end(), std::uint64_t{0});
-  };
-  EXPECT_GT(sum(d20), sum(d4));
-}
-
 }  // namespace
 }  // namespace fairswap::overlay

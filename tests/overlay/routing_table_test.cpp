@@ -113,18 +113,6 @@ TEST(RoutingTable, NextHopFindsCloserPeerInDeeperBucket) {
   EXPECT_EQ(*hop, (Address{65}));
 }
 
-TEST(RoutingTable, ClosestPeersSortedAscending) {
-  auto t = make_table(8, 0, 8);
-  for (AddressValue a : {200u, 100u, 50u, 25u, 12u}) t.try_add(Address{a});
-  const auto peers = t.closest_peers(Address{13}, 3);
-  ASSERT_EQ(peers.size(), 3u);
-  EXPECT_EQ(peers[0], (Address{12}));  // dist 1
-  for (std::size_t i = 1; i < peers.size(); ++i) {
-    EXPECT_LE(xor_distance(peers[i - 1], Address{13}),
-              xor_distance(peers[i], Address{13}));
-  }
-}
-
 TEST(RoutingTable, NeighborhoodDepthCumulativeFromDeepest) {
   auto t = make_table(8, 0, 8);
   // Two peers in bucket 7 (addr 1), bucket 6 (addr 2,3).
