@@ -8,7 +8,8 @@
 //         cache=0 free_riders=0.0 catalog_zipf=0.8 catalog=0 seed=42
 //
 // Prints the full fairness report plus the per-node distribution tables;
-// csv=FILE also writes the income Lorenz curve.
+// csv=FILE also writes the income Lorenz curve. The epoch-game keys and
+// label= exit 2: this one flat run would ignore them.
 #include <cstdio>
 #include <exception>
 #include <stdexcept>

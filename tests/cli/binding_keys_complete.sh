@@ -7,7 +7,9 @@ set -u
 
 run=$1
 shift
-listed=$("$run" list | sed -n '/^bindable parameters/,$ s/^  \([^ ]*\) - .*/\1/p')
+# One key per line from the list, joined into one line of words.
+listed=$("$run" list | sed -n '/^bindable parameters/,$ s/^  \([^ ]*\) - .*/\1/p' |
+         tr '\n' ' ')
 [ -n "$listed" ] || { echo "FAIL: '$run list' printed no bindable key"; exit 1; }
 expected="$*"
 
@@ -21,7 +23,7 @@ for key in $listed; do
   esac
 done
 for key in $expected; do
-  case " $(echo $listed) " in
+  case " $listed " in
     *" $key "*) ;;
     *) echo "FAIL: '$key' is expected but not bindable"
        failures=$((failures + 1)) ;;
