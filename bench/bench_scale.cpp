@@ -28,9 +28,9 @@
 // bound — and the sketch fingerprint).
 //
 // Part 5 — scale scenarios: nodes (default 10'000) on a bits (default 20)
-// -bit address space across k in {4, 20}, driven through the parallel
-// multi-seed run_seeds path; prints fairness aggregates with error bars
-// plus the route accounting (delivered / failed / truncated). Each cell
+// -bit address space across k in {4, 20}, each cell a single-run
+// harness::run_plan over the seeds; prints fairness aggregates with error
+// bars plus the route accounting (delivered / failed / truncated). Each cell
 // additionally runs single-seed through the simulation and through the
 // ReferenceRun test oracle (greedy walk, edge-less routes accounted by
 // slot scans) and cross-checks every counter and ledger observable at
@@ -56,14 +56,18 @@
 #include <vector>
 
 #include "accounting/ledger.hpp"
-#include "bench_util.hpp"
+#include "common/config.hpp"
 #include "common/csv.hpp"
 #include "common/json.hpp"
+#include "common/log.hpp"
 #include "common/stream_stats.hpp"
 #include "common/table.hpp"
-#include "core/multi_run.hpp"
+#include "core/experiment.hpp"
+#include "core/report.hpp"
+#include "core/scenarios.hpp"
 #include "core/simulation.hpp"
 #include "harness/binding.hpp"
+#include "harness/plan.hpp"
 #include "oracles/forwarding_router.hpp"
 #include "oracles/reference_run.hpp"
 #include "oracles/swap_network.hpp"
@@ -73,6 +77,44 @@
 namespace {
 
 using namespace fairswap;
+
+/// The keys every run reads (files/seed/out/verbose), parsed once; main
+/// reads its own keys from `cfg` instead of re-parsing argv.
+struct BenchArgs {
+  Config cfg;
+  std::size_t files{0};
+  std::uint64_t seed{kDefaultSeed};
+  std::string out_dir{"bench_out"};
+
+  /// `own_keys` names the keys main reads from `cfg` itself; any other
+  /// key, or a malformed value, throws std::invalid_argument, which main
+  /// turns into exit 2 before any run.
+  static BenchArgs parse(int argc, char** argv, std::size_t default_files,
+                         std::vector<std::string> own_keys) {
+    BenchArgs args;
+    args.cfg = Config::from_args(argc, argv);
+    own_keys.insert(own_keys.end(), {"files", "seed", "out", "verbose"});
+    args.cfg.require_known(own_keys);
+    args.files = args.cfg.get_u64("files", default_files);
+    args.seed = args.cfg.get_u64("seed", kDefaultSeed);
+    args.out_dir = args.cfg.get_string("out", "bench_out");
+    if (args.cfg.get_bool("verbose", false)) Log::set_level(LogLevel::kInfo);
+    return args;
+  }
+};
+
+/// Prints a section header.
+void banner(const std::string& title) {
+  std::printf("\n=== %s ===\n", title.c_str());
+}
+
+std::vector<const core::ExperimentResult*> as_ptrs(
+    const std::vector<core::ExperimentResult>& results) {
+  std::vector<const core::ExperimentResult*> ptrs;
+  ptrs.reserve(results.size());
+  for (const auto& r : results) ptrs.push_back(&r);
+  return ptrs;
+}
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -580,7 +622,7 @@ WorkloadBenchResult workload_bench(std::size_t requests, std::uint64_t seed) {
 int main(int argc, char** argv) try {
   using namespace fairswap;
   // A 10k-node multi-seed run multiplies cost; default files down.
-  const auto args = bench::BenchArgs::parse(
+  const auto args = BenchArgs::parse(
       argc, argv, 1'000,
       {"nodes", "bits", "seeds", "threads", "routes", "flow_files",
        "workload_requests"});
@@ -604,8 +646,8 @@ int main(int argc, char** argv) try {
   }
 
   // --- Part 1: routing microbenchmark on the 1000-node paper grid. ---
-  bench::banner("Routing hot path: greedy reference vs compiled (1000 nodes, " +
-                std::to_string(route_count) + " routes)");
+  banner("Routing hot path: greedy reference vs compiled (1000 nodes, " +
+         std::to_string(route_count) + " routes)");
   TextTable micro({"grid cell", "greedy ns/route", "compiled ns/route",
                    "batched ns/route", "compiled/greedy", "batched/greedy",
                    "speedup", "bit-identical"});
@@ -638,8 +680,8 @@ int main(int argc, char** argv) try {
   }
 
   // --- Part 2: SWAP debit path, hash-map ledger vs edge-arena ledger. ---
-  bench::banner("Ledger hot path: SwapNetwork (hash oracle) vs Ledger "
-                "(arena) (1000 nodes, debit replay)");
+  banner("Ledger hot path: SwapNetwork (hash oracle) vs Ledger "
+         "(arena) (1000 nodes, debit replay)");
   TextTable ledger_table({"grid cell", "debits", "map ns/debit",
                           "edge ns/debit", "edge/map", "speedup", "map KiB",
                           "edge KiB", "bit-identical"});
@@ -659,8 +701,8 @@ int main(int argc, char** argv) try {
   std::printf("%s", ledger_table.render().c_str());
 
   // --- Part 3: flow-level overhead + differential on the 1000-node grid. ---
-  bench::banner("Flow-level simulation: counter vs flow-level (1000 nodes, " +
-                std::to_string(flow_files) + " files)");
+  banner("Flow-level simulation: counter vs flow-level (1000 nodes, " +
+         std::to_string(flow_files) + " files)");
   TextTable flow_table({"grid cell", "runs", "counter wall (s)",
                         "flow wall (s)", "overhead", "flows", "ns/flow",
                         "FCT p50", "FCT p99", "saturated links", "max util",
@@ -681,9 +723,9 @@ int main(int argc, char** argv) try {
   std::printf("%s", flow_table.render().c_str());
 
   // --- Part 4: workload-engine throughput on the paper topology. ---
-  bench::banner("Workload engine: plain generator vs composed demand "
-                "(1000 nodes, " +
-                std::to_string(workload_requests) + " requests)");
+  banner("Workload engine: plain generator vs composed demand "
+         "(1000 nodes, " +
+         std::to_string(workload_requests) + " requests)");
   const auto wl = workload_bench(workload_requests, args.seed);
   all_identical = all_identical && wl.default_identical;
   TextTable workload_table({"stream", "ns/request", "overhead",
@@ -699,12 +741,12 @@ int main(int argc, char** argv) try {
        wl.default_identical ? "yes" : "NO"});
   std::printf("%s", workload_table.render().c_str());
 
-  // --- Part 5: scale scenarios through the parallel run_seeds path. ---
-  bench::banner("Scale scenarios (" + std::to_string(nodes) + " nodes, " +
-                std::to_string(bits) + "-bit space, " +
-                std::to_string(seed_count) + " seeds x " +
-                std::to_string(args.files) + " files, " +
-                std::to_string(threads) + " threads)");
+  // --- Part 5: scale scenarios, each a multi-seed run_plan. ---
+  banner("Scale scenarios (" + std::to_string(nodes) + " nodes, " +
+         std::to_string(bits) + "-bit space, " +
+         std::to_string(seed_count) + " seeds x " +
+         std::to_string(args.files) + " files, " +
+         std::to_string(threads) + " threads)");
   TextTable table({"scenario", "Gini F2 (income)", "Gini F1", "routing success",
                    "avg forwarded", "wall clock (s)"});
   TextTable cell_ledger_table({"scenario", "simulation wall (s)",
@@ -713,7 +755,7 @@ int main(int argc, char** argv) try {
   std::vector<core::ExperimentResult> singles;
   struct CellRow {
     std::string label;
-    core::AggregateResult agg;
+    harness::MetricStats agg;
     std::size_t router_bytes{0};
     double wall_s{0};
     CellReferenceCheck ledger;
@@ -728,12 +770,22 @@ int main(int argc, char** argv) try {
                     (1024.0 * 1024.0));
     std::fflush(stdout);
     const auto start = std::chrono::steady_clock::now();
-    const auto agg = core::run_seeds(cfg, seed_count, threads);
+    harness::ExperimentPlan plan;
+    plan.base = cfg;
+    plan.seeds = seed_count;
+    plan.threads = threads;
+    harness::CaptureSink sink;
+    harness::MetricSink* sinks[] = {&sink};
+    std::string error;
+    if (!harness::run_plan(plan, sinks, error)) {
+      throw std::invalid_argument(error);
+    }
+    const harness::MetricStats& agg = sink.records.front().metrics;
     const double elapsed = seconds_since(start);
-    table.add_row({cfg.label, core::mean_pm_std(agg.gini_f2),
-                   core::mean_pm_std(agg.gini_f1),
-                   core::mean_pm_std(agg.routing_success),
-                   core::mean_pm_std(agg.avg_forwarded, 0),
+    table.add_row({cfg.label, mean_pm_std(agg.gini_f2),
+                   mean_pm_std(agg.gini_f1),
+                   mean_pm_std(agg.routing_success),
+                   mean_pm_std(agg.avg_forwarded, 0),
                    TextTable::num(elapsed, 1)});
     // Single-seed simulation-vs-reference differential at full scale; the
     // simulation's run doubles as the representative single for the
@@ -752,8 +804,7 @@ int main(int argc, char** argv) try {
         {cfg.label, agg, topo.compiled().memory_bytes(), elapsed, check});
   }
   std::printf("%s", table.render().c_str());
-  bench::banner(
-      "Simulation vs reference run at scale (single seed per cell)");
+  banner("Simulation vs reference run at scale (single seed per cell)");
   std::printf("%s", cell_ledger_table.render().c_str());
   for (const auto& r : singles) {
     std::printf("%s", core::summarize_result(r).c_str());
@@ -863,7 +914,7 @@ int main(int argc, char** argv) try {
   core::write_text_file(args.out_dir + "/scale_routing.csv",
                         micro_csv_text.str());
   core::write_text_file(args.out_dir + "/scale_totals.csv",
-                        core::totals_csv(bench::as_ptrs(singles)));
+                        core::totals_csv(as_ptrs(singles)));
   core::write_text_file(args.out_dir + "/BENCH_scale.json",
                         json_text.str() + "\n");
   std::printf(

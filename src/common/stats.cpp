@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 
 namespace fairswap {
 
@@ -83,5 +84,12 @@ double RunningStats::variance() const noexcept {
 }
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
+
+std::string mean_pm_std(const RunningStats& stats, int precision) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.*f ± %.*f", precision, stats.mean(),
+                precision, stats.stddev());
+  return buf;
+}
 
 }  // namespace fairswap

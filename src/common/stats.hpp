@@ -56,4 +56,8 @@ class RunningStats {
   double sum_{0.0};
 };
 
+/// "mean ± stddev" with `precision` decimals on both.
+[[nodiscard]] std::string mean_pm_std(const RunningStats& stats,
+                                      int precision = 4);
+
 }  // namespace fairswap

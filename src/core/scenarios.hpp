@@ -28,8 +28,8 @@ namespace fairswap::core {
 /// One cell of the scale grid: `node_count` nodes on an `address_bits`-bit
 /// space with the paper's workload shape. Related incentive analyses
 /// (PAPERS.md) argue fairness conclusions only become credible well beyond
-/// 1000 nodes; this is the configuration bench_scale drives through the
-/// parallel run_seeds path.
+/// 1000 nodes; this is the configuration bench_scale folds over seeds
+/// through harness::run_plan.
 [[nodiscard]] ExperimentConfig scale_config(std::size_t node_count,
                                             int address_bits, std::size_t k,
                                             double originator_share = 1.0,

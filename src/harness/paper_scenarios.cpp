@@ -5,13 +5,13 @@
 // holds four of them to verbatim rebuilds of the bench mains they
 // replaced.
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/csv.hpp"
 #include "common/table.hpp"
 #include "core/experiment.hpp"
-#include "core/multi_run.hpp"
 #include "core/report.hpp"
 #include "core/scenarios.hpp"
 #include "harness/plan.hpp"
@@ -351,21 +351,29 @@ int scenario_variance(ScenarioContext& ctx) {
   csv.cells("label", "gini_f2_mean", "gini_f2_sd", "gini_f1_mean",
             "gini_f1_sd", "avg_forwarded_mean", "avg_forwarded_sd");
 
-  core::AggregateResult k4_20, k20_20;
+  MetricStats k4_20, k20_20;
   for (const std::size_t k : {std::size_t{4}, std::size_t{20}}) {
     for (const double share : {0.2, 1.0}) {
       auto cfg = core::paper_config(k, share, ctx.files, ctx.seed);
       print(ctx.os(), "running %s x %llu seeds...\n", cfg.label.c_str(),
             static_cast<unsigned long long>(seeds));
       ctx.os().flush();
-      // Parallel fan-out over seeds; bit-identical to the serial fold for
-      // any thread count (core/multi_run contract).
-      const auto agg = core::run_seeds(cfg, seeds, ctx.threads);
+      // One run and no axes, so the record keeps cfg.label; run_plan folds
+      // the seeds in seed order for any thread count.
+      ExperimentPlan plan;
+      plan.base = cfg;
+      plan.seeds = seeds;
+      plan.threads = ctx.threads;
+      CaptureSink sink;
+      MetricSink* sinks[] = {&sink};
+      std::string error;
+      if (!run_plan(plan, sinks, error)) throw std::invalid_argument(error);
+      const MetricStats& agg = sink.records.front().metrics;
       if (k == 4 && share == 0.2) k4_20 = agg;
       if (k == 20 && share == 0.2) k20_20 = agg;
-      table.add_row({cfg.label, core::mean_pm_std(agg.gini_f2),
-                     core::mean_pm_std(agg.gini_f1),
-                     core::mean_pm_std(agg.avg_forwarded, 0)});
+      table.add_row({cfg.label, mean_pm_std(agg.gini_f2),
+                     mean_pm_std(agg.gini_f1),
+                     mean_pm_std(agg.avg_forwarded, 0)});
       csv.cells(cfg.label, agg.gini_f2.mean(), agg.gini_f2.stddev(),
                 agg.gini_f1.mean(), agg.gini_f1.stddev(),
                 agg.avg_forwarded.mean(), agg.avg_forwarded.stddev());

@@ -1,14 +1,12 @@
 #include "harness/sink.hpp"
 
-#include "core/multi_run.hpp"
-
 namespace fairswap::harness {
 
 namespace {
 
 /// Table cells show "mean ± sd" only when there is seed spread to report.
 std::string cell(const RunningStats& stats, std::size_t seeds, int precision) {
-  if (seeds > 1) return core::mean_pm_std(stats, precision);
+  if (seeds > 1) return mean_pm_std(stats, precision);
   return TextTable::num(stats.mean(), precision);
 }
 

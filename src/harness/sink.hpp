@@ -149,6 +149,17 @@ class MetricSink {
   virtual void end() {}
 };
 
+/// Keeps every record in memory, for callers that read the folded metrics
+/// back instead of rendering them.
+class CaptureSink final : public MetricSink {
+ public:
+  void record(const RunRecord& run) override { records.push_back(run); }
+  void end() override { ended = true; }
+
+  std::vector<RunRecord> records;
+  bool ended{false};
+};
+
 /// Renders an aligned text table of the headline metrics (stdout-style
 /// sink). Values print as "mean ± sd" for multi-seed runs.
 class TableSink final : public MetricSink {

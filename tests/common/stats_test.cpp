@@ -122,5 +122,12 @@ TEST(RunningStats, MergeWithEmptyIsIdentity) {
   EXPECT_DOUBLE_EQ(b.mean(), 1.5);
 }
 
+TEST(MeanPmStd, FormatsMeanAndDeviation) {
+  RunningStats s;
+  s.add(1.0);
+  s.add(3.0);
+  EXPECT_EQ(mean_pm_std(s, 1), "2.0 ± 1.0");
+}
+
 }  // namespace
 }  // namespace fairswap

@@ -21,18 +21,6 @@ core::ExperimentConfig tiny_base() {
   return cfg;
 }
 
-/// Captures records for assertions.
-class CaptureSink final : public MetricSink {
- public:
-  void begin(const PlanSummary& plan) override { summary = plan; }
-  void record(const RunRecord& run) override { records.push_back(run); }
-  void end() override { ended = true; }
-
-  PlanSummary summary;
-  std::vector<RunRecord> records;
-  bool ended{false};
-};
-
 TEST(Plan, ExpansionOrderIsNestedLoopsLastAxisFastest) {
   ExperimentPlan plan;
   plan.base = tiny_base();
@@ -236,6 +224,7 @@ TEST(Plan, RunPlanIsBitIdenticalForAnyThreadCount) {
 
   CaptureSink serial;
   CaptureSink parallel;
+  CaptureSink hardware;  // threads=0: hardware concurrency
   std::string error;
   plan.threads = 1;
   {
@@ -247,46 +236,83 @@ TEST(Plan, RunPlanIsBitIdenticalForAnyThreadCount) {
     MetricSink* sinks[] = {&parallel};
     ASSERT_TRUE(run_plan(plan, sinks, error)) << error;
   }
+  plan.threads = 0;
+  {
+    MetricSink* sinks[] = {&hardware};
+    ASSERT_TRUE(run_plan(plan, sinks, error)) << error;
+  }
 
   ASSERT_EQ(serial.records.size(), 4u);
-  ASSERT_EQ(parallel.records.size(), 4u);
   EXPECT_TRUE(serial.ended);
-  for (std::size_t i = 0; i < serial.records.size(); ++i) {
-    const RunRecord& a = serial.records[i];
-    const RunRecord& b = parallel.records[i];
-    EXPECT_EQ(a.label, b.label);
-    EXPECT_EQ(a.seeds, 3u);
-    // Every metric except runtime_s (measured wall clock) must be
-    // bit-identical: same values folded in the same seed order.
-    std::vector<std::pair<std::string, const RunningStats*>> am, bm;
-    a.metrics.for_each([&](const char* name, const RunningStats& s) {
-      am.emplace_back(name, &s);
-    });
-    b.metrics.for_each([&](const char* name, const RunningStats& s) {
-      bm.emplace_back(name, &s);
-    });
-    ASSERT_EQ(am.size(), bm.size());
-    for (std::size_t m = 0; m < am.size(); ++m) {
-      if constexpr (!telemetry::kEnabled) {
-        // Only OFF builds still carry runtime_s (measured wall clock)
-        // inside the sim-plane list; telemetry builds moved it to the
-        // wall section, so every visited metric is exemption-free.
-        if (am[m].first == "runtime_s") continue;
+  for (const CaptureSink* other : {&parallel, &hardware}) {
+    ASSERT_EQ(other->records.size(), 4u);
+    for (std::size_t i = 0; i < serial.records.size(); ++i) {
+      const RunRecord& a = serial.records[i];
+      const RunRecord& b = other->records[i];
+      EXPECT_EQ(a.label, b.label);
+      EXPECT_EQ(a.seeds, 3u);
+      // Every metric except runtime_s (measured wall clock) must be
+      // bit-identical: same values folded in the same seed order.
+      std::vector<std::pair<std::string, const RunningStats*>> am, bm;
+      a.metrics.for_each([&](const char* name, const RunningStats& s) {
+        am.emplace_back(name, &s);
+      });
+      b.metrics.for_each([&](const char* name, const RunningStats& s) {
+        bm.emplace_back(name, &s);
+      });
+      ASSERT_EQ(am.size(), bm.size());
+      for (std::size_t m = 0; m < am.size(); ++m) {
+        if constexpr (!telemetry::kEnabled) {
+          // Only OFF builds still carry runtime_s (measured wall clock)
+          // inside the sim-plane list; telemetry builds moved it to the
+          // wall section, so every visited metric is exemption-free.
+          if (am[m].first == "runtime_s") continue;
+        }
+        EXPECT_EQ(am[m].second->mean(), bm[m].second->mean())
+            << a.label << " " << am[m].first;
+        EXPECT_EQ(am[m].second->stddev(), bm[m].second->stddev())
+            << a.label << " " << am[m].first;
+        EXPECT_EQ(am[m].second->count(), 3u);
       }
-      EXPECT_EQ(am[m].second->mean(), bm[m].second->mean())
-          << a.label << " " << am[m].first;
-      EXPECT_EQ(am[m].second->stddev(), bm[m].second->stddev())
-          << a.label << " " << am[m].first;
-      EXPECT_EQ(am[m].second->count(), 3u);
-    }
-    // Sim-plane counters are part of the same contract: exact integer
-    // equality across thread counts, and actually populated.
-    EXPECT_EQ(a.counters, b.counters) << a.label;
-    if constexpr (telemetry::kEnabled) {
-      EXPECT_GT(a.counters.value(telemetry::Counter::kRouteWalks), 0u);
-      EXPECT_GT(a.counters.value(telemetry::Counter::kDebits), 0u);
+      // Sim-plane counters are part of the same contract: exact integer
+      // equality across thread counts, and actually populated.
+      EXPECT_EQ(a.counters, b.counters) << a.label;
+      if constexpr (telemetry::kEnabled) {
+        EXPECT_GT(a.counters.value(telemetry::Counter::kRouteWalks), 0u);
+        EXPECT_GT(a.counters.value(telemetry::Counter::kDebits), 0u);
+      }
     }
   }
+  // Each seed is a different run, so the fold has spread to report.
+  for (const RunRecord& a : serial.records) {
+    EXPECT_GT(a.metrics.gini_f2.stddev(), 0.0) << a.label;
+  }
+}
+
+TEST(Plan, KEffectSurvivesErrorBars) {
+  // The paper's headline direction should hold beyond seed noise:
+  // mean Gini(k=20) + sd < mean Gini(k=4) - sd. The network must be large
+  // enough that k=20 tables are still sparse relative to n (in tiny
+  // networks k=20 degenerates to near-full connectivity, where payment
+  // concentrates on storers and the effect inverts).
+  ExperimentPlan plan;
+  plan.base.topology.node_count = 400;
+  plan.base.topology.address_bits = 12;
+  plan.base.sim.workload.min_chunks_per_file = 50;
+  plan.base.sim.workload.max_chunks_per_file = 150;
+  plan.base.files = 150;
+  plan.base.seed = 100;
+  plan.axes = {{"k", {"4", "20"}}};
+  plan.seeds = 4;
+
+  CaptureSink sink;
+  MetricSink* sinks[] = {&sink};
+  std::string error;
+  ASSERT_TRUE(run_plan(plan, sinks, error)) << error;
+  ASSERT_EQ(sink.records.size(), 2u);
+  const RunningStats& k4 = sink.records[0].metrics.gini_f2;
+  const RunningStats& k20 = sink.records[1].metrics.gini_f2;
+  EXPECT_LT(k20.mean() + k20.stddev(), k4.mean() - k4.stddev());
 }
 
 TEST(Plan, RunPlanIsBitIdenticalForAnyThreadCountWithDemandProcesses) {

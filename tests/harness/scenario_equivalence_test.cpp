@@ -15,9 +15,9 @@
 #include <vector>
 
 #include "common/csv.hpp"
+#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/experiment.hpp"
-#include "core/multi_run.hpp"
 #include "core/report.hpp"
 #include "core/scenarios.hpp"
 #include "harness/scenario.hpp"
@@ -247,6 +247,25 @@ TEST(ScenarioEquivalence, FreeRidersMatchesOldMain) {
             read_file(dir_old + "/free_riders.csv"));
 }
 
+/// Serial seed fold: one run_experiment per seed {cfg.seed, cfg.seed+1,
+/// ...}, added in seed order. It shares no code with harness::run_plan,
+/// whose fold the variance scenario uses.
+struct SeedFold {
+  RunningStats gini_f2, gini_f1, avg_forwarded;
+};
+
+SeedFold fold_seeds(core::ExperimentConfig cfg, std::uint64_t seeds) {
+  SeedFold fold;
+  const std::uint64_t first = cfg.seed;
+  for (cfg.seed = first; cfg.seed < first + seeds; ++cfg.seed) {
+    const core::ExperimentResult r = core::run_experiment(cfg);
+    fold.gini_f2.add(r.fairness.gini_f2);
+    fold.gini_f1.add(r.fairness.gini_f1);
+    fold.avg_forwarded.add(r.avg_forwarded_chunks);
+  }
+  return fold;
+}
+
 TEST(ScenarioEquivalence, VarianceMatchesOldMain) {
   const std::size_t files = 30;
   const std::uint64_t seeds = 2;
@@ -257,9 +276,8 @@ TEST(ScenarioEquivalence, VarianceMatchesOldMain) {
       run("variance", {"files=" + std::to_string(files),
                        "seeds=" + std::to_string(seeds), "out=" + dir_new});
 
-  // --- Reference: the old bench_variance.cpp main, verbatim (serial
-  // run_seeds; the scenario's parallel fold is bit-identical by the
-  // core/multi_run contract). ---
+  // --- Reference: the old bench_variance.cpp main, verbatim, over the
+  // serial fold_seeds. ---
   std::ostringstream out;
   print(out, "\n=== %s ===\n",
         ("Seed variance across the paper grid (" + std::to_string(seeds) +
@@ -272,18 +290,18 @@ TEST(ScenarioEquivalence, VarianceMatchesOldMain) {
   csv.cells("label", "gini_f2_mean", "gini_f2_sd", "gini_f1_mean",
             "gini_f1_sd", "avg_forwarded_mean", "avg_forwarded_sd");
 
-  core::AggregateResult k4_20, k20_20;
+  SeedFold k4_20, k20_20;
   for (const std::size_t k : {std::size_t{4}, std::size_t{20}}) {
     for (const double share : {0.2, 1.0}) {
       auto cfg = core::paper_config(k, share, files, kDefaultSeed);
       print(out, "running %s x %llu seeds...\n", cfg.label.c_str(),
             static_cast<unsigned long long>(seeds));
-      const auto agg = core::run_seeds(cfg, seeds);
+      const auto agg = fold_seeds(cfg, seeds);
       if (k == 4 && share == 0.2) k4_20 = agg;
       if (k == 20 && share == 0.2) k20_20 = agg;
-      table.add_row({cfg.label, core::mean_pm_std(agg.gini_f2),
-                     core::mean_pm_std(agg.gini_f1),
-                     core::mean_pm_std(agg.avg_forwarded, 0)});
+      table.add_row({cfg.label, mean_pm_std(agg.gini_f2),
+                     mean_pm_std(agg.gini_f1),
+                     mean_pm_std(agg.avg_forwarded, 0)});
       csv.cells(cfg.label, agg.gini_f2.mean(), agg.gini_f2.stddev(),
                 agg.gini_f1.mean(), agg.gini_f1.stddev(),
                 agg.avg_forwarded.mean(), agg.avg_forwarded.stddev());
