@@ -12,7 +12,6 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 namespace fairswap {
@@ -78,17 +77,6 @@ class Rng {
   /// Returns a uniformly random element index for a container of size n.
   /// Precondition: n > 0.
   std::size_t index(std::size_t n) noexcept;
-
-  /// Fisher-Yates shuffle, deterministic given the generator state.
-  template <typename T>
-  void shuffle(std::span<T> items) noexcept {
-    if (items.size() < 2) return;
-    for (std::size_t i = items.size() - 1; i > 0; --i) {
-      const std::size_t j = static_cast<std::size_t>(next_below(i + 1));
-      using std::swap;
-      swap(items[i], items[j]);
-    }
-  }
 
   /// Samples `count` distinct indices from [0, n) without replacement
   /// (partial Fisher-Yates over an index vector). If count >= n, returns

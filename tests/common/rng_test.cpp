@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <limits>
 #include <set>
 #include <stdexcept>
@@ -111,15 +110,6 @@ TEST(Rng, ChanceFrequencyMatchesProbability) {
     if (rng.chance(0.3)) ++hits;
   }
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
-}
-
-TEST(Rng, ShuffleIsPermutation) {
-  Rng rng(29);
-  std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-  auto original = v;
-  rng.shuffle(std::span<int>(v));
-  std::sort(v.begin(), v.end());
-  EXPECT_EQ(v, original);
 }
 
 TEST(Rng, SampleWithoutReplacementDistinct) {
