@@ -6,6 +6,19 @@
 
 namespace fairswap {
 
+namespace {
+
+/// Width in characters: UTF-8 continuation bytes (0b10xxxxxx) do not start
+/// a character, so the two-byte "±" pads like one column.
+std::size_t display_width(const std::string& s) {
+  return static_cast<std::size_t>(
+      std::count_if(s.begin(), s.end(), [](unsigned char c) {
+        return (c & 0xC0) != 0x80;
+      }));
+}
+
+}  // namespace
+
 TextTable::TextTable(std::vector<std::string> headers)
     : headers_(std::move(headers)) {}
 
@@ -23,11 +36,11 @@ std::string TextTable::num(double v, int precision) {
 std::string TextTable::render() const {
   std::vector<std::size_t> width(headers_.size());
   for (std::size_t c = 0; c < headers_.size(); ++c) {
-    width[c] = headers_[c].size();
+    width[c] = display_width(headers_[c]);
   }
   for (const auto& row : rows_) {
     for (std::size_t c = 0; c < row.size(); ++c) {
-      width[c] = std::max(width[c], row[c].size());
+      width[c] = std::max(width[c], display_width(row[c]));
     }
   }
 
@@ -40,7 +53,8 @@ std::string TextTable::render() const {
     std::string s = "|";
     for (std::size_t c = 0; c < width.size(); ++c) {
       const std::string& cell = c < cells.size() ? cells[c] : std::string{};
-      s += " " + cell + std::string(width[c] - cell.size(), ' ') + " |";
+      s += " " + cell + std::string(width[c] - display_width(cell), ' ') +
+           " |";
     }
     return s + "\n";
   };

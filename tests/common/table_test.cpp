@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 namespace fairswap {
@@ -20,16 +21,21 @@ TEST(TextTable, RendersHeadersAndRows) {
 }
 
 TEST(TextTable, PadsColumnsToWidestCell) {
-  TextTable t({"h"});
-  t.add_row({"wide-cell-content"});
+  TextTable t({"h", "mean"});
+  t.add_row({"wide-cell-content", "0.8662 ± 0.0068"});
+  t.add_row({"x", "63 ± 2"});
   const std::string s = t.render();
-  // Every line must have the same length (aligned columns).
+  // Every line must be equally many characters wide (aligned columns);
+  // "±" is two bytes in UTF-8 but one character.
   std::size_t expected = std::string::npos;
   std::istringstream in(s);
   std::string line;
   while (std::getline(in, line)) {
-    if (expected == std::string::npos) expected = line.size();
-    EXPECT_EQ(line.size(), expected);
+    const auto chars = static_cast<std::size_t>(
+        std::count_if(line.begin(), line.end(),
+                      [](unsigned char c) { return (c & 0xC0) != 0x80; }));
+    if (expected == std::string::npos) expected = chars;
+    EXPECT_EQ(chars, expected) << line;
   }
 }
 
