@@ -355,6 +355,9 @@ TEST(Scenario, MalformedSharedArgumentIsSurfaced) {
   EXPECT_NE(out.find("error"), std::string::npos);
   EXPECT_NE(out.find("files"), std::string::npos);
   EXPECT_NE(out.find("abc"), std::string::npos);
+  // Nor may a malformed threads= fall back to a default seed fold.
+  const std::string out2 = run("variance", {"threads=abc"}, /*expect_code=*/2);
+  EXPECT_NE(out2.find("threads"), std::string::npos) << out2;
 }
 
 TEST(Scenario, FlowFctRejectsZeroInterarrival) {
