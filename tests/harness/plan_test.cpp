@@ -315,6 +315,48 @@ TEST(Plan, KEffectSurvivesErrorBars) {
   EXPECT_LT(k20.mean() + k20.stddev(), k4.mean() - k4.stddev());
 }
 
+/// Runs `base` as a single-run plan (no axes, the shape `variance` and
+/// `bench_scale` fold their seeds through) and returns its one record.
+RunRecord run_single(const core::ExperimentConfig& base, std::size_t seeds,
+                     std::size_t threads) {
+  ExperimentPlan plan;
+  plan.base = base;
+  plan.seeds = seeds;
+  plan.threads = threads;
+  CaptureSink sink;
+  MetricSink* sinks[] = {&sink};
+  std::string error;
+  EXPECT_TRUE(run_plan(plan, sinks, error)) << error;
+  EXPECT_EQ(sink.records.size(), 1u);
+  return sink.records.empty() ? RunRecord{} : sink.records.front();
+}
+
+TEST(MultiRun, DifferentSeedsProduceVariance) {
+  const RunRecord record = run_single(tiny_base(), 5, 1);
+  EXPECT_EQ(record.label, tiny_base().label);
+  EXPECT_EQ(record.metrics.gini_f2.count(), 5u);
+  EXPECT_GT(record.metrics.gini_f2.stddev(), 0.0);
+  EXPECT_GT(record.metrics.avg_forwarded.stddev(), 0.0);
+}
+
+TEST(MultiRunParallel, ZeroThreadsMeansHardwareConcurrency) {
+  const RunRecord serial = run_single(tiny_base(), 3, 1);
+  const RunRecord hardware = run_single(tiny_base(), 3, 0);
+  EXPECT_EQ(serial.label, hardware.label);
+  EXPECT_EQ(serial.metrics.gini_f2.count(), hardware.metrics.gini_f2.count());
+  EXPECT_EQ(serial.metrics.gini_f2.mean(), hardware.metrics.gini_f2.mean());
+  EXPECT_EQ(serial.metrics.gini_f2.stddev(),
+            hardware.metrics.gini_f2.stddev());
+  EXPECT_EQ(serial.metrics.gini_f1.mean(), hardware.metrics.gini_f1.mean());
+  EXPECT_EQ(serial.metrics.avg_forwarded.mean(),
+            hardware.metrics.avg_forwarded.mean());
+  EXPECT_EQ(serial.metrics.routing_success.mean(),
+            hardware.metrics.routing_success.mean());
+  EXPECT_EQ(serial.metrics.total_income.sum(),
+            hardware.metrics.total_income.sum());
+  EXPECT_EQ(serial.counters, hardware.counters);
+}
+
 TEST(Plan, RunPlanIsBitIdenticalForAnyThreadCountWithDemandProcesses) {
   // The ISSUE 9 acceptance: the determinism contract must survive the
   // full demand-process composition (Zipf popularity, flash crowd,
