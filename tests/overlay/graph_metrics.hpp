@@ -1,6 +1,7 @@
 // Structural metrics over a topology: bucket fill, hop-count distribution,
-// routing success, reachability. The overlay test suites use them to check
-// that a built topology routes and connects as Kademlia should.
+// routing success, reachability. The overlay test suites, their only
+// callers, use them to check that a built topology routes and connects as
+// Kademlia should.
 #pragma once
 
 #include <cstdint>

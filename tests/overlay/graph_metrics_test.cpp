@@ -1,4 +1,4 @@
-#include "overlay/graph_metrics.hpp"
+#include "graph_metrics.hpp"
 
 #include <gtest/gtest.h>
 

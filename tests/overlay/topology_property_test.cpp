@@ -5,8 +5,8 @@
 #include <set>
 
 #include "common/rng.hpp"
+#include "graph_metrics.hpp"
 #include "oracles/forwarding_router.hpp"
-#include "overlay/graph_metrics.hpp"
 #include "overlay/topology.hpp"
 
 namespace fairswap::overlay {
