@@ -264,7 +264,10 @@ class Parser {
       skip_ws();
       JsonValue member;
       if (!value(member)) return false;
-      out.object.emplace(std::move(key), std::move(member));
+      // A repeated name would leave the reader to pick one of two values.
+      if (!out.object.try_emplace(std::move(key), std::move(member)).second) {
+        return fail("duplicate member name");
+      }
       skip_ws();
       if (peek(',')) { ++at_; continue; }
       return expect('}');

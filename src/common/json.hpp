@@ -91,8 +91,8 @@ inline constexpr std::size_t kMaxJsonDepth = 256;
 
 /// Strict parse of one JSON document (trailing garbage is an error).
 /// Returns nullopt-style failure via the bool; `error` (optional) receives
-/// a message with the byte offset. Nesting deeper than kMaxJsonDepth is
-/// an error.
+/// a message with the byte offset. Nesting deeper than kMaxJsonDepth and
+/// a member name repeated within one object are errors.
 [[nodiscard]] bool parse_json(const std::string& text, JsonValue& out,
                               std::string* error = nullptr);
 

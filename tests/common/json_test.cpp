@@ -105,6 +105,16 @@ TEST(JsonParse, DeepNestingIsAnErrorNotACrash) {
   EXPECT_NE(error.find("nesting"), std::string::npos) << error;
 }
 
+TEST(JsonParse, RepeatedMemberNameIsAnError) {
+  JsonValue v;
+  std::string error;
+  EXPECT_FALSE(parse_json(R"({"a": 1, "b": 2, "a": 3})", v, &error));
+  EXPECT_NE(error.find("duplicate"), std::string::npos) << error;
+  // The same name in two different objects is fine.
+  const std::string nested = R"({"a": {"a": 1}, "b": [{"a": 2}, {"a": 3}]})";
+  EXPECT_TRUE(parse_json(nested, v, &error)) << error;
+}
+
 TEST(JsonValue, MissingKeysChainToNull) {
   JsonValue v;
   ASSERT_TRUE(parse_json("{\"a\": 1}", v));

@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+
+#include "common/json.hpp"
 
 namespace fairswap::guard {
 namespace {
@@ -148,18 +151,67 @@ TEST(BenchGuard, DeepNestingIsAnErrorNotACrash) {
             std::string::npos);
 
   // At the limit a document still parses: the root object is one level,
-  // the "deep" arrays the other kMaxDepth - 1.
+  // the "deep" arrays the other kMaxJsonDepth - 1.
   const auto nested = [](std::size_t levels) {
     return R"({"deep":)" + std::string(levels, '[') + "1" +
            std::string(levels, ']') +
            R"(,"routing":[{"k":4,"batched_over_greedy":0.141}]})";
   };
-  const std::string at_limit = nested(kMaxDepth - 1);
+  const std::string at_limit = nested(kMaxJsonDepth - 1);
   const GuardResult ok = compare(at_limit, at_limit, Options{});
   EXPECT_TRUE(ok.error.empty()) << ok.error;
   EXPECT_EQ(ok.compared, 1u);
-  const std::string too_deep = nested(kMaxDepth);
+  const std::string too_deep = nested(kMaxJsonDepth);
   EXPECT_FALSE(compare(too_deep, too_deep, Options{}).error.empty());
+}
+
+TEST(BenchGuard, TrailingGarbageIsAHardError) {
+  // The gated value alone would read as in-band (1 compared, 0 drifted).
+  const GuardResult r = compare(fixture("baseline.json"),
+                                fixture("trailing_garbage.json"), Options{});
+  EXPECT_NE(r.error.find("trailing"), std::string::npos) << r.error;
+}
+
+TEST(BenchGuard, MalformedNumberIsAHardError) {
+  // Each reads as the in-band 0.141 to a reader that takes the longest
+  // prefix strtod accepts.
+  const std::string base = fixture("baseline.json");
+  for (const char* bad : {"0.141.9.9", "0.141-5", "0.141e"}) {
+    std::string fresh = base;
+    fresh.replace(fresh.find("0.141"), 5, bad);
+    EXPECT_FALSE(compare(base, fresh, Options{}).error.empty()) << bad;
+  }
+}
+
+TEST(BenchGuard, BadUnicodeEscapeIsAHardError) {
+  const GuardResult r = compare(fixture("baseline.json"),
+                                fixture("bad_escape.json"), Options{});
+  EXPECT_NE(r.error.find("escape"), std::string::npos) << r.error;
+}
+
+TEST(BenchGuard, RepeatedSectionIsAHardError) {
+  // Which of the two routing arrays is gated must not be the reader's
+  // choice: the second one here is a 60x regression.
+  const std::string fresh =
+      R"({"routing":[{"k":4,"batched_over_greedy":0.141}],)"
+      R"("routing":[{"k":4,"batched_over_greedy":9}]})";
+  const GuardResult r = compare(fixture("baseline.json"), fresh, Options{});
+  EXPECT_NE(r.error.find("duplicate"), std::string::npos) << r.error;
+}
+
+TEST(BenchGuard, NonFiniteOrNegativeToleranceIsAHardError) {
+  // A NaN band fails no ratio test, so it would turn the gate off.
+  const std::string base = fixture("baseline.json");
+  const std::string regression = fixture("regression.json");
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double tolerance : {kNaN, kInf, -0.1}) {
+    Options options;
+    options.tolerance = tolerance;
+    const GuardResult r = compare(base, regression, options);
+    EXPECT_FALSE(r.error.empty()) << tolerance;
+    EXPECT_TRUE(r.drifts.empty());
+  }
 }
 
 TEST(BenchGuard, UnrelatedSchemaIsAHardError) {

@@ -11,9 +11,11 @@
 // (1 + tolerance) — regression direction only; getting faster never
 // fails the gate.
 //
-// Like fairswap_lint, this is a standalone library + CLI with no
-// fairswap-lib link (it parses JSON itself), so the gate builds in
-// seconds and cannot be skewed by the code it is guarding.
+// Like fairswap_lint, this is a standalone library + CLI that links only
+// fairswap_text (common/json and common/config, standard library only),
+// not the simulator, so the gate builds in seconds and cannot be skewed
+// by the code it is guarding. Both documents are read with common/json's
+// strict parser, the one JSON grammar in the program.
 #pragma once
 
 #include <cstddef>
@@ -24,10 +26,6 @@
 
 namespace fairswap::guard {
 
-/// Deepest nesting of arrays and objects the reader accepts (the same
-/// bound as common/json's kMaxJsonDepth); deeper input is a parse error.
-inline constexpr std::size_t kMaxDepth = 256;
-
 struct Options {
   /// Allowed relative slowdown before a metric counts as drift: 0.5
   /// means "fresh may be up to 1.5x the baseline". The band is wide on
@@ -36,6 +34,7 @@ struct Options {
   /// structural regressions (an accidental O(n) probe, a dropped batch
   /// path — the committed regression fixture is 2x), not scheduler
   /// noise. Tighten with --tolerance= on a quiet, dedicated machine.
+  /// Must be finite and >= 0: a NaN band would pass every ratio.
   double tolerance{0.5};
 };
 
@@ -52,9 +51,12 @@ struct Drift {
 };
 
 struct GuardResult {
-  /// Non-empty means one of the inputs failed to parse or had no
-  /// comparable metrics; drifts/compared are then meaningless.
+  /// Non-empty means a malformed input (either document, or a tolerance
+  /// that is not a finite number >= 0) or no comparable metrics;
+  /// drifts/compared are then meaningless.
   std::string error;
+  /// In the gated-metric order (section, then metric), each over
+  /// ascending k.
   std::vector<Drift> drifts;
   /// Number of (section, k, metric) points compared. A baseline point
   /// missing from the fresh document is skipped, not an error, so the

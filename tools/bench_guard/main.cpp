@@ -4,15 +4,22 @@
 //
 // Compares the hot-path cost ratios (routing and ledger over their test
 // oracles, the flow and workload overheads) of a fresh
-// fairswap.bench_scale.v1 document against the committed baseline. Exit 0 when every compared metric is within the
-// tolerance band (or faster), 1 on drift, 2 on usage/parse errors — a
-// malformed document can never masquerade as a clean gate.
+// fairswap.bench_scale.v1 document against the committed baseline. Exit
+// 0 when every compared metric is within the tolerance band (or faster),
+// 1 on drift, 2 on usage/parse errors — a malformed document can never
+// masquerade as a clean gate. Arguments are read with common/config's
+// grammar, as in every other binary: a tolerance that is not a finite
+// decimal (nan, inf, 0.5abc) or an unknown key exits 2.
+#include <algorithm>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/config.hpp"
 #include "guard.hpp"
 
 namespace {
@@ -34,38 +41,23 @@ bool read_file(const std::string& path, std::string& out) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::vector<std::string> paths;
-  fairswap::guard::Options options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      usage(std::cout);
-      return 0;
-    }
-    if (arg.rfind("--tolerance=", 0) == 0) {
-      try {
-        options.tolerance = std::stod(arg.substr(12));
-      } catch (...) {
-        std::cerr << "bench_guard: malformed " << arg << "\n";
-        return 2;
-      }
-      if (options.tolerance < 0) {
-        std::cerr << "bench_guard: tolerance must be >= 0\n";
-        return 2;
-      }
-      continue;
-    }
-    if (arg.rfind("--", 0) == 0) {
-      std::cerr << "bench_guard: unknown option " << arg << "\n";
-      return 2;
-    }
-    paths.push_back(arg);
+int main(int argc, char** argv) try {
+  const auto is_help = [](std::string_view arg) {
+    return arg == "--help" || arg == "-h";
+  };
+  if (std::any_of(argv + 1, argv + argc, is_help)) {
+    usage(std::cout);
+    return 0;
   }
+  const fairswap::Config args = fairswap::Config::from_args(argc, argv);
+  args.require_known({"tolerance"});
+  const std::vector<std::string>& paths = args.positional();
   if (paths.size() != 2) {
     usage(std::cerr);
     return 2;
   }
+  fairswap::guard::Options options;
+  options.tolerance = args.get_double("tolerance", options.tolerance);
 
   std::string baseline_json;
   std::string fresh_json;
@@ -92,4 +84,7 @@ int main(int argc, char** argv) {
             << result.drifts.size() << " drifted (tolerance "
             << options.tolerance << ")\n";
   return result.drifts.empty() ? 0 : 1;
+} catch (const std::exception& e) {
+  std::cerr << "bench_guard: " << e.what() << "\n";
+  return 2;
 }

@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string_view>
 #include <utility>
+
+#include "common/json.hpp"
 
 namespace fairswap::lint {
 namespace {
@@ -996,55 +997,24 @@ std::string format(const Violation& v) {
   return out.str();
 }
 
-namespace {
-
-/// Minimal JSON string escaping (RFC 8259). Hand-rolled so the lint
-/// library stays dependency-free — it must not link the simulator.
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-}  // namespace
-
 std::string format_json(const std::vector<Violation>& violations) {
-  std::string out = "{\"schema\":\"fairswap.lint.v1\",\"count\":";
-  out += std::to_string(violations.size());
-  out += ",\"violations\":[";
-  bool first = true;
+  std::ostringstream out;
+  JsonWriter json(out);
+  json.open();
+  json.field("schema", "fairswap.lint.v1");
+  json.field("count", violations.size());
+  json.open_list("violations");
   for (const Violation& v : violations) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"rule\":";
-    append_json_string(out, v.rule);
-    out += ",\"file\":";
-    append_json_string(out, v.file);
-    out += ",\"line\":";
-    out += std::to_string(v.line);
-    out += ",\"reason\":";
-    append_json_string(out, v.message);
-    out += '}';
+    json.open();
+    json.field("rule", v.rule);
+    json.field("file", v.file);
+    json.field("line", v.line);
+    json.field("reason", v.message);
+    json.close();
   }
-  out += "]}";
-  return out;
+  json.close_list();
+  json.close();
+  return out.str();
 }
 
 }  // namespace fairswap::lint
