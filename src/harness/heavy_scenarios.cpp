@@ -235,8 +235,11 @@ int scenario_heavy_traffic(ScenarioContext& ctx) {
   const std::uint64_t peak_rss = peak_rss_bytes();
   const double peak_rss_mb =
       static_cast<double>(peak_rss) / (1024.0 * 1024.0);
+  // In whole MB, rounded up: the same verdict as peak_rss <= max_rss_mb
+  // MiB, without a product that wraps for max_rss_mb >= 2^44.
+  constexpr std::uint64_t kMiB = 1024 * 1024;
   const bool rss_ok =
-      max_rss_mb == 0 || peak_rss <= max_rss_mb * 1024u * 1024u;
+      max_rss_mb == 0 || (peak_rss + kMiB - 1) / kMiB <= max_rss_mb;
 
   TextTable table({"metric", "value"});
   table.add_row({"chunk requests", std::to_string(chunk_requests)});

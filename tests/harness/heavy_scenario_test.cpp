@@ -1,6 +1,7 @@
-// The heavy_traffic scenario's flash-crowd self-check through the CLI
-// path fairswap_run uses: the default window opens in every shard, and a
-// window no shard reaches is a violation with a nonzero exit.
+// The heavy_traffic scenario's self-checks through the CLI path
+// fairswap_run uses: the default flash-crowd window opens in every shard,
+// a window no shard reaches is a violation with a nonzero exit, and the
+// max_rss_mb= gate holds for any limit that fits 64 bits.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -54,6 +55,16 @@ TEST(HeavyTrafficScenario, DisabledBurstIsNotChecked) {
             0)
       << out;
   EXPECT_EQ(out.find("flash crowd opened"), std::string::npos) << out;
+}
+
+TEST(HeavyTrafficScenario, HugeRssLimitDoesNotWrap) {
+  // 2^44 MB in bytes is 2^64, which wrapped to a 0-byte gate.
+  std::string out;
+  EXPECT_EQ(run_heavy({"requests=20000", "shards=2", "threads=1",
+                       "max_rss_mb=17592186044416"},
+                      out),
+            0)
+      << out;
 }
 
 }  // namespace
