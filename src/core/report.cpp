@@ -26,17 +26,6 @@ std::string lorenz_csv(const std::vector<const ExperimentResult*>& results,
   return out.str();
 }
 
-std::string per_node_csv(const std::string& label,
-                         const std::vector<std::uint64_t>& values) {
-  std::ostringstream out;
-  CsvWriter csv(out);
-  csv.cells("label", "node", "value");
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    csv.cells(label, i, values[i]);
-  }
-  return out.str();
-}
-
 std::string totals_csv(const std::vector<const ExperimentResult*>& results) {
   std::ostringstream out;
   CsvWriter csv(out);

@@ -16,10 +16,6 @@ namespace fairswap::core {
 [[nodiscard]] std::string lorenz_csv(
     const std::vector<const ExperimentResult*>& results, bool f1_curve);
 
-/// CSV of a per-node series: "label,node,value".
-[[nodiscard]] std::string per_node_csv(
-    const std::string& label, const std::vector<std::uint64_t>& values);
-
 /// CSV of the network-wide totals, one row per result — the route
 /// accounting (delivered / refused / failed / truncated) the scale
 /// scenarios monitor.

@@ -27,17 +27,12 @@ namespace {
 
 Simulation::Simulation(const overlay::Topology& topo, SimulationConfig config,
                        Rng rng)
-    : Simulation(topo, config, incentives::make_policy(config.policy), rng) {}
-
-Simulation::Simulation(const overlay::Topology& topo, SimulationConfig config,
-                       std::unique_ptr<incentives::PaymentPolicy> policy,
-                       Rng rng)
     : topo_(&topo),
       config_(std::move(config)),
       router_(topo.compiled_shared()),
       swap_(*router_, config_.swap),
       pricer_(accounting::make_pricer(config_.pricer)),
-      policy_(std::move(policy)),
+      policy_(incentives::make_policy(config_.policy)),
       counters_(topo.node_count()),
       free_riders_(topo.node_count(), 0) {
   if (!pricer_) {

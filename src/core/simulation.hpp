@@ -177,10 +177,6 @@ class Simulation {
   /// Builds with the policy named in `config`.
   Simulation(const overlay::Topology& topo, SimulationConfig config, Rng rng);
 
-  /// Builds with an injected policy instance (for custom baselines).
-  Simulation(const overlay::Topology& topo, SimulationConfig config,
-             std::unique_ptr<incentives::PaymentPolicy> policy, Rng rng);
-
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
   ~Simulation();  // out-of-line: FlowSimulator is incomplete here

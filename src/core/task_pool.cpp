@@ -28,10 +28,8 @@ TaskPool::~TaskPool() {
 }
 
 void TaskPool::parallel_for(std::size_t count,
-                            const std::function<void(std::size_t)>& fn,
-                            std::size_t grain) {
+                            const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
-  grain = std::max<std::size_t>(1, grain);
 
   const std::size_t caller_slot = workers_.size();
   if (workers_.empty()) {
@@ -49,7 +47,6 @@ void TaskPool::parallel_for(std::size_t count,
     if constexpr (telemetry::kEnabled) {
       stats_[caller_slot].busy_ns += telemetry::wall_now_ns() - start_ns;
     }
-    stats_[caller_slot].chunks += 1;
     stats_[caller_slot].items += count;
     if (error) std::rethrow_exception(error);
     return;
@@ -68,7 +65,6 @@ void TaskPool::parallel_for(std::size_t count,
     const MutexLock lock(mutex_);
     fn_ = &fn;
     count_ = count;
-    grain_ = grain;
     next_.store(0, std::memory_order_relaxed);
     first_error_ = nullptr;
     active_workers_ = workers_.size();
@@ -76,7 +72,7 @@ void TaskPool::parallel_for(std::size_t count,
   }
   wake_cv_.notify_all();
 
-  drain_job(fn, count, grain, caller_slot);  // the caller is a worker too
+  drain_job(fn, count, caller_slot);  // the caller is a worker too
 
   std::exception_ptr error;
   {
@@ -102,11 +98,10 @@ void TaskPool::worker_loop(std::size_t slot) {
   std::uint64_t seen_generation = 0;
   for (;;) {
     // Copy the job descriptor out under the lock: drain_job then runs on
-    // thread-local copies, so fn_/count_/grain_ stay strictly
-    // mutex_-guarded (no lock-free protocol for the analysis to miss).
+    // thread-local copies, so fn_/count_ stay strictly mutex_-guarded (no
+    // lock-free protocol for the analysis to miss).
     const std::function<void(std::size_t)>* fn = nullptr;
     std::size_t count = 0;
-    std::size_t grain = 1;
     {
       MutexLock lock(mutex_);
       while (!stop_ && generation_ == seen_generation) wake_cv_.wait(lock);
@@ -114,9 +109,8 @@ void TaskPool::worker_loop(std::size_t slot) {
       seen_generation = generation_;
       fn = fn_;
       count = count_;
-      grain = grain_;
     }
-    drain_job(*fn, count, grain, slot);
+    drain_job(*fn, count, slot);
     {
       const MutexLock lock(mutex_);
       if (--active_workers_ == 0) done_cv_.notify_one();
@@ -125,36 +119,28 @@ void TaskPool::worker_loop(std::size_t slot) {
 }
 
 void TaskPool::drain_job(const std::function<void(std::size_t)>& fn,
-                         std::size_t count, std::size_t grain,
-                         std::size_t slot) {
+                         std::size_t count, std::size_t slot) {
   WorkerStats& stats = stats_[slot];  // disjoint slot: lock-free by design
   for (;;) {
-    const std::size_t begin = next_.fetch_add(grain, std::memory_order_relaxed);
-    if (begin >= count) return;
-    const std::size_t end = std::min(begin + grain, count);
-    std::uint64_t chunk_start_ns = 0;
-    if constexpr (telemetry::kEnabled) {
-      chunk_start_ns = telemetry::wall_now_ns();
-    }
-    for (std::size_t i = begin; i < end; ++i) {
-      try {
-        fn(i);
-      } catch (...) {
-        const MutexLock lock(mutex_);
-        if (!first_error_) first_error_ = std::current_exception();
-      }
+    const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= count) return;
+    std::uint64_t start_ns = 0;
+    if constexpr (telemetry::kEnabled) start_ns = telemetry::wall_now_ns();
+    try {
+      fn(i);
+    } catch (...) {
+      const MutexLock lock(mutex_);
+      if (!first_error_) first_error_ = std::current_exception();
     }
     if constexpr (telemetry::kEnabled) {
-      const std::uint64_t chunk_end_ns = telemetry::wall_now_ns();
-      stats.busy_ns += chunk_end_ns - chunk_start_ns;
-      // One trace row per pool thread: chunk spans show the sweep's
-      // actual schedule when a trace is being captured.
+      const std::uint64_t end_ns = telemetry::wall_now_ns();
+      stats.busy_ns += end_ns - start_ns;
+      // One trace row per pool thread: the spans show the sweep's actual
+      // schedule when a trace is being captured.
       telemetry::TraceRecorder::instance().record_on(
-          "pool_chunk", chunk_start_ns, chunk_end_ns,
-          static_cast<std::uint32_t>(slot));
+          "pool_chunk", start_ns, end_ns, static_cast<std::uint32_t>(slot));
     }
-    stats.chunks += 1;
-    stats.items += end - begin;
+    stats.items += 1;
   }
 }
 

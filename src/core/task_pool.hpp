@@ -2,15 +2,15 @@
 //
 // The paper notes its tooling "allows us to collect data from runs on
 // multiple machines into a single simulation"; TaskPool is the single-machine
-// analogue. Workers pull indices from a shared atomic counter (chunked
-// self-scheduling), so an expensive seed on one worker does not stall the
-// rest — the cheap seeds are stolen by whoever is idle.
+// analogue. Workers pull one index at a time from a shared atomic counter
+// (self-scheduling), so an expensive seed on one worker does not stall the
+// rest — the cheap seeds are taken by whoever is idle.
 //
 // Lock discipline is compiler-checked (common/thread_annotations.hpp,
 // -Wthread-safety): every shared field is GUARDED_BY(mutex_). Workers copy
-// the job descriptor (fn/count/grain) while holding mutex_ at wake-up and
-// then run on the copies, so no field is ever read outside the lock; the
-// only lock-free shared state is the atomic chunk counter next_.
+// the job descriptor (fn/count) while holding mutex_ at wake-up and then
+// run on the copies, so no field is ever read outside the lock; the only
+// lock-free shared state is the atomic index counter next_.
 #pragma once
 
 #include <atomic>
@@ -27,10 +27,10 @@
 namespace fairswap::core {
 
 /// Per-worker utilization accounting — WALL-PLANE data (see
-/// docs/OBSERVABILITY.md): busy time and chunk-claim counts vary run to
-/// run and must never feed a simulated result. `items` alone is exact:
-/// the slots partition [0, count), so items summed over workers equals
-/// the indices executed (pinned by tests/core/task_pool_test.cpp).
+/// docs/OBSERVABILITY.md): busy time and the split of items across
+/// workers vary run to run and must never feed a simulated result. The
+/// items summed over workers are exact: they equal the indices executed
+/// (pinned by tests/core/task_pool_test.cpp).
 struct WorkerStats {
   /// Wall nanoseconds spent inside fn(i) calls (0 when telemetry is
   /// compiled off).
@@ -38,13 +38,8 @@ struct WorkerStats {
   /// Wall nanoseconds the worker spent idle while a job it joined was
   /// still running elsewhere (0 when telemetry is compiled off).
   std::uint64_t idle_ns{0};
-  /// Chunks claimed from the shared counter — each claim beyond the
-  /// first is work self-scheduled (stolen) from the common pool.
-  std::uint64_t chunks{0};
   /// Indices executed.
   std::uint64_t items{0};
-
-  friend bool operator==(const WorkerStats&, const WorkerStats&) = default;
 };
 
 /// Fixed-size worker pool. `parallel_for` blocks the caller, which also
@@ -65,13 +60,12 @@ class TaskPool {
     return workers_.size() + 1;
   }
 
-  /// Runs fn(i) for every i in [0, count), distributing indices across the
-  /// pool in chunks of `grain`. Blocks until all indices completed. If any
-  /// invocation throws, the first exception is rethrown on the caller
-  /// after the loop drains (remaining indices still run).
+  /// Runs fn(i) for every i in [0, count), each thread claiming one index
+  /// at a time. Blocks until all indices completed. If any invocation
+  /// throws, the first exception is rethrown on the caller after the loop
+  /// drains (remaining indices still run).
   void parallel_for(std::size_t count,
-                    const std::function<void(std::size_t)>& fn,
-                    std::size_t grain = 1);
+                    const std::function<void(std::size_t)>& fn);
 
   /// Cumulative per-thread utilization, one slot per pool thread (the
   /// caller is the last slot). Workers write their own slot lock-free
@@ -81,17 +75,14 @@ class TaskPool {
   [[nodiscard]] const std::vector<WorkerStats>& worker_stats() const noexcept {
     return stats_;
   }
-  void reset_worker_stats() noexcept {
-    for (WorkerStats& s : stats_) s = WorkerStats{};
-  }
 
  private:
   void worker_loop(std::size_t slot);
-  /// Claims and runs chunks of the job described by the arguments (copied
+  /// Claims and runs indices of the job described by the arguments (copied
   /// out under mutex_ by the caller); records the first exception under
   /// mutex_. `slot` is the caller's stats_ slot (disjoint per thread).
   void drain_job(const std::function<void(std::size_t)>& fn,
-                 std::size_t count, std::size_t grain, std::size_t slot);
+                 std::size_t count, std::size_t slot);
 
   std::vector<std::thread> workers_;
   /// Per-thread utilization slots (workers_, then the caller). Disjoint
@@ -113,10 +104,9 @@ class TaskPool {
   // workers copy it under mutex_ at wake-up and never touch it again.
   const std::function<void(std::size_t)>* fn_ GUARDED_BY(mutex_) = nullptr;
   std::size_t count_ GUARDED_BY(mutex_) = 0;
-  std::size_t grain_ GUARDED_BY(mutex_) = 1;
   std::exception_ptr first_error_ GUARDED_BY(mutex_);
 
-  // Chunk-claim counter: the one deliberately lock-free shared field
+  // Index-claim counter: the one deliberately lock-free shared field
   // (relaxed order is enough — claims carry no data, and job visibility
   // is ordered by the mutex_ hand-off above).
   std::atomic<std::size_t> next_{0};

@@ -375,12 +375,10 @@ bool run_plan(const ExperimentPlan& plan, std::span<MetricSink* const> sinks,
           std::uint64_t busy = 0;
           std::uint64_t idle = 0;
           std::uint64_t items = 0;
-          std::uint64_t chunks = 0;
           for (const core::WorkerStats& ws : pool.worker_stats()) {
             busy += ws.busy_ns;
             idle += ws.idle_ns;
             items += ws.items;
-            chunks += ws.chunks;
           }
           const double util =
               busy + idle > 0
@@ -388,8 +386,7 @@ bool run_plan(const ExperimentPlan& plan, std::span<MetricSink* const> sinks,
                         static_cast<double>(busy + idle)
                   : 0.0;
           *progress << "pool: " << pool.worker_stats().size()
-                    << " threads ran " << items << " cells in " << chunks
-                    << " chunks, utilization "
+                    << " threads ran " << items << " cells, utilization "
                     << static_cast<int>(util * 100.0 + 0.5) << "%\n";
           progress->flush();
         }

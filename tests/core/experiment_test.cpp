@@ -129,12 +129,6 @@ TEST(Report, ServedHistogramsShareBounds) {
   EXPECT_EQ(histos[0].total(), 150u);
 }
 
-TEST(Report, PerNodeCsvRowPerNode) {
-  const std::vector<std::uint64_t> values{5, 6, 7};
-  const auto csv = per_node_csv("x", values);
-  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 4);  // header + 3
-}
-
 TEST(Report, WriteTextFileRoundTrips) {
   const std::string path = ::testing::TempDir() + "/fairswap_report_test.txt";
   EXPECT_NO_THROW(write_text_file(path, "hello fairswap"));
