@@ -92,21 +92,8 @@ std::vector<std::string> split_csv(const std::string& value) {
   return parts;
 }
 
-/// Starts wall-plane span capture for a `trace_spans=FILE` request.
-/// Returns false (with a diagnostic) when the build compiled telemetry
-/// out — an empty trace would silently masquerade as "nothing ran".
-bool begin_trace_capture(const std::string& path) {
-  if constexpr (!telemetry::kEnabled) {
-    std::cerr << "error: trace_spans=" << path
-              << " needs a FAIRSWAP_TELEMETRY=ON build\n";
-    return false;
-  }
-  telemetry::TraceRecorder::instance().enable();
-  return true;
-}
-
-/// Writes the spans captured since begin_trace_capture as Chrome
-/// trace-event JSON and stops capturing.
+/// Writes the spans captured since the `trace_spans=FILE` request enabled
+/// the recorder as Chrome trace-event JSON and stops capturing.
 int export_trace_spans(const std::string& path) {
   telemetry::TraceRecorder& recorder = telemetry::TraceRecorder::instance();
   recorder.disable();
@@ -230,7 +217,7 @@ int run_sweep(const Config& args) {
   harness::CsvSink csv_sink(csv_file);
   harness::MetricSink* sinks[] = {&table_sink, &json_sink, &csv_sink};
 
-  if (!trace_path.empty() && !begin_trace_capture(trace_path)) return 2;
+  if (!trace_path.empty()) telemetry::TraceRecorder::instance().enable();
 
   std::string error;
   try {
@@ -287,7 +274,9 @@ int main(int argc, char** argv) try {
     if (arg.rfind("trace_spans=", 0) == 0) continue;
     scenario_argv.push_back(argv[i]);
   }
-  if (!trace_path.empty() && !begin_trace_capture(trace_path)) return 2;
+  if (!trace_path.empty()) {
+    fairswap::telemetry::TraceRecorder::instance().enable();
+  }
   const int rc = fairswap::harness::run_scenario(
       command, static_cast<int>(scenario_argv.size()), scenario_argv.data(),
       std::cout);

@@ -144,10 +144,8 @@ void Ledger::reset() {
 }
 
 std::size_t Ledger::amortize_tick() {
-  if constexpr (telemetry::kEnabled) {
-    if (counters_ != nullptr) {
-      counters_->bump(telemetry::Counter::kAmortizeTicks);
-    }
+  if (counters_ != nullptr) {
+    counters_->bump(telemetry::Counter::kAmortizeTicks);
   }
   ++tick_;
   const Token step = config_.amortization_per_tick;

@@ -83,14 +83,12 @@ class Ledger {
                     bool can_settle = true, EdgeId edge = kNoEdge) {
     const DebitResult result =
         apply_debit(consumer, provider, amount, can_settle, edge);
-    if constexpr (telemetry::kEnabled) {
-      if (counters_ != nullptr) {
-        counters_->bump(telemetry::Counter::kDebits);
-        if (result == DebitResult::kSettled) {
-          counters_->bump(telemetry::Counter::kSettlements);
-        } else if (result == DebitResult::kDisconnected) {
-          counters_->bump(telemetry::Counter::kRefusedPayments);
-        }
+    if (counters_ != nullptr) {
+      counters_->bump(telemetry::Counter::kDebits);
+      if (result == DebitResult::kSettled) {
+        counters_->bump(telemetry::Counter::kSettlements);
+      } else if (result == DebitResult::kDisconnected) {
+        counters_->bump(telemetry::Counter::kRefusedPayments);
       }
     }
     return result;

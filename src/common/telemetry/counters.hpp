@@ -14,11 +14,6 @@
 // derived from a wall clock lives in the wall plane (telemetry/span.hpp)
 // and is excluded from determinism checks. The `wall-clock` fairswap_lint
 // rule enforces the split mechanically.
-//
-// When the build sets FAIRSWAP_TELEMETRY=OFF (-DFAIRSWAP_TELEMETRY_OFF),
-// `kEnabled` is false: `bump` compiles to nothing and the sinks omit the
-// counters sections, so the OFF build reproduces pre-telemetry output
-// byte for byte.
 #pragma once
 
 #include <array>
@@ -29,14 +24,10 @@
 
 namespace fairswap::telemetry {
 
-/// Compile-time master switch. OFF builds keep the types (so call sites
-/// need no #ifdefs) but every bump is a no-op and every sink section is
-/// skipped.
-#if defined(FAIRSWAP_TELEMETRY_OFF)
-inline constexpr bool kEnabled = false;
-#else
+/// Always true: telemetry has one build. The last reader is the frozen
+/// benchmark, perfbench/src/workloads.cpp (l.349 and l.401); delete the
+/// constant with the next change to perfbench/.
 inline constexpr bool kEnabled = true;
-#endif
 
 /// The registry: one enumerator per counter, dense from zero. Adding a
 /// counter means adding an enumerator here and a name in counter_name()
@@ -105,15 +96,9 @@ class CounterBlock {
  public:
   constexpr CounterBlock() = default;
 
-  /// Hot-path increment. A single integer add when telemetry is on;
-  /// nothing at all when the build is OFF.
+  /// Hot-path increment: a single integer add.
   void bump(Counter c, std::uint64_t by = 1) noexcept {
-    if constexpr (kEnabled) {
-      slots_[static_cast<std::size_t>(c)] += by;
-    } else {
-      static_cast<void>(c);
-      static_cast<void>(by);
-    }
+    slots_[static_cast<std::size_t>(c)] += by;
   }
 
   [[nodiscard]] std::uint64_t value(Counter c) const noexcept {
@@ -129,8 +114,8 @@ class CounterBlock {
 
   void clear() noexcept { slots_.fill(0); }
 
-  /// True when every slot is zero (an OFF build, or a run that touched
-  /// no instrumented path).
+  /// True when every slot is zero (a run that touched no instrumented
+  /// path).
   [[nodiscard]] bool empty() const noexcept {
     for (const std::uint64_t v : slots_) {
       if (v != 0) return false;

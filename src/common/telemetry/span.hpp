@@ -13,10 +13,6 @@
 // one blessed clock source in the tree; the `wall-clock` fairswap_lint
 // rule bans std::chrono everywhere else in src/, so wall time cannot
 // leak into the sim plane without a reasoned suppression.
-//
-// When the build sets FAIRSWAP_TELEMETRY=OFF, TELEM_SPAN expands to
-// nothing and recording is compiled out; the clock itself stays
-// available (harness progress output still reports elapsed seconds).
 #pragma once
 
 #include <atomic>
@@ -98,25 +94,19 @@ class TraceRecorder {
 
 /// RAII span: stamps the start on construction, records on destruction.
 /// Does nothing when the recorder is disabled at construction time. Use
-/// through TELEM_SPAN so OFF builds compile the whole thing away.
+/// through TELEM_SPAN.
 class ScopedSpan {
  public:
   explicit ScopedSpan(std::string_view name) noexcept {
-    if constexpr (kEnabled) {
-      if (TraceRecorder::instance().enabled()) {
-        name_ = name;
-        start_ns_ = wall_now_ns();
-        active_ = true;
-      }
-    } else {
-      static_cast<void>(name);
+    if (TraceRecorder::instance().enabled()) {
+      name_ = name;
+      start_ns_ = wall_now_ns();
+      active_ = true;
     }
   }
   ~ScopedSpan() {
-    if constexpr (kEnabled) {
-      if (active_) {
-        TraceRecorder::instance().record(name_, start_ns_, wall_now_ns());
-      }
+    if (active_) {
+      TraceRecorder::instance().record(name_, start_ns_, wall_now_ns());
     }
   }
 
@@ -132,14 +122,9 @@ class ScopedSpan {
 }  // namespace fairswap::telemetry
 
 // TELEM_SPAN("name"); — a statement that opens a span for the rest of
-// the enclosing scope. Expands to nothing in FAIRSWAP_TELEMETRY=OFF
-// builds.
-#if defined(FAIRSWAP_TELEMETRY_OFF)
-#define TELEM_SPAN(name) static_cast<void>(0)
-#else
+// the enclosing scope.
 #define FAIRSWAP_TELEM_CAT2(a, b) a##b
 #define FAIRSWAP_TELEM_CAT(a, b) FAIRSWAP_TELEM_CAT2(a, b)
 #define TELEM_SPAN(name)                                  \
   const ::fairswap::telemetry::ScopedSpan FAIRSWAP_TELEM_CAT( \
       telem_span_, __LINE__)(name)
-#endif

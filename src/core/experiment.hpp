@@ -98,9 +98,8 @@ struct ExperimentResult {
   /// same bounded-memory sketch the heavy-traffic runs use.
   double served_p99{0.0};
   double income_p99{0.0};
-  /// Sim-plane telemetry counter snapshot (all zero in
-  /// FAIRSWAP_TELEMETRY=OFF builds). Part of the bit-identical contract:
-  /// folded across seeds/shards exactly like the sketches.
+  /// Sim-plane telemetry counter snapshot. Part of the bit-identical
+  /// contract: folded across seeds/shards exactly like the sketches.
   telemetry::CounterBlock counters;
   /// Wall plane — excluded from every determinism check.
   double runtime_seconds{0.0};

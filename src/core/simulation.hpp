@@ -268,9 +268,9 @@ class Simulation {
   [[nodiscard]] const StreamAggregates& stream() const noexcept {
     return stream_;
   }
-  /// Sim-plane telemetry counters for this simulation (all zero in
-  /// FAIRSWAP_TELEMETRY=OFF builds). Bumped by this simulation and by
-  /// the ledger / flow / demand subsystems it owns; cleared by reset().
+  /// Sim-plane telemetry counters for this simulation. Bumped by this
+  /// simulation and by the ledger / flow / demand subsystems it owns;
+  /// cleared by reset().
   [[nodiscard]] const telemetry::CounterBlock& telem() const noexcept {
     return telem_;
   }

@@ -34,8 +34,7 @@ void TaskPool::parallel_for(std::size_t count,
   const std::size_t caller_slot = workers_.size();
   if (workers_.empty()) {
     // Serial pool: same drain-then-rethrow semantics, no synchronization.
-    std::uint64_t start_ns = 0;
-    if constexpr (telemetry::kEnabled) start_ns = telemetry::wall_now_ns();
+    const std::uint64_t start_ns = telemetry::wall_now_ns();
     std::exception_ptr error;
     for (std::size_t i = 0; i < count; ++i) {
       try {
@@ -44,21 +43,16 @@ void TaskPool::parallel_for(std::size_t count,
         if (!error) error = std::current_exception();
       }
     }
-    if constexpr (telemetry::kEnabled) {
-      stats_[caller_slot].busy_ns += telemetry::wall_now_ns() - start_ns;
-    }
+    stats_[caller_slot].busy_ns += telemetry::wall_now_ns() - start_ns;
     stats_[caller_slot].items += count;
     if (error) std::rethrow_exception(error);
     return;
   }
 
-  std::uint64_t job_start_ns = 0;
-  if constexpr (telemetry::kEnabled) {
-    job_start_ns = telemetry::wall_now_ns();
-    busy_snapshot_.resize(stats_.size());
-    for (std::size_t s = 0; s < stats_.size(); ++s) {
-      busy_snapshot_[s] = stats_[s].busy_ns;
-    }
+  const std::uint64_t job_start_ns = telemetry::wall_now_ns();
+  busy_snapshot_.resize(stats_.size());
+  for (std::size_t s = 0; s < stats_.size(); ++s) {
+    busy_snapshot_[s] = stats_[s].busy_ns;
   }
 
   {
@@ -81,15 +75,13 @@ void TaskPool::parallel_for(std::size_t count,
     fn_ = nullptr;
     error = std::exchange(first_error_, nullptr);
   }
-  if constexpr (telemetry::kEnabled) {
-    // All workers are past their stats writes (the active_workers_
-    // hand-off above orders them), so idle attribution reads are safe:
-    // idle == job wall time not spent inside fn.
-    const std::uint64_t job_ns = telemetry::wall_now_ns() - job_start_ns;
-    for (std::size_t s = 0; s < stats_.size(); ++s) {
-      const std::uint64_t busy = stats_[s].busy_ns - busy_snapshot_[s];
-      stats_[s].idle_ns += job_ns > busy ? job_ns - busy : 0;
-    }
+  // All workers are past their stats writes (the active_workers_
+  // hand-off above orders them), so idle attribution reads are safe:
+  // idle == job wall time not spent inside fn.
+  const std::uint64_t job_ns = telemetry::wall_now_ns() - job_start_ns;
+  for (std::size_t s = 0; s < stats_.size(); ++s) {
+    const std::uint64_t busy = stats_[s].busy_ns - busy_snapshot_[s];
+    stats_[s].idle_ns += job_ns > busy ? job_ns - busy : 0;
   }
   if (error) std::rethrow_exception(error);
 }
@@ -124,22 +116,19 @@ void TaskPool::drain_job(const std::function<void(std::size_t)>& fn,
   for (;;) {
     const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
     if (i >= count) return;
-    std::uint64_t start_ns = 0;
-    if constexpr (telemetry::kEnabled) start_ns = telemetry::wall_now_ns();
+    const std::uint64_t start_ns = telemetry::wall_now_ns();
     try {
       fn(i);
     } catch (...) {
       const MutexLock lock(mutex_);
       if (!first_error_) first_error_ = std::current_exception();
     }
-    if constexpr (telemetry::kEnabled) {
-      const std::uint64_t end_ns = telemetry::wall_now_ns();
-      stats.busy_ns += end_ns - start_ns;
-      // One trace row per pool thread: the spans show the sweep's actual
-      // schedule when a trace is being captured.
-      telemetry::TraceRecorder::instance().record_on(
-          "pool_chunk", start_ns, end_ns, static_cast<std::uint32_t>(slot));
-    }
+    const std::uint64_t end_ns = telemetry::wall_now_ns();
+    stats.busy_ns += end_ns - start_ns;
+    // One trace row per pool thread: the spans show the sweep's actual
+    // schedule when a trace is being captured.
+    telemetry::TraceRecorder::instance().record_on(
+        "pool_chunk", start_ns, end_ns, static_cast<std::uint32_t>(slot));
     stats.items += 1;
   }
 }

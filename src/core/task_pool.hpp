@@ -32,11 +32,10 @@ namespace fairswap::core {
 /// items summed over workers are exact: they equal the indices executed
 /// (pinned by tests/core/task_pool_test.cpp).
 struct WorkerStats {
-  /// Wall nanoseconds spent inside fn(i) calls (0 when telemetry is
-  /// compiled off).
+  /// Wall nanoseconds spent inside fn(i) calls.
   std::uint64_t busy_ns{0};
   /// Wall nanoseconds the worker spent idle while a job it joined was
-  /// still running elsewhere (0 when telemetry is compiled off).
+  /// still running elsewhere.
   std::uint64_t idle_ns{0};
   /// Indices executed.
   std::uint64_t items{0};

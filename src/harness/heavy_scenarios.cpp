@@ -290,17 +290,14 @@ int scenario_heavy_traffic(ScenarioContext& ctx) {
     json.field("p50", merged.chunks_per_file.quantile(0.50));
     json.field("p99", merged.chunks_per_file.quantile(0.99));
     json.close();
-    if constexpr (telemetry::kEnabled) {
-      // Sim-plane counters, canonical fold over shards — same
-      // bit-identity contract as the sketch fingerprints above.
-      json.open("counters");
-      merged_counters.for_each(
-          [&](std::string_view name, std::uint64_t value) {
-            json.field(std::string(name).c_str(), value);
-          });
-      json.field("fingerprint", hex64(merged_counters.fingerprint()));
-      json.close();
-    }
+    // Sim-plane counters, canonical fold over shards — same
+    // bit-identity contract as the sketch fingerprints above.
+    json.open("counters");
+    merged_counters.for_each([&](std::string_view name, std::uint64_t value) {
+      json.field(std::string(name).c_str(), value);
+    });
+    json.field("fingerprint", hex64(merged_counters.fingerprint()));
+    json.close();
     json.open("oracle");
     json.field("sample", sorted.size());
     json.field("relative_error_bound", bound);

@@ -367,29 +367,26 @@ bool run_plan(const ExperimentPlan& plan, std::span<MetricSink* const> sinks,
       // partition those indices: every worker owns disjoint slots, and the
       // fold below runs after parallel_for's barrier, single-threaded.
       pool.parallel_for(task_count, run_task);
-      if constexpr (telemetry::kEnabled) {
-        // Wall-plane pool utilization for this phase: busy share of the
-        // job's wall time, summed over the pool's threads. Progress
-        // output only — never a sink artifact.
-        if (progress) {
-          std::uint64_t busy = 0;
-          std::uint64_t idle = 0;
-          std::uint64_t items = 0;
-          for (const core::WorkerStats& ws : pool.worker_stats()) {
-            busy += ws.busy_ns;
-            idle += ws.idle_ns;
-            items += ws.items;
-          }
-          const double util =
-              busy + idle > 0
-                  ? static_cast<double>(busy) /
-                        static_cast<double>(busy + idle)
-                  : 0.0;
-          *progress << "pool: " << pool.worker_stats().size()
-                    << " threads ran " << items << " cells, utilization "
-                    << static_cast<int>(util * 100.0 + 0.5) << "%\n";
-          progress->flush();
+      // Wall-plane pool utilization for this phase: busy share of the
+      // job's wall time, summed over the pool's threads. Progress
+      // output only — never a sink artifact.
+      if (progress) {
+        std::uint64_t busy = 0;
+        std::uint64_t idle = 0;
+        std::uint64_t items = 0;
+        for (const core::WorkerStats& ws : pool.worker_stats()) {
+          busy += ws.busy_ns;
+          idle += ws.idle_ns;
+          items += ws.items;
         }
+        const double util =
+            busy + idle > 0
+                ? static_cast<double>(busy) / static_cast<double>(busy + idle)
+                : 0.0;
+        *progress << "pool: " << pool.worker_stats().size()
+                  << " threads ran " << items << " cells, utilization "
+                  << static_cast<int>(util * 100.0 + 0.5) << "%\n";
+        progress->flush();
       }
     }
   }

@@ -17,10 +17,8 @@ void TableSink::begin(const PlanSummary& plan) {
   std::vector<std::string> header{"run",           "Gini F2",
                                   "Gini F1",       "avg forwarded",
                                   "routing success", "total income"};
-  if constexpr (telemetry::kEnabled) {
-    // Headline sim-plane counter (docs/OBSERVABILITY.md): payments made.
-    header.emplace_back("debits");
-  }
+  // Headline sim-plane counter (docs/OBSERVABILITY.md): payments made.
+  header.emplace_back("debits");
   table_.emplace(std::move(header));
 }
 
@@ -31,10 +29,8 @@ void TableSink::record(const RunRecord& run) {
                                cell(run.metrics.avg_forwarded, run.seeds, 0),
                                cell(run.metrics.routing_success, run.seeds, 4),
                                cell(run.metrics.total_income, run.seeds, 0)};
-  if constexpr (telemetry::kEnabled) {
-    row.push_back(
-        std::to_string(run.counters.value(telemetry::Counter::kDebits)));
-  }
+  row.push_back(
+      std::to_string(run.counters.value(telemetry::Counter::kDebits)));
   table_->add_row(std::move(row));
 }
 
@@ -53,12 +49,9 @@ void CsvSink::begin(const PlanSummary& plan) {
   });
   // Counter columns are exact integer sums over seeds (no mean/sd), then
   // the wall-plane section last — the sim-plane prefix stays stable.
-  if constexpr (telemetry::kEnabled) {
-    telemetry::CounterBlock{}.for_each(
-        [&](std::string_view name, std::uint64_t) {
-          header.emplace_back(name);
-        });
-  }
+  telemetry::CounterBlock{}.for_each([&](std::string_view name, std::uint64_t) {
+    header.emplace_back(name);
+  });
   MetricStats{}.for_each_wall([&](const char* name, const RunningStats&) {
     header.push_back(std::string(name) + "_mean");
     header.push_back(std::string(name) + "_sd");
@@ -77,11 +70,9 @@ void CsvSink::record(const RunRecord& run) {
     row.push_back(std::to_string(stats.mean()));
     row.push_back(std::to_string(stats.stddev()));
   });
-  if constexpr (telemetry::kEnabled) {
-    run.counters.for_each([&](std::string_view, std::uint64_t value) {
-      row.push_back(std::to_string(value));
-    });
-  }
+  run.counters.for_each([&](std::string_view, std::uint64_t value) {
+    row.push_back(std::to_string(value));
+  });
   run.metrics.for_each_wall([&](const char*, const RunningStats& stats) {
     row.push_back(std::to_string(stats.mean()));
     row.push_back(std::to_string(stats.stddev()));
@@ -133,26 +124,24 @@ void JsonSink::record(const RunRecord& run) {
     json_.close();
   });
   json_.close();
-  if constexpr (telemetry::kEnabled) {
-    // Sim plane: exact integer totals over seeds (part of the
-    // bit-identity contract). Wall plane: timings, explicitly not.
-    json_.open("counters");
-    run.counters.for_each([&](std::string_view name, std::uint64_t value) {
-      json_.field(std::string(name).c_str(), value);
-    });
+  // Sim plane: exact integer totals over seeds (part of the
+  // bit-identity contract). Wall plane: timings, explicitly not.
+  json_.open("counters");
+  run.counters.for_each([&](std::string_view name, std::uint64_t value) {
+    json_.field(std::string(name).c_str(), value);
+  });
+  json_.close();
+  json_.open("wall");
+  run.metrics.for_each_wall([&](const char* name,
+                                const RunningStats& stats) {
+    json_.open(name);
+    json_.field("mean", stats.mean());
+    json_.field("stddev", stats.stddev());
+    json_.field("min", stats.min());
+    json_.field("max", stats.max());
     json_.close();
-    json_.open("wall");
-    run.metrics.for_each_wall([&](const char* name,
-                                  const RunningStats& stats) {
-      json_.open(name);
-      json_.field("mean", stats.mean());
-      json_.field("stddev", stats.stddev());
-      json_.field("min", stats.min());
-      json_.field("max", stats.max());
-      json_.close();
-    });
-    json_.close();
-  }
+  });
+  json_.close();
   json_.close();
 }
 

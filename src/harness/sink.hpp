@@ -55,11 +55,8 @@ struct MetricStats {
   RunningStats fct_mean;
   RunningStats flows_timed_out;
   RunningStats saturated_links;
-  /// WALL PLANE — the one timing metric. Telemetry-enabled builds emit
-  /// it through for_each_wall (a separate schema section excluded from
-  /// the bit-identity contract); OFF builds keep it in for_each at its
-  /// historical position so their output is byte-identical to pre-
-  /// telemetry releases.
+  /// WALL PLANE — the one timing metric, emitted through for_each_wall
+  /// (a separate schema section excluded from the bit-identity contract).
   RunningStats runtime_s;
   // Streaming-sketch percentiles (common/stream_stats); hops_* are 0
   // unless stream_metrics= is on.
@@ -97,12 +94,6 @@ struct MetricStats {
     fn("fct_mean", fct_mean);
     fn("flows_timed_out", flows_timed_out);
     fn("saturated_links", saturated_links);
-    if constexpr (!telemetry::kEnabled) {
-      // Historical mid-list position, kept only when the wall section
-      // does not exist: FAIRSWAP_TELEMETRY=OFF output must stay
-      // byte-identical to pre-telemetry releases.
-      fn("runtime_s", runtime_s);
-    }
     fn("hops_p50", hops_p50);
     fn("hops_p99", hops_p99);
     fn("served_p99", served_p99);
@@ -111,16 +102,12 @@ struct MetricStats {
     fn("converged_epoch", converged_epoch);
   }
 
-  /// Visits the WALL-PLANE metrics (telemetry-enabled builds only) —
-  /// excluded from every bit-identity check; the sinks emit them in a
-  /// section of their own so consumers can tell the planes apart.
+  /// Visits the WALL-PLANE metrics — excluded from every bit-identity
+  /// check; the sinks emit them in a section of their own so consumers
+  /// can tell the planes apart.
   template <typename Fn>
   void for_each_wall(Fn&& fn) const {
-    if constexpr (telemetry::kEnabled) {
-      fn("runtime_s", runtime_s);
-    } else {
-      static_cast<void>(fn);
-    }
+    fn("runtime_s", runtime_s);
   }
 };
 
@@ -133,8 +120,7 @@ struct RunRecord {
   std::size_t seeds{1};
   MetricStats metrics;
   /// Sim-plane counter totals summed over the run's seeds — exact
-  /// integers, bit-identical for any threads= (all zero and omitted from
-  /// sink output in FAIRSWAP_TELEMETRY=OFF builds).
+  /// integers, bit-identical for any threads=.
   telemetry::CounterBlock counters;
 };
 

@@ -213,11 +213,10 @@ TEST_F(EdgeLedgerFixture, CountersBumpPerDebitOutcomeAndTick) {
   (void)ledger.debit(5, provider, Token(1), false, e);
 
   using telemetry::Counter;
-  const std::uint64_t on = telemetry::kEnabled ? 1 : 0;
-  EXPECT_EQ(counters.value(Counter::kDebits), 3 * on);
-  EXPECT_EQ(counters.value(Counter::kSettlements), on);
-  EXPECT_EQ(counters.value(Counter::kRefusedPayments), on);
-  EXPECT_EQ(counters.value(Counter::kAmortizeTicks), on);
+  EXPECT_EQ(counters.value(Counter::kDebits), 3u);
+  EXPECT_EQ(counters.value(Counter::kSettlements), 1u);
+  EXPECT_EQ(counters.value(Counter::kRefusedPayments), 1u);
+  EXPECT_EQ(counters.value(Counter::kAmortizeTicks), 1u);
 }
 
 TEST_F(EdgeLedgerFixture, TickSemanticsMatchSwapNetwork) {

@@ -79,9 +79,8 @@ TEST(TaskPool, MorePoolThreadsThanWork) {
 
 TEST(TaskPool, WorkerStatsAccountForEveryItemAcrossJobs) {
   // The utilization-consistency contract run_plan's pool log leans on:
-  // summed per-worker item counts equal the items submitted, and (in
-  // telemetry builds) busy time was actually measured for whoever did
-  // work.
+  // summed per-worker item counts equal the items submitted, and busy
+  // time was actually measured for whoever did work.
   TaskPool pool(4);
   ASSERT_EQ(pool.worker_stats().size(), 4u);
   pool.parallel_for(97, [](std::size_t) {});
@@ -94,11 +93,7 @@ TEST(TaskPool, WorkerStatsAccountForEveryItemAcrossJobs) {
     busy_ns += s.busy_ns;
   }
   EXPECT_EQ(items, 97u + 31u);
-  if constexpr (telemetry::kEnabled) {
-    EXPECT_GT(busy_ns, 0u);
-  } else {
-    EXPECT_EQ(busy_ns, 0u);  // wall timing compiled out with telemetry
-  }
+  EXPECT_GT(busy_ns, 0u);
 }
 
 TEST(TaskPool, SerialPoolStatsCountTheCallerAsTheOneWorker) {

@@ -80,15 +80,13 @@ TEST(TelemetryDifferential, EquilibriumEpochGameCountersAreThreadInvariant) {
   plan.axes = {{"k", {"4", "8"}}};
   plan.seeds = 2;
   const auto records = assert_thread_invariant(plan);
-  if constexpr (telemetry::kEnabled) {
-    ASSERT_FALSE(records.empty());
-    for (const auto& r : records) {
-      // The epoch path accumulates across per-epoch resets: revisions
-      // happened and every epoch's routing survived into the fold.
-      EXPECT_GT(r.counters.value(Counter::kAgentRevisions), 0u) << r.label;
-      EXPECT_GT(r.counters.value(Counter::kRouteWalks), 0u) << r.label;
-      EXPECT_GT(r.counters.value(Counter::kDebits), 0u) << r.label;
-    }
+  ASSERT_FALSE(records.empty());
+  for (const auto& r : records) {
+    // The epoch path accumulates across per-epoch resets: revisions
+    // happened and every epoch's routing survived into the fold.
+    EXPECT_GT(r.counters.value(Counter::kAgentRevisions), 0u) << r.label;
+    EXPECT_GT(r.counters.value(Counter::kRouteWalks), 0u) << r.label;
+    EXPECT_GT(r.counters.value(Counter::kDebits), 0u) << r.label;
   }
 }
 
@@ -100,17 +98,14 @@ TEST(TelemetryDifferential, FlowLevelCountersAreThreadInvariant) {
   plan.axes = {{"k", {"4", "8"}}};
   plan.seeds = 2;
   const auto records = assert_thread_invariant(plan);
-  if constexpr (telemetry::kEnabled) {
-    ASSERT_FALSE(records.empty());
-    bool any_flow_events = false;
-    for (const auto& r : records) {
-      any_flow_events =
-          any_flow_events || r.counters.value(Counter::kFlowEventsPopped) > 0;
-      EXPECT_GT(r.counters.value(Counter::kFlowRateRecomputes), 0u)
-          << r.label;
-    }
-    EXPECT_TRUE(any_flow_events);
+  ASSERT_FALSE(records.empty());
+  bool any_flow_events = false;
+  for (const auto& r : records) {
+    any_flow_events =
+        any_flow_events || r.counters.value(Counter::kFlowEventsPopped) > 0;
+    EXPECT_GT(r.counters.value(Counter::kFlowRateRecomputes), 0u) << r.label;
   }
+  EXPECT_TRUE(any_flow_events);
 }
 
 TEST(TelemetryDifferential, HeavyDemandCountersAreThreadInvariant) {
@@ -126,19 +121,16 @@ TEST(TelemetryDifferential, HeavyDemandCountersAreThreadInvariant) {
   plan.axes = {{"originators", {"0.5", "1.0"}}};
   plan.seeds = 2;
   const auto records = assert_thread_invariant(plan);
-  if constexpr (telemetry::kEnabled) {
-    ASSERT_FALSE(records.empty());
-    bool any_burst = false;
-    for (const auto& r : records) {
-      any_burst = any_burst || r.counters.value(Counter::kBurstDraws) > 0;
-      EXPECT_GT(r.counters.value(Counter::kChunksDelivered), 0u) << r.label;
-    }
-    EXPECT_TRUE(any_burst);
+  ASSERT_FALSE(records.empty());
+  bool any_burst = false;
+  for (const auto& r : records) {
+    any_burst = any_burst || r.counters.value(Counter::kBurstDraws) > 0;
+    EXPECT_GT(r.counters.value(Counter::kChunksDelivered), 0u) << r.label;
   }
+  EXPECT_TRUE(any_burst);
 }
 
 TEST(TelemetryDifferential, SeedFoldIsMergeOrderInvariant) {
-  if constexpr (!telemetry::kEnabled) GTEST_SKIP() << "telemetry off";
   // The plan folds per-seed blocks in canonical seed order; re-merging
   // the same per-seed blocks in reverse must be bit-equal — counters
   // give up nothing the PercentileSketch merge guarantees.
@@ -162,7 +154,6 @@ TEST(TelemetryDifferential, SeedFoldIsMergeOrderInvariant) {
 }
 
 TEST(TelemetryDifferential, ResetReplayReproducesCountersExactly) {
-  if constexpr (!telemetry::kEnabled) GTEST_SKIP() << "telemetry off";
   // The record -> reset -> replay loop heavy_traffic leans on: counters
   // must come back bit-identical after Simulation::reset.
   const ExperimentConfig cfg = tiny_base();

@@ -251,8 +251,9 @@ TEST(Plan, RunPlanIsBitIdenticalForAnyThreadCount) {
       const RunRecord& b = other->records[i];
       EXPECT_EQ(a.label, b.label);
       EXPECT_EQ(a.seeds, 3u);
-      // Every metric except runtime_s (measured wall clock) must be
-      // bit-identical: same values folded in the same seed order.
+      // Every sim-plane metric must be bit-identical: same values folded
+      // in the same seed order (runtime_s, the measured wall clock, is
+      // not among them).
       std::vector<std::pair<std::string, const RunningStats*>> am, bm;
       a.metrics.for_each([&](const char* name, const RunningStats& s) {
         am.emplace_back(name, &s);
@@ -262,12 +263,6 @@ TEST(Plan, RunPlanIsBitIdenticalForAnyThreadCount) {
       });
       ASSERT_EQ(am.size(), bm.size());
       for (std::size_t m = 0; m < am.size(); ++m) {
-        if constexpr (!telemetry::kEnabled) {
-          // Only OFF builds still carry runtime_s (measured wall clock)
-          // inside the sim-plane list; telemetry builds moved it to the
-          // wall section, so every visited metric is exemption-free.
-          if (am[m].first == "runtime_s") continue;
-        }
         EXPECT_EQ(am[m].second->mean(), bm[m].second->mean())
             << a.label << " " << am[m].first;
         EXPECT_EQ(am[m].second->stddev(), bm[m].second->stddev())
@@ -277,10 +272,8 @@ TEST(Plan, RunPlanIsBitIdenticalForAnyThreadCount) {
       // Sim-plane counters are part of the same contract: exact integer
       // equality across thread counts, and actually populated.
       EXPECT_EQ(a.counters, b.counters) << a.label;
-      if constexpr (telemetry::kEnabled) {
-        EXPECT_GT(a.counters.value(telemetry::Counter::kRouteWalks), 0u);
-        EXPECT_GT(a.counters.value(telemetry::Counter::kDebits), 0u);
-      }
+      EXPECT_GT(a.counters.value(telemetry::Counter::kRouteWalks), 0u);
+      EXPECT_GT(a.counters.value(telemetry::Counter::kDebits), 0u);
     }
   }
   // Each seed is a different run, so the fold has spread to report.
@@ -400,9 +393,6 @@ TEST(Plan, RunPlanIsBitIdenticalForAnyThreadCountWithDemandProcesses) {
     });
     ASSERT_EQ(am.size(), bm.size());
     for (std::size_t m = 0; m < am.size(); ++m) {
-      if constexpr (!telemetry::kEnabled) {
-        if (am[m].first == "runtime_s") continue;  // OFF builds only
-      }
       EXPECT_EQ(am[m].second->mean(), bm[m].second->mean())
           << a.label << " " << am[m].first;
       EXPECT_EQ(am[m].second->stddev(), bm[m].second->stddev())

@@ -65,29 +65,21 @@ TEST(JsonSink, EmitsRunV1SchemaThatParsesBack) {
       EXPECT_TRUE(metrics.at(name).has("min"));
       EXPECT_TRUE(metrics.at(name).has("max"));
     }
-    if constexpr (telemetry::kEnabled) {
-      // Wall plane in its own section; runtime_s no longer pollutes the
-      // sim-plane metrics object.
-      EXPECT_FALSE(metrics.has("runtime_s"));
-      ASSERT_TRUE(run.has("wall"));
-      EXPECT_TRUE(run.at("wall").at("runtime_s").has("mean"));
-      // Sim-plane counters: integer totals, present for every counter.
-      ASSERT_TRUE(run.has("counters"));
-      const JsonValue& counters = run.at("counters");
-      telemetry::CounterBlock{}.for_each(
-          [&](std::string_view name, std::uint64_t) {
-            EXPECT_TRUE(counters.has(std::string(name).c_str()))
-                << std::string(name);
-          });
-      EXPECT_GT(counters.at("chunks_delivered").number, 0.0);
-      EXPECT_GT(counters.at("debits").number, 0.0);
-    } else {
-      // OFF builds keep the pre-telemetry schema byte-for-byte:
-      // runtime_s in metrics, no counters/wall sections.
-      EXPECT_TRUE(metrics.has("runtime_s"));
-      EXPECT_FALSE(run.has("counters"));
-      EXPECT_FALSE(run.has("wall"));
-    }
+    // Wall plane in its own section; runtime_s no longer pollutes the
+    // sim-plane metrics object.
+    EXPECT_FALSE(metrics.has("runtime_s"));
+    ASSERT_TRUE(run.has("wall"));
+    EXPECT_TRUE(run.at("wall").at("runtime_s").has("mean"));
+    // Sim-plane counters: integer totals, present for every counter.
+    ASSERT_TRUE(run.has("counters"));
+    const JsonValue& counters = run.at("counters");
+    telemetry::CounterBlock{}.for_each(
+        [&](std::string_view name, std::uint64_t) {
+          EXPECT_TRUE(counters.has(std::string(name).c_str()))
+              << std::string(name);
+        });
+    EXPECT_GT(counters.at("chunks_delivered").number, 0.0);
+    EXPECT_GT(counters.at("debits").number, 0.0);
     // A 64-node run always delivers something: the sink carried real data.
     EXPECT_GT(run.at("metrics").at("delivered").at("mean").number, 0.0);
   }
@@ -107,17 +99,13 @@ TEST(CsvSink, StreamsHeaderAxesAndOneRowPerRun) {
                          0),
             0u)
       << header;
-  if constexpr (telemetry::kEnabled) {
-    // Counter columns (exact integers, no _mean/_sd suffix) come after
-    // the sim-plane metrics; the wall-plane runtime_s_mean column last.
-    const std::size_t counters_at = header.find(",route_walks,");
-    const std::size_t wall_at = header.find(",runtime_s_mean,");
-    EXPECT_NE(counters_at, std::string::npos) << header;
-    EXPECT_NE(wall_at, std::string::npos) << header;
-    EXPECT_GT(wall_at, counters_at);
-  } else {
-    EXPECT_EQ(header.find("route_walks"), std::string::npos);
-  }
+  // Counter columns (exact integers, no _mean/_sd suffix) come after
+  // the sim-plane metrics; the wall-plane runtime_s_mean column last.
+  const std::size_t counters_at = header.find(",route_walks,");
+  const std::size_t wall_at = header.find(",runtime_s_mean,");
+  EXPECT_NE(counters_at, std::string::npos) << header;
+  EXPECT_NE(wall_at, std::string::npos) << header;
+  EXPECT_GT(wall_at, counters_at);
   std::size_t rows = 0;
   std::string line;
   while (std::getline(in, line)) {

@@ -211,7 +211,6 @@ struct CaptureSink final : harness::MetricSink {
 
   void record(const harness::RunRecord& run) override {
     run.metrics.for_each([&](const char* name, const RunningStats& s) {
-      if (std::string(name) == "runtime_s") return;  // wall clock, not folded
       rows.emplace_back(run.label, name, s.mean(), s.stddev());
     });
   }
