@@ -206,14 +206,36 @@ class Parser {
     return fail("unterminated string");
   }
 
+  /// Consumes a run of decimal digits; false when there is none.
+  bool digits() {
+    const std::size_t start = at_;
+    while (at_ < text_.size() &&
+           std::isdigit(static_cast<unsigned char>(text_[at_]))) {
+      ++at_;
+    }
+    return at_ > start;
+  }
+
+  /// RFC 8259 grammar, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?,
+  /// checked while scanning: from_chars alone would also take a leading
+  /// zero (0141), a bare point (.5) or a trailing one (1.).
   bool number(JsonValue& out) {
     const std::size_t start = at_;
     if (peek('-')) ++at_;
-    while (at_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[at_])) ||
-            text_[at_] == '.' || text_[at_] == 'e' || text_[at_] == 'E' ||
-            text_[at_] == '+' || text_[at_] == '-')) {
+    if (peek('0')) {
       ++at_;
+      if (digits()) return fail("bad number");  // a leading zero
+    } else if (!digits()) {
+      return fail("bad number");
+    }
+    if (peek('.')) {
+      ++at_;
+      if (!digits()) return fail("bad number");
+    }
+    if (peek('e') || peek('E')) {
+      ++at_;
+      if (peek('+') || peek('-')) ++at_;
+      if (!digits()) return fail("bad number");
     }
     double v = 0.0;
     const auto [ptr, ec] =

@@ -44,6 +44,12 @@ TEST(JsonParse, RoundTripsWriterOutput) {
   json.element(1.0);
   json.element(2.0);
   json.close_list();
+  // Exponent forms the stream writes ("1e-07", "-2.5e+20") are RFC 8259
+  // numbers too.
+  json.open_list("exp");
+  json.element(1e-7);
+  json.element(-2.5e20);
+  json.close_list();
   json.close();
 
   JsonValue parsed;
@@ -54,6 +60,9 @@ TEST(JsonParse, RoundTripsWriterOutput) {
   EXPECT_FALSE(parsed.at("flag").boolean);
   ASSERT_EQ(parsed.at("seq").array.size(), 2u);
   EXPECT_DOUBLE_EQ(parsed.at("seq").array[1].number, 2.0);
+  ASSERT_EQ(parsed.at("exp").array.size(), 2u);
+  EXPECT_DOUBLE_EQ(parsed.at("exp").array[0].number, 1e-7);
+  EXPECT_DOUBLE_EQ(parsed.at("exp").array[1].number, -2.5e20);
 }
 
 TEST(JsonParse, AcceptsScalarsAndRejectsGarbage) {
@@ -62,6 +71,10 @@ TEST(JsonParse, AcceptsScalarsAndRejectsGarbage) {
   EXPECT_DOUBLE_EQ(v.number, 42.0);
   EXPECT_TRUE(parse_json("-1.5e3", v));
   EXPECT_DOUBLE_EQ(v.number, -1500.0);
+  EXPECT_TRUE(parse_json("-0", v));
+  EXPECT_EQ(v.number, 0.0);
+  EXPECT_TRUE(parse_json("1E+05", v));
+  EXPECT_DOUBLE_EQ(v.number, 100000.0);
   EXPECT_TRUE(parse_json("null", v));
   EXPECT_EQ(v.kind, JsonValue::Kind::kNull);
   EXPECT_TRUE(parse_json("  [1, 2]  ", v));
@@ -74,6 +87,11 @@ TEST(JsonParse, AcceptsScalarsAndRejectsGarbage) {
   EXPECT_FALSE(parse_json("{'single': 1}", v, &error));
   EXPECT_FALSE(parse_json("\"unterminated", v, &error));
   EXPECT_FALSE(parse_json("truish", v, &error));
+  // RFC 8259 numbers: no leading zero, and digits on both sides of a
+  // decimal point.
+  for (const char* bad : {"0141", "00.141", ".141", "1.", "-01"}) {
+    EXPECT_FALSE(parse_json(bad, v, &error)) << bad;
+  }
 }
 
 TEST(JsonParse, DeepNestingIsAnErrorNotACrash) {

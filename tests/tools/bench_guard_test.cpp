@@ -176,7 +176,7 @@ TEST(BenchGuard, MalformedNumberIsAHardError) {
   // Each reads as the in-band 0.141 to a reader that takes the longest
   // prefix strtod accepts.
   const std::string base = fixture("baseline.json");
-  for (const char* bad : {"0.141.9.9", "0.141-5", "0.141e"}) {
+  for (const char* bad : {"0.141.9.9", "0.141-5", "0.141e", "00.141", ".141"}) {
     std::string fresh = base;
     fresh.replace(fresh.find("0.141"), 5, bad);
     EXPECT_FALSE(compare(base, fresh, Options{}).error.empty()) << bad;
