@@ -47,14 +47,9 @@ void CsvSink::begin(const PlanSummary& plan) {
     header.push_back(std::string(name) + "_mean");
     header.push_back(std::string(name) + "_sd");
   });
-  // Counter columns are exact integer sums over seeds (no mean/sd), then
-  // the wall-plane section last — the sim-plane prefix stays stable.
+  // Counter columns are exact integer sums over seeds (no mean/sd).
   telemetry::CounterBlock{}.for_each([&](std::string_view name, std::uint64_t) {
     header.emplace_back(name);
-  });
-  MetricStats{}.for_each_wall([&](const char* name, const RunningStats&) {
-    header.push_back(std::string(name) + "_mean");
-    header.push_back(std::string(name) + "_sd");
   });
   writer_.row(header);
 }
@@ -72,10 +67,6 @@ void CsvSink::record(const RunRecord& run) {
   });
   run.counters.for_each([&](std::string_view, std::uint64_t value) {
     row.push_back(std::to_string(value));
-  });
-  run.metrics.for_each_wall([&](const char*, const RunningStats& stats) {
-    row.push_back(std::to_string(stats.mean()));
-    row.push_back(std::to_string(stats.stddev()));
   });
   writer_.row(row);
 }
@@ -131,16 +122,14 @@ void JsonSink::record(const RunRecord& run) {
     json_.field(std::string(name).c_str(), value);
   });
   json_.close();
+  const RunningStats& runtime = run.metrics.runtime_s;
   json_.open("wall");
-  run.metrics.for_each_wall([&](const char* name,
-                                const RunningStats& stats) {
-    json_.open(name);
-    json_.field("mean", stats.mean());
-    json_.field("stddev", stats.stddev());
-    json_.field("min", stats.min());
-    json_.field("max", stats.max());
-    json_.close();
-  });
+  json_.open("runtime_s");
+  json_.field("mean", runtime.mean());
+  json_.field("stddev", runtime.stddev());
+  json_.field("min", runtime.min());
+  json_.field("max", runtime.max());
+  json_.close();
   json_.close();
   json_.close();
 }

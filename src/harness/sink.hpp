@@ -55,8 +55,9 @@ struct MetricStats {
   RunningStats fct_mean;
   RunningStats flows_timed_out;
   RunningStats saturated_links;
-  /// WALL PLANE — the one timing metric, emitted through for_each_wall
-  /// (a separate schema section excluded from the bit-identity contract).
+  /// WALL PLANE — the one timing metric. Only the JSON sink emits it, in
+  /// a `wall` section of its own that is excluded from the bit-identity
+  /// contract; for_each never visits it.
   RunningStats runtime_s;
   // Streaming-sketch percentiles (common/stream_stats); hops_* are 0
   // unless stream_metrics= is on.
@@ -100,14 +101,6 @@ struct MetricStats {
     fn("income_p99", income_p99);
     fn("final_prevalence", final_prevalence);
     fn("converged_epoch", converged_epoch);
-  }
-
-  /// Visits the WALL-PLANE metrics — excluded from every bit-identity
-  /// check; the sinks emit them in a section of their own so consumers
-  /// can tell the planes apart.
-  template <typename Fn>
-  void for_each_wall(Fn&& fn) const {
-    fn("runtime_s", runtime_s);
   }
 };
 
@@ -161,9 +154,10 @@ class TableSink final : public MetricSink {
   std::optional<TextTable> table_;
 };
 
-/// Streams one CSV row per run: label, axis values, seed count, then
-/// mean/sd for every metric. Header goes out at begin(), rows as runs
-/// complete — nothing is buffered.
+/// Streams one CSV row per run: label, axis values, seed count, mean/sd
+/// for every sim-plane metric, then the counter totals. The wall plane
+/// stays out, so the file is bit-identical for any threads=. Header goes
+/// out at begin(), rows as runs complete — nothing is buffered.
 class CsvSink final : public MetricSink {
  public:
   explicit CsvSink(std::ostream& out) : writer_(out) {}
