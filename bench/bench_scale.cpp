@@ -27,23 +27,23 @@
 // stream (chunks-per-request percentiles, occupied bins — the memory
 // bound — and the sketch fingerprint).
 //
-// Part 5 — scale scenarios: nodes (default 10'000) on a bits (default 20)
-// -bit address space across k in {4, 20}, each cell a single-run
-// harness::run_plan over the seeds; prints fairness aggregates with error
-// bars plus the route accounting (delivered / failed / truncated). Each cell
-// additionally runs single-seed through the simulation and through the
-// ReferenceRun test oracle (greedy walk, edge-less routes accounted by
-// slot scans) and cross-checks every counter and ledger observable at
-// scale.
+// Part 5 — scale cells: nodes (default 10'000) on a bits (default 20)
+// -bit address space across k in {4, 20}. Each cell builds its topology
+// once, reports the compiled router's memory, runs single-seed through the
+// simulation and through the ReferenceRun test oracle (greedy walk,
+// edge-less routes accounted by slot scans), cross-checks every counter
+// and ledger observable at scale, and prints the simulation's route
+// accounting (delivered / failed / truncated). Fairness at scale, with
+// error bars over seeds, is a sweep:
+// `fairswap_run sweep nodes=N bits=B k=4,20 files=F seeds=S`.
 //
 // Outputs: scale_routing.csv, scale_totals.csv, and the machine-readable
 // BENCH_scale.json (schema fairswap.bench_scale.v1 — routing + ledger +
 // workload throughput, equivalence verdicts, memory) that CI uploads as
 // the repo's bench trajectory artifact.
 //
-// Overrides: nodes=<n> bits=<n> files=<n> seeds=<count> threads=<max>
-//            routes=<n> flow_files=<n> workload_requests=<n> seed=<n>
-//            out=<dir>
+// Overrides: nodes=<n> bits=<n> files=<n> routes=<n> flow_files=<n>
+//            workload_requests=<n> seed=<n> out=<dir>
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -52,7 +52,6 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "accounting/ledger.hpp"
@@ -67,7 +66,6 @@
 #include "core/scenarios.hpp"
 #include "core/simulation.hpp"
 #include "harness/binding.hpp"
-#include "harness/plan.hpp"
 #include "oracles/forwarding_router.hpp"
 #include "oracles/reference_run.hpp"
 #include "oracles/swap_network.hpp"
@@ -621,17 +619,12 @@ WorkloadBenchResult workload_bench(std::size_t requests, std::uint64_t seed) {
 
 int main(int argc, char** argv) try {
   using namespace fairswap;
-  // A 10k-node multi-seed run multiplies cost; default files down.
   const auto args = BenchArgs::parse(
       argc, argv, 1'000,
-      {"nodes", "bits", "seeds", "threads", "routes", "flow_files",
-       "workload_requests"});
+      {"nodes", "bits", "routes", "flow_files", "workload_requests"});
   const std::size_t nodes = args.cfg.get_u64("nodes", 10'000);
   const std::uint64_t bits = args.cfg.get_u64("bits", 20, /*min=*/1);
   if (bits > 30) throw std::invalid_argument("bits: must be in [1, 30]");
-  const std::size_t seed_count = args.cfg.get_u64("seeds", 3, /*min=*/1);
-  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t threads = args.cfg.get_u64("threads", hw);
   const std::size_t route_count =
       args.cfg.get_u64("routes", 200'000, /*min=*/1);
   const std::size_t flow_files = args.cfg.get_u64("flow_files", 100, /*min=*/1);
@@ -741,54 +734,27 @@ int main(int argc, char** argv) try {
        wl.default_identical ? "yes" : "NO"});
   std::printf("%s", workload_table.render().c_str());
 
-  // --- Part 5: scale scenarios, each a multi-seed run_plan. ---
-  banner("Scale scenarios (" + std::to_string(nodes) + " nodes, " +
-         std::to_string(bits) + "-bit space, " +
-         std::to_string(seed_count) + " seeds x " +
-         std::to_string(args.files) + " files, " +
-         std::to_string(threads) + " threads)");
-  TextTable table({"scenario", "Gini F2 (income)", "Gini F1", "routing success",
-                   "avg forwarded", "wall clock (s)"});
+  // --- Part 5: scale cells, one topology build each. ---
+  banner("Simulation vs reference run at scale (single seed per cell)");
   TextTable cell_ledger_table({"scenario", "simulation wall (s)",
                                "reference wall (s)", "speedup", "ledger MiB",
                                "bit-identical"});
   std::vector<core::ExperimentResult> singles;
   struct CellRow {
     std::string label;
-    harness::MetricStats agg;
     std::size_t router_bytes{0};
-    double wall_s{0};
     CellReferenceCheck ledger;
   };
   std::vector<CellRow> cell_rows;
   for (const auto& cfg : scale_cells) {
-    std::printf("running %s (%zu seeds)...\n", cfg.label.c_str(), seed_count);
+    std::printf("running %s...\n", cfg.label.c_str());
     std::fflush(stdout);
     const auto topo = core::build_topology(cfg);
     std::printf("  compiled routing memory: %.1f MiB\n",
                 static_cast<double>(topo.compiled().memory_bytes()) /
                     (1024.0 * 1024.0));
     std::fflush(stdout);
-    const auto start = std::chrono::steady_clock::now();
-    harness::ExperimentPlan plan;
-    plan.base = cfg;
-    plan.seeds = seed_count;
-    plan.threads = threads;
-    harness::CaptureSink sink;
-    harness::MetricSink* sinks[] = {&sink};
-    std::string error;
-    if (!harness::run_plan(plan, sinks, error)) {
-      throw std::invalid_argument(error);
-    }
-    const harness::MetricStats& agg = sink.records.front().metrics;
-    const double elapsed = seconds_since(start);
-    table.add_row({cfg.label, mean_pm_std(agg.gini_f2),
-                   mean_pm_std(agg.gini_f1),
-                   mean_pm_std(agg.routing_success),
-                   mean_pm_std(agg.avg_forwarded, 0),
-                   TextTable::num(elapsed, 1)});
-    // Single-seed simulation-vs-reference differential at full scale; the
-    // simulation's run doubles as the representative single for the
+    // The simulation's run doubles as the representative single for the
     // route-accounting CSV.
     const auto check = scale_reference_check(cfg, topo);
     singles.push_back(check.edge_result);
@@ -800,11 +766,8 @@ int main(int argc, char** argv) try {
          TextTable::num(
              static_cast<double>(check.edge_bytes) / (1024.0 * 1024.0), 1),
          check.identical ? "yes" : "NO"});
-    cell_rows.push_back(
-        {cfg.label, agg, topo.compiled().memory_bytes(), elapsed, check});
+    cell_rows.push_back({cfg.label, topo.compiled().memory_bytes(), check});
   }
-  std::printf("%s", table.render().c_str());
-  banner("Simulation vs reference run at scale (single seed per cell)");
   std::printf("%s", cell_ledger_table.render().c_str());
   for (const auto& r : singles) {
     std::printf("%s", core::summarize_result(r).c_str());
@@ -821,8 +784,6 @@ int main(int argc, char** argv) try {
   json.field("nodes", nodes);
   json.field("bits", bits);
   json.field("files", static_cast<std::uint64_t>(args.files));
-  json.field("seeds", seed_count);
-  json.field("threads", threads);
   json.field("routes", route_count);
   json.field("workload_requests", workload_requests);
   json.field("seed", args.seed);
@@ -890,12 +851,6 @@ int main(int argc, char** argv) try {
   for (const auto& c : cell_rows) {
     json.open();
     json.field("label", c.label);
-    json.field("gini_f2_mean", c.agg.gini_f2.mean());
-    json.field("gini_f2_std", c.agg.gini_f2.stddev());
-    json.field("gini_f1_mean", c.agg.gini_f1.mean());
-    json.field("routing_success_mean", c.agg.routing_success.mean());
-    json.field("avg_forwarded_mean", c.agg.avg_forwarded.mean());
-    json.field("wall_clock_s", c.wall_s);
     json.field("compiled_router_bytes", c.router_bytes);
     json.open("ledger");
     json.field("edge_wall_s", c.ledger.edge_wall_s);

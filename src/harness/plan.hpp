@@ -15,8 +15,8 @@
 //
 // Execution semantics:
 //  * Each run executes once per seed {base.seed, ..., base.seed+seeds-1}.
-//    This is the program's one multi-seed fold: the variance scenario and
-//    bench_scale run single-run plans through it.
+//    This is the program's one multi-seed fold: the variance scenario
+//    runs single-run plans through it.
 //  * (topology-group x seed) cells fan out across the TaskPool; per-run
 //    statistics are folded in seed order on the calling thread afterwards,
 //    so the records are bit-identical for any thread count — every metric
