@@ -146,15 +146,6 @@ BindingTable::BindingTable() {
         return std::to_string(c.topology.buckets.k_bucket0);
       });
 
-  add("neighborhood_connect", "also connect full Swarm neighborhoods",
-      +[](Cfg& c, const std::string& v) {
-        return set_bool(c.topology.neighborhood_connect,
-                        "neighborhood_connect", v);
-      },
-      +[](const Cfg& c) {
-        return std::string(c.topology.neighborhood_connect ? "true" : "false");
-      });
-
   add("files", "file transfers to simulate",
       +[](Cfg& c, const std::string& v) -> std::string {
         const auto p = parse_u64(v);

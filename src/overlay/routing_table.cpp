@@ -118,20 +118,6 @@ std::optional<Address> RoutingTable::next_hop_naive(
   return best;
 }
 
-int RoutingTable::neighborhood_depth(std::size_t min_peers) const noexcept {
-  // Walk from the deepest bucket upward; the neighborhood starts at the
-  // shallowest depth d where the union of buckets >= d still has fewer
-  // than min_peers peers... Swarm's definition: the deepest proximity
-  // order at which the node can still connect to at least `min_peers`
-  // peers at-or-deeper. Compute cumulative sizes from deep to shallow.
-  std::size_t cumulative = 0;
-  for (int b = bucket_count() - 1; b >= 0; --b) {
-    cumulative += buckets_[static_cast<std::size_t>(b)].size();
-    if (cumulative >= min_peers) return b;
-  }
-  return 0;
-}
-
 std::vector<Address> RoutingTable::all_peers() const {
   std::vector<Address> out;
   out.reserve(size());

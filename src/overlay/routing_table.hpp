@@ -89,13 +89,6 @@ class RoutingTable {
   [[nodiscard]] std::optional<Address> next_hop_naive(
       Address target) const noexcept;
 
-  /// The neighborhood depth: the shallowest bucket index d such that all
-  /// buckets deeper than d hold fewer than `min_peers` peers. Swarm defines
-  /// the neighborhood as "the proximity at which the node cannot connect
-  /// to at least four other nodes" (paper §III-A).
-  [[nodiscard]] int neighborhood_depth(
-      std::size_t min_peers = 4) const noexcept;
-
   /// All peers across all buckets (bucket order; used for audits/metrics).
   [[nodiscard]] std::vector<Address> all_peers() const;
 

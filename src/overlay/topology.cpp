@@ -116,21 +116,6 @@ Topology Topology::build(const TopologyConfig& config, Rng& rng) {
       }
     }
 
-    if (config.neighborhood_connect) {
-      const int depth = table.neighborhood_depth(config.neighborhood_min_peers);
-      for (NodeIndex j = 0; j < topo.addresses_.size(); ++j) {
-        if (j == i) continue;
-        const Address other = topo.addresses_[j];
-        if (space.proximity(self, other) >= depth && !table.contains(other)) {
-          // Neighborhood peers bypass the bucket capacity: real Swarm keeps
-          // full connectivity within the neighborhood.
-          // Rebuild with a widened bucket is overkill; instead we rely on
-          // try_add and accept capacity-full rejections outside depth.
-          table.try_add(other);
-        }
-      }
-    }
-
     topo.tables_.push_back(std::move(table));
   }
 

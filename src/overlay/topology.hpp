@@ -68,12 +68,6 @@ struct TopologyConfig {
   std::size_t node_count{1000};
   int address_bits{16};
   BucketPolicy buckets{};
-  /// If true, additionally connect each node to *all* nodes within its
-  /// neighborhood depth, as real Swarm does. The paper's simulation does
-  /// not; default off.
-  bool neighborhood_connect{false};
-  /// Minimum peers defining the neighborhood depth (Swarm uses 4).
-  std::size_t neighborhood_min_peers{4};
 
   /// Equal configs build equal topologies from equal seeds — what lets the
   /// experiment harness share one built topology across a sweep group.

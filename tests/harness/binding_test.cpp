@@ -29,9 +29,6 @@ TEST(Binding, EveryKeySetsTheFieldItNames) {
   EXPECT_EQ(table().apply(cfg, "k_bucket0", "32"), "");
   EXPECT_EQ(cfg.topology.buckets.k_bucket0, 32u);
 
-  EXPECT_EQ(table().apply(cfg, "neighborhood_connect", "true"), "");
-  EXPECT_TRUE(cfg.topology.neighborhood_connect);
-
   EXPECT_EQ(table().apply(cfg, "files", "123"), "");
   EXPECT_EQ(cfg.files, 123u);
 
@@ -127,7 +124,6 @@ TEST(Binding, TestCoversEveryRegisteredKey) {
   mutated.topology.address_bits = 14;
   mutated.topology.buckets.k = 7;
   mutated.topology.buckets.k_bucket0 = 9;
-  mutated.topology.neighborhood_connect = true;
   mutated.files = 17;
   mutated.seed = 31337;
   mutated.lorenz_points = 5;

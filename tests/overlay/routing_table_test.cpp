@@ -113,18 +113,6 @@ TEST(RoutingTable, NextHopFindsCloserPeerInDeeperBucket) {
   EXPECT_EQ(*hop, (Address{65}));
 }
 
-TEST(RoutingTable, NeighborhoodDepthCumulativeFromDeepest) {
-  auto t = make_table(8, 0, 8);
-  // Two peers in bucket 7 (addr 1), bucket 6 (addr 2,3).
-  t.try_add(Address{1});
-  t.try_add(Address{2});
-  t.try_add(Address{3});
-  // Cumulative from deepest: bucket7=1, +bucket6=3 -> first depth with
-  // >= 2 peers is 6; with >= 4 peers nothing qualifies -> 0.
-  EXPECT_EQ(t.neighborhood_depth(2), 6);
-  EXPECT_EQ(t.neighborhood_depth(4), 0);
-}
-
 TEST(RoutingTable, RenderMentionsSelfAndBuckets) {
   auto t = make_table(8, 91, 4);
   t.try_add(Address{245});

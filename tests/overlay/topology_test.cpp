@@ -168,19 +168,6 @@ TEST(Topology, FullSpaceOccupancyWorks) {
   EXPECT_EQ(topo.node_count(), 256u);
 }
 
-TEST(Topology, NeighborhoodConnectAddsNeighbors) {
-  TopologyConfig base;
-  base.node_count = 120;
-  base.address_bits = 12;
-  base.buckets.k = 2;
-  Rng r1(4);
-  const auto plain = Topology::build(base, r1);
-  base.neighborhood_connect = true;
-  Rng r2(4);
-  const auto connected = Topology::build(base, r2);
-  EXPECT_GE(connected.edge_count(), plain.edge_count());
-}
-
 TEST(ClosestNodeIndexTest, SingleNodeAlwaysWins) {
   const AddressSpace space(8);
   const std::vector<Address> nodes{Address{77}};
