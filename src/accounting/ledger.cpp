@@ -9,46 +9,17 @@ namespace fairswap::accounting {
 Ledger::Ledger(const overlay::CompiledRouter& router, SwapConfig config)
     : router_(&router),
       config_(config),
+      edge_slot_(router.edge_pairs().data()),
+      pair_lo_(router.pair_lo().data()),
+      pair_hi_(router.pair_hi().data()),
+      pair_balance_(router.pair_count(), Token(0)),
+      pair_active_pos_(router.pair_count(), kInactive),
       income_(router.node_count()),
       spent_(router.node_count()) {
   if (config.disconnect_threshold < config.payment_threshold) {
     throw std::invalid_argument(
         "Ledger: disconnect_threshold must be >= payment_threshold");
   }
-
-  // Group every directed edge under its unordered pair's lower endpoint,
-  // then number pairs densely in (lo, hi) order. Sorting per lo-bucket
-  // replaces any hash-keyed dedup: deterministic slot ids, no packed keys.
-  struct HalfEdge {
-    NodeIndex hi;
-    EdgeId edge;
-  };
-  const auto node_count = static_cast<NodeIndex>(router.node_count());
-  std::vector<std::vector<HalfEdge>> by_lo(node_count);
-  edge_slot_.assign(router.edge_count(), kNoSlot);
-  for (NodeIndex u = 0; u < node_count; ++u) {
-    const auto [begin, end] = router.node_edge_range(u);
-    for (EdgeId e = begin; e < end; ++e) {
-      const NodeIndex v = router.edge_target(e);
-      if (v == overlay::CompiledRouter::kForeignPeer || v == u) continue;
-      by_lo[u < v ? u : v].push_back({u < v ? v : u, e});
-    }
-  }
-  for (NodeIndex lo = 0; lo < node_count; ++lo) {
-    auto& half = by_lo[lo];
-    std::sort(half.begin(), half.end(),
-              [](const HalfEdge& a, const HalfEdge& b) { return a.hi < b.hi; });
-    for (std::size_t i = 0; i < half.size(); ++i) {
-      if (i == 0 || half[i].hi != half[i - 1].hi) {
-        pair_lo_.push_back(lo);
-        pair_hi_.push_back(half[i].hi);
-      }
-      edge_slot_[half[i].edge] =
-          static_cast<std::uint32_t>(pair_lo_.size() - 1);
-    }
-  }
-  pair_balance_.assign(pair_lo_.size(), Token(0));
-  pair_active_pos_.assign(pair_lo_.size(), kInactive);
 }
 
 std::uint32_t Ledger::slot_of(NodeIndex a, NodeIndex b) const noexcept {
@@ -188,10 +159,7 @@ void Ledger::for_each_pair(
 }
 
 std::size_t Ledger::memory_bytes() const noexcept {
-  return edge_slot_.size() * sizeof(std::uint32_t) +
-         pair_lo_.size() * sizeof(NodeIndex) +
-         pair_hi_.size() * sizeof(NodeIndex) +
-         pair_balance_.size() * sizeof(Token) +
+  return pair_balance_.size() * sizeof(Token) +
          pair_active_pos_.size() * sizeof(std::uint32_t) +
          active_.capacity() * sizeof(std::uint32_t) +
          income_.size() * sizeof(Token) + spent_.size() * sizeof(Token);

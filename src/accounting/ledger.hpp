@@ -6,12 +6,14 @@
 // directed routing-table edge. So instead of hashing a packed (lo, hi)
 // node-pair key per hop, this ledger:
 //
-//  * allocates one balance slot per *unordered* connected pair, numbered
-//    densely in (lo, hi) order at construction;
-//  * maps every directed arena edge to its pair slot in a flat
-//    `edge_slot_` array, so a debit resolves its slot with a single
-//    indexed load from the edge id the router produced anyway
-//    (CompiledRouter::next_hop_edge — the id is a byproduct of the argmin);
+//  * allocates one balance slot per *unordered* connected pair, in the
+//    router's pair numbering: dense, in (lo, hi) order, computed once per
+//    router (CompiledRouter::edge_pairs) and shared by every ledger over
+//    it, so constructing a ledger sorts and groups nothing;
+//  * reads the router's directed edge -> pair map in place, so a debit
+//    resolves its slot with a single indexed load from the edge id the
+//    router produced anyway (CompiledRouter::next_hop_edge — the id is a
+//    byproduct of the argmin);
 //  * keeps the slots with a nonzero balance on an intrusive active list
 //    (each slot stores its own position, giving O(1) insert/remove via
 //    swap-with-last), so amortize_tick, outstanding_debt, for_each_pair
@@ -169,17 +171,19 @@ class Ledger {
 
   /// Total connected unordered pairs (== allocated balance slots).
   [[nodiscard]] std::size_t pair_count() const noexcept {
-    return pair_lo_.size();
+    return pair_balance_.size();
   }
 
-  /// Bytes held by the arena arrays (edge->slot map, balance slots,
-  /// active list, income/spent), reported by bench_scale and perfbench.
-  /// Settlements add nothing: the log is a fixed-size count and digest.
+  /// Bytes held by the per-run arrays (balance slots, active list,
+  /// income/spent), reported by bench_scale and perfbench. The edge->slot
+  /// map and each slot's (lo, hi) belong to the router and count in
+  /// CompiledRouter::memory_bytes(). Settlements add nothing: the log is a
+  /// fixed-size count and digest.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
  private:
   /// Slot sentinel for edges with no pair (foreign targets).
-  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kNoSlot = overlay::CompiledRouter::kNoPair;
   /// active_pos_ sentinel: slot not on the active list (balance is zero).
   static constexpr std::uint32_t kInactive = 0xFFFFFFFFu;
 
@@ -208,13 +212,14 @@ class Ledger {
   const overlay::CompiledRouter* router_;
   SwapConfig config_;
 
-  /// Directed arena edge -> balance slot of its unordered pair (kNoSlot
-  /// for foreign-target edges). Indexed by CompiledRouter edge ids.
-  std::vector<std::uint32_t> edge_slot_;
-  /// Balance slots, parallel arrays in (lo, hi) order. pair_balance_ is
-  /// from the lower-indexed node's perspective: positive = hi owes lo.
-  std::vector<NodeIndex> pair_lo_;
-  std::vector<NodeIndex> pair_hi_;
+  /// The router's pair numbering, read in place: directed arena edge ->
+  /// balance slot of its unordered pair (kNoSlot for foreign-target
+  /// edges), and each slot's (lo, hi).
+  const std::uint32_t* edge_slot_;
+  const NodeIndex* pair_lo_;
+  const NodeIndex* pair_hi_;
+  /// Balance slots in (lo, hi) order, from the lower-indexed node's
+  /// perspective: positive = hi owes lo.
   std::vector<Token> pair_balance_;
   /// Intrusive active-list position per slot (kInactive when zero).
   std::vector<std::uint32_t> pair_active_pos_;

@@ -1,19 +1,23 @@
 #include "agents/dynamics.hpp"
 
+#include "overlay/compiled_router.hpp"
+
 namespace fairswap::agents {
 
 NeighborLists neighbor_lists(const overlay::Topology& topo) {
+  // The arena's slab of a node holds its table peers in bucket order,
+  // already resolved to NodeIndex.
+  const overlay::CompiledRouter& router = topo.compiled();
   NeighborLists lists(topo.node_count());
   for (NodeIndex n = 0; n < topo.node_count(); ++n) {
-    const auto& table = topo.table(n);
-    lists[n].reserve(table.size());
-    for (int b = 0; b < table.bucket_count(); ++b) {
-      for (const Address peer : table.bucket(b)) {
-        // Foreign entries (stale / injected addresses nobody owns) have
-        // no utility to imitate; drop them here once instead of per epoch.
-        if (const auto idx = topo.index_of(peer)) {
-          lists[n].push_back(*idx);
-        }
+    const auto [begin, end] = router.node_edge_range(n);
+    lists[n].reserve(end - begin);
+    for (overlay::EdgeId e = begin; e < end; ++e) {
+      // Foreign entries (stale / injected addresses nobody owns) have
+      // no utility to imitate; drop them here once instead of per epoch.
+      const NodeIndex peer = router.edge_target(e);
+      if (peer != overlay::CompiledRouter::kForeignPeer) {
+        lists[n].push_back(peer);
       }
     }
   }

@@ -3,7 +3,6 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 namespace fairswap {
@@ -68,15 +67,36 @@ std::size_t Rng::index(std::size_t n) noexcept {
 
 std::vector<std::size_t> Rng::sample_without_replacement(
     std::size_t n, std::size_t count) noexcept {
-  std::vector<std::size_t> idx(n);
-  std::iota(idx.begin(), idx.end(), std::size_t{0});
   const std::size_t take = count < n ? count : n;
+  std::vector<std::size_t> out(take);
+  if (take == 0) return out;
+  // Step i swaps positions i and j >= i of the virtual permutation and
+  // emits position i's new value; position i is never read again, so
+  // only j's new value is stored. At most `take` positions are ever
+  // displaced, so a linear-probing table of twice that never fills.
+  struct Slot {
+    std::size_t pos;
+    std::size_t value;
+  };
+  constexpr std::size_t kFree = ~std::size_t{0};
+  const std::size_t mask = std::bit_ceil(2 * take) - 1;
+  std::vector<Slot> displaced(mask + 1, Slot{kFree, 0});
+  const auto find = [&](std::size_t pos) -> Slot& {
+    std::size_t h = (pos * 0x9e3779b97f4a7c15ULL) & mask;
+    while (displaced[h].pos != kFree && displaced[h].pos != pos) {
+      h = (h + 1) & mask;
+    }
+    return displaced[h];
+  };
   for (std::size_t i = 0; i < take; ++i) {
     const std::size_t j = i + static_cast<std::size_t>(next_below(n - i));
-    std::swap(idx[i], idx[j]);
+    const Slot& at_i = find(i);
+    const std::size_t value_i = at_i.pos == kFree ? i : at_i.value;
+    Slot& at_j = find(j);
+    out[i] = at_j.pos == kFree ? j : at_j.value;
+    at_j = {j, value_i};
   }
-  idx.resize(take);
-  return idx;
+  return out;
 }
 
 Rng Rng::split(std::uint64_t stream) const noexcept {

@@ -79,8 +79,11 @@ class Rng {
   std::size_t index(std::size_t n) noexcept;
 
   /// Samples `count` distinct indices from [0, n) without replacement
-  /// (partial Fisher-Yates over an index vector). If count >= n, returns
-  /// all indices in shuffled order.
+  /// (partial Fisher-Yates). If count >= n, returns all indices in
+  /// shuffled order. The swaps run over the identity permutation of
+  /// [0, n) without materializing it: only the positions a swap displaced
+  /// are stored, so a call allocates O(count), not O(n), and returns the
+  /// indices the dense shuffle returns (tests/common/reference_sampling).
   std::vector<std::size_t> sample_without_replacement(
       std::size_t n, std::size_t count) noexcept;
 

@@ -12,6 +12,11 @@ CompiledRouter::CompiledRouter(const Topology& topo)
   node_addr_.reserve(node_count_);
   for (const Address a : topo.addresses()) node_addr_.push_back(a.v);
 
+  if (bits_ <= kDenseStorerBits) {
+    storer_.resize(std::size_t{1} << bits_);
+    closest_.fill_closest(storer_);
+  }
+
   const std::size_t cells = node_count_ * static_cast<std::size_t>(bits_);
   offsets_.assign(cells + 1, 0);
   peer_addr_.reserve(topo.edge_count());
@@ -26,9 +31,11 @@ CompiledRouter::CompiledRouter(const Topology& topo)
                                static_cast<std::size_t>(b);
       offsets_[cell] = static_cast<std::uint32_t>(peer_addr_.size());
       for (const Address peer : table.bucket(b)) {
+        // A member of the network is the storer of its own address.
+        const NodeIndex storer = storer_of(peer);
         peer_addr_.push_back(peer.v);
-        const auto idx = topo.index_of(peer);
-        peer_idx_.push_back(idx ? *idx : kForeignPeer);
+        peer_idx_.push_back(node_addr_[storer] == peer.v ? storer
+                                                         : kForeignPeer);
       }
     }
     max_slab = std::max(max_slab, peer_addr_.size() - slab_begin);
@@ -54,12 +61,80 @@ CompiledRouter::CompiledRouter(const Topology& topo)
     }
   }
 
-  if (bits_ <= kDenseStorerBits) {
-    const std::size_t span = std::size_t{1} << bits_;
-    storer_.resize(span);
-    for (std::size_t a = 0; a < span; ++a) {
-      storer_[a] = static_cast<NodeIndex>(
-          closest_.closest_index(Address{static_cast<AddressValue>(a)}));
+
+  number_pairs();
+}
+
+void CompiledRouter::number_pairs() {
+  // Pair (lo, hi) gets the number of pairs before it in (lo, hi) order:
+  // all pairs of lower lo, plus lo's distinct partners below hi. Visiting
+  // half-edges in ascending hi, each lo counts its partners as they come,
+  // so no pair list is sorted. The edges with hi at their source are in
+  // hi's own slab; those with hi at their target wait in one flat CSR of
+  // upward edges, grouped by target.
+  const auto n = static_cast<NodeIndex>(node_count_);
+  std::vector<std::uint32_t> up_begin(n + std::size_t{1}, 0);
+  for (NodeIndex u = 0; u < n; ++u) {
+    const auto [begin, end] = node_edge_range(u);
+    for (EdgeId e = begin; e < end; ++e) {
+      const NodeIndex v = peer_idx_[e];
+      if (v != kForeignPeer && u < v) ++up_begin[v + std::size_t{1}];
+    }
+  }
+  for (NodeIndex v = 0; v < n; ++v) up_begin[v + 1] += up_begin[v];
+  struct UpEdge {
+    NodeIndex lo;
+    EdgeId edge;
+  };
+  std::vector<UpEdge> up(up_begin[n]);
+  {
+    std::vector<std::uint32_t> next(up_begin.begin(), up_begin.end() - 1);
+    for (NodeIndex u = 0; u < n; ++u) {
+      const auto [begin, end] = node_edge_range(u);
+      for (EdgeId e = begin; e < end; ++e) {
+        const NodeIndex v = peer_idx_[e];
+        if (v != kForeignPeer && u < v) up[next[v]++] = {u, e};
+      }
+    }
+  }
+
+  // First pass: each edge gets its pair's rank among lo's partners.
+  constexpr NodeIndex kNoPartner = 0xFFFFFFFFu;
+  std::vector<NodeIndex> last_hi(n, kNoPartner);
+  std::vector<std::uint32_t> partners(n + std::size_t{1}, 0);
+  edge_pair_.assign(peer_idx_.size(), kNoPair);
+  const auto visit = [&](NodeIndex lo, NodeIndex hi, EdgeId e) {
+    if (last_hi[lo] != hi) {
+      last_hi[lo] = hi;
+      ++partners[lo + std::size_t{1}];
+    }
+    edge_pair_[e] = partners[lo + std::size_t{1}] - 1;
+  };
+  for (NodeIndex hi = 0; hi < n; ++hi) {
+    const auto [begin, end] = node_edge_range(hi);
+    for (EdgeId e = begin; e < end; ++e) {
+      const NodeIndex lo = peer_idx_[e];
+      if (lo != kForeignPeer && lo < hi) visit(lo, hi, e);
+    }
+    for (std::uint32_t i = up_begin[hi]; i < up_begin[hi + 1]; ++i) {
+      visit(up[i].lo, hi, up[i].edge);
+    }
+  }
+
+  // Second pass: offset each rank by the pairs of lower lo.
+  for (NodeIndex lo = 0; lo < n; ++lo) partners[lo + 1] += partners[lo];
+  pair_lo_.resize(partners[n]);
+  pair_hi_.resize(partners[n]);
+  for (NodeIndex u = 0; u < n; ++u) {
+    const auto [begin, end] = node_edge_range(u);
+    for (EdgeId e = begin; e < end; ++e) {
+      if (edge_pair_[e] == kNoPair) continue;
+      const NodeIndex v = peer_idx_[e];
+      const NodeIndex lo = std::min(u, v);
+      const std::uint32_t pair = partners[lo] + edge_pair_[e];
+      edge_pair_[e] = pair;
+      pair_lo_[pair] = lo;
+      pair_hi_[pair] = std::max(u, v);
     }
   }
 }
@@ -208,7 +283,10 @@ std::size_t CompiledRouter::memory_bytes() const noexcept {
          peer_packed_.size() * sizeof(std::uint32_t) +
          peer_addr_.size() * sizeof(AddressValue) +
          peer_idx_.size() * sizeof(NodeIndex) +
-         storer_.size() * sizeof(NodeIndex) + closest_.memory_bytes();
+         storer_.size() * sizeof(NodeIndex) + closest_.memory_bytes() +
+         edge_pair_.size() * sizeof(std::uint32_t) +
+         pair_lo_.size() * sizeof(NodeIndex) +
+         pair_hi_.size() * sizeof(NodeIndex);
 }
 
 }  // namespace fairswap::overlay

@@ -16,10 +16,17 @@
 //    length itself;
 //  * a dense storer table `storer_[address]` answering "which node stores
 //    this chunk" with a single load (built for address spaces up to
-//    kDenseStorerBits bits; wider spaces fall back to the trie);
+//    kDenseStorerBits bits in one walk of the closest-node trie; wider
+//    spaces fall back to the trie). A table peer resolves to its NodeIndex
+//    as its own storer, with no Address -> index hash lookup;
 //  * a batched walker advancing several routes in lockstep so their
 //    independent per-hop loads overlap — one file download routes all of
-//    its chunks as one batch.
+//    its chunks as one batch;
+//  * the pair numbering of the SWAP ledger: every unordered pair of nodes
+//    an arena edge joins gets a dense number in (lo, hi) order, and every
+//    edge the number of its pair. It depends on the arena alone, so it is
+//    computed once here, in linear time, and every accounting::Ledger over
+//    this router reads it in place.
 //
 // This is the only router: every simulation routes through it. Its answers
 // are bit-identical to RoutingTable::next_hop and to the Address-keyed
@@ -165,7 +172,35 @@ class CompiledRouter {
     return {offsets_[row], offsets_[row + static_cast<std::size_t>(bits_)]};
   }
 
+  // --- Pair numbering (the ledger's balance slots) ---
+
+  /// edge_pairs() entry of an edge that joins no pair (a foreign target).
+  static constexpr std::uint32_t kNoPair = 0xFFFFFFFFu;
+
+  /// Unordered node pairs joined by at least one arena edge, in either
+  /// direction, numbered densely in ascending (lo, hi) order.
+  [[nodiscard]] std::size_t pair_count() const noexcept {
+    return pair_lo_.size();
+  }
+
+  /// Per arena edge, the number of the pair it joins (kNoPair for a
+  /// foreign target); both directions of a pair share one number.
+  [[nodiscard]] std::span<const std::uint32_t> edge_pairs() const noexcept {
+    return edge_pair_;
+  }
+
+  /// Per pair number, its lower and higher NodeIndex.
+  [[nodiscard]] std::span<const NodeIndex> pair_lo() const noexcept {
+    return pair_lo_;
+  }
+  [[nodiscard]] std::span<const NodeIndex> pair_hi() const noexcept {
+    return pair_hi_;
+  }
+
  private:
+  /// Fills edge_pair_, pair_lo_ and pair_hi_ from the arena.
+  void number_pairs();
+
   [[nodiscard]] Hop next_hop_generic(std::uint32_t scan_begin,
                                      std::uint32_t scan_end,
                                      std::uint64_t threshold,
@@ -185,6 +220,9 @@ class CompiledRouter {
   std::vector<NodeIndex> peer_idx_;       ///< parallel NodeIndex (resolution)
   std::vector<NodeIndex> storer_;         ///< 2^bits, or empty (wide space)
   ClosestNodeIndex closest_;              ///< storer fallback for wide spaces
+  std::vector<std::uint32_t> edge_pair_;  ///< edge -> pair number, or kNoPair
+  std::vector<NodeIndex> pair_lo_;        ///< pair number -> lower node
+  std::vector<NodeIndex> pair_hi_;        ///< pair number -> higher node
 };
 
 inline CompiledRouter::Hop CompiledRouter::next_hop_edge(

@@ -10,6 +10,52 @@
 
 namespace fairswap::overlay {
 
+namespace {
+
+/// The nodes laid out once per prefix depth d = 1..bits, depth d at offset
+/// (d - 1) * n: grouped by their first d address bits in ascending prefix
+/// order, and in ascending NodeIndex order inside each group. Each depth
+/// is a stable partition of the one above, group by group, on the bit the
+/// depth adds.
+std::vector<NodeIndex> prefix_layouts(std::span<const Address> addresses,
+                                      int bits) {
+  const std::size_t n = addresses.size();
+  std::vector<NodeIndex> layout(static_cast<std::size_t>(bits) * n);
+  for (int d = 1; d <= bits; ++d) {
+    const int bit = bits - d;
+    NodeIndex* const out = layout.data() + static_cast<std::size_t>(d - 1) * n;
+    const NodeIndex* const above = d == 1 ? nullptr : out - n;
+    const auto node_at = [above](std::size_t p) {
+      return above != nullptr ? above[p] : static_cast<NodeIndex>(p);
+    };
+    // The depth d - 1 group of a node: its address above `bit`.
+    const auto group = [&](std::size_t p) {
+      return std::uint64_t{addresses[node_at(p)].v} >> (bit + 1);
+    };
+    const auto high = [&](NodeIndex v) {
+      return ((addresses[v].v >> bit) & 1u) != 0;
+    };
+    for (std::size_t begin = 0; begin < n;) {
+      std::size_t end = begin;
+      std::size_t lows = 0;
+      for (const std::uint64_t g = group(begin); end < n && group(end) == g;
+           ++end) {
+        if (!high(node_at(end))) ++lows;
+      }
+      std::size_t low = begin;
+      std::size_t upper = begin + lows;
+      for (std::size_t p = begin; p < end; ++p) {
+        const NodeIndex v = node_at(p);
+        out[high(v) ? upper++ : low++] = v;
+      }
+      begin = end;
+    }
+  }
+  return layout;
+}
+
+}  // namespace
+
 ClosestNodeIndex::ClosestNodeIndex(const AddressSpace& space,
                                    std::span<const Address> nodes)
     : space_(space) {
@@ -56,6 +102,27 @@ Address ClosestNodeIndex::closest(Address target) const noexcept {
   return leaves_[closest_index(target)];
 }
 
+void ClosestNodeIndex::fill_closest(std::span<NodeIndex> out) const {
+  assert(leaf_count_ > 0);
+  assert(out.size() == std::size_t{1} << space_.bits());
+  fill_from(0, out);
+}
+
+void ClosestNodeIndex::fill_from(std::int32_t node,
+                                 std::span<NodeIndex> range) const {
+  const TrieNode& at = nodes_[static_cast<std::size_t>(node)];
+  if (range.size() == 1) {
+    range[0] = static_cast<NodeIndex>(at.leaf);
+    return;
+  }
+  const std::span<NodeIndex> low = range.first(range.size() / 2);
+  const std::span<NodeIndex> high = range.subspan(range.size() / 2);
+  if (at.child[0] >= 0) fill_from(at.child[0], low);
+  if (at.child[1] >= 0) fill_from(at.child[1], high);
+  if (at.child[0] < 0) std::copy(high.begin(), high.end(), low.begin());
+  if (at.child[1] < 0) std::copy(low.begin(), low.end(), high.begin());
+}
+
 Topology::Topology(TopologyConfig config, AddressSpace space)
     : config_(std::move(config)), space_(space) {}
 
@@ -89,33 +156,57 @@ Topology Topology::build(const TopologyConfig& config, Rng& rng) {
     topo.index_.emplace(topo.addresses_[i], i);
   }
 
-  // 2) Routing tables: for each node, group all other nodes by bucket and
-  //    sample up to the bucket capacity uniformly without replacement
-  //    (paper: "half of the network's nodes are candidates for bucket 0,
-  //    but only k nodes are chosen").
-  topo.tables_.reserve(config.node_count);
-  std::vector<std::vector<NodeIndex>> candidates(
-      static_cast<std::size_t>(space.bits()));
-  for (NodeIndex i = 0; i < topo.addresses_.size(); ++i) {
+  // 2) Routing tables: each bucket samples up to its capacity uniformly
+  //    without replacement from its candidates, the other nodes in that
+  //    bucket in ascending NodeIndex order (paper: "half of the network's
+  //    nodes are candidates for bucket 0, but only k nodes are chosen").
+  //    Bucket b's candidates are the nodes that share self's first b bits
+  //    and differ at bit b: one contiguous run of the depth-(b + 1)
+  //    layout, so no node scans the others.
+  const auto bits = static_cast<std::size_t>(space.bits());
+  const std::size_t n = topo.addresses_.size();
+  const std::vector<NodeIndex> layout =
+      prefix_layouts(topo.addresses_, space.bits());
+  // The deepest layout orders the nodes by address; on it, every prefix
+  // group is the same range as in any shallower layout.
+  std::vector<AddressValue> sorted(n);
+  for (std::size_t p = 0; p < n; ++p) {
+    sorted[p] = topo.addresses_[layout[(bits - 1) * n + p]].v;
+  }
+  topo.tables_.reserve(n);
+  for (NodeIndex i = 0; i < n; ++i) {
     const Address self = topo.addresses_[i];
     RoutingTable table(space, self, config.buckets);
-
-    for (auto& c : candidates) c.clear();
-    for (NodeIndex j = 0; j < topo.addresses_.size(); ++j) {
-      if (j == i) continue;
-      const int b = space.bucket_index(self, topo.addresses_[j]);
-      candidates[static_cast<std::size_t>(b)].push_back(j);
-    }
-
-    for (int b = 0; b < space.bits(); ++b) {
-      auto& pool = candidates[static_cast<std::size_t>(b)];
-      const std::size_t want = config.buckets.capacity(b);
-      const auto picks = rng.sample_without_replacement(pool.size(), want);
-      for (std::size_t p : picks) {
+    // [lo, hi) is self's group at depth b: the nodes sharing its first b
+    // bits. It splits at `mid` into the halves whose bit b is 0 and 1;
+    // the half without self is bucket b's pool. Once self is alone, every
+    // deeper pool is empty and would draw nothing.
+    std::size_t lo = 0;
+    std::size_t hi = n;
+    for (std::size_t b = 0; b < bits && hi - lo > 1; ++b) {
+      const std::size_t bit = bits - 1 - b;
+      const AddressValue* const first = sorted.data();
+      const auto mid = static_cast<std::size_t>(
+          std::partition_point(
+              first + lo, first + hi,
+              [bit](AddressValue a) { return ((a >> bit) & 1u) == 0; }) -
+          first);
+      std::size_t pool_lo = mid;
+      std::size_t pool_hi = hi;
+      if (((self.v >> bit) & 1u) != 0) {
+        pool_lo = lo;
+        pool_hi = mid;
+        lo = mid;
+      } else {
+        hi = mid;
+      }
+      const NodeIndex* const pool = layout.data() + b * n + pool_lo;
+      const auto picks = rng.sample_without_replacement(
+          pool_hi - pool_lo, config.buckets.capacity(static_cast<int>(b)));
+      for (const std::size_t p : picks) {
         table.try_add(topo.addresses_[pool[p]]);
       }
     }
-
     topo.tables_.push_back(std::move(table));
   }
 

@@ -44,6 +44,13 @@ class ClosestNodeIndex {
 
   [[nodiscard]] std::size_t size() const noexcept { return leaf_count_; }
 
+  /// Writes closest_index(Address{a}) to out[a] for every address a of the
+  /// space, in one walk of the trie. Where a trie node has one child, the
+  /// empty half of its address range copies the filled half: a descent
+  /// into the empty half takes the other child and then reads the same
+  /// low bits. Requires a nonempty index and out.size() == 2^bits.
+  void fill_closest(std::span<NodeIndex> out) const;
+
   /// Bytes held by the trie arrays.
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
     return nodes_.size() * sizeof(TrieNode) + leaves_.size() * sizeof(Address);
@@ -56,6 +63,8 @@ class ClosestNodeIndex {
   };
 
   void insert(Address a);
+  /// fill_closest below trie node `node`, whose address range is `range`.
+  void fill_from(std::int32_t node, std::span<NodeIndex> range) const;
 
   AddressSpace space_;
   std::vector<TrieNode> nodes_;
