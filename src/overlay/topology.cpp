@@ -127,6 +127,12 @@ Topology::Topology(TopologyConfig config, AddressSpace space)
     : config_(std::move(config)), space_(space) {}
 
 Topology Topology::build(const TopologyConfig& config, Rng& rng) {
+  // AddressSpace clamps its width; a config must not build a space other
+  // than the one it names.
+  if (config.address_bits < 1 || config.address_bits > 32) {
+    throw std::invalid_argument("address_bits must be in [1, 32], got " +
+                                std::to_string(config.address_bits));
+  }
   AddressSpace space(config.address_bits);
   // One node has no peer to route through: every request would count as
   // delivered over zero transmissions. A zero k leaves every table empty.

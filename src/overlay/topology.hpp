@@ -89,7 +89,9 @@ struct TopologyConfig {
 class Topology {
  public:
   /// Builds a topology. All randomness (addresses, bucket sampling) is
-  /// drawn from `rng`, so equal seeds give identical networks.
+  /// drawn from `rng`, so equal seeds give identical networks. Throws
+  /// std::invalid_argument for an address width outside [1, 32], fewer
+  /// than 2 nodes, more nodes than addresses, or a zero bucket capacity.
   static Topology build(const TopologyConfig& config, Rng& rng);
 
   [[nodiscard]] const TopologyConfig& config() const noexcept {

@@ -159,6 +159,22 @@ TEST(Topology, RejectsMoreNodesThanAddresses) {
   EXPECT_THROW(Topology::build(cfg, rng), std::invalid_argument);
 }
 
+TEST(Topology, RejectsAnAddressWidthOutsideOneToThirtyTwo) {
+  // AddressSpace clamps its width: 40 used to build a 32-bit space while
+  // config().address_bits still read 40, and 0 built a 1-bit space.
+  TopologyConfig cfg;
+  cfg.node_count = 2;
+  Rng rng(1);
+  for (const int bits : {0, -1, 33, 40}) {
+    cfg.address_bits = bits;
+    EXPECT_THROW(Topology::build(cfg, rng), std::invalid_argument) << bits;
+  }
+  for (const int bits : {1, 32}) {
+    cfg.address_bits = bits;
+    EXPECT_NO_THROW(Topology::build(cfg, rng)) << bits;
+  }
+}
+
 TEST(Topology, FullSpaceOccupancyWorks) {
   TopologyConfig cfg;
   cfg.node_count = 256;
