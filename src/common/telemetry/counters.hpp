@@ -114,15 +114,6 @@ class CounterBlock {
 
   void clear() noexcept { slots_.fill(0); }
 
-  /// True when every slot is zero (a run that touched no instrumented
-  /// path).
-  [[nodiscard]] bool empty() const noexcept {
-    for (const std::uint64_t v : slots_) {
-      if (v != 0) return false;
-    }
-    return true;
-  }
-
   /// FNV-1a over the slot values in registry order — a compact handle
   /// for "same counters" in differential tests and shard-fold gates.
   [[nodiscard]] std::uint64_t fingerprint() const noexcept;

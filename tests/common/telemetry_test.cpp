@@ -22,16 +22,16 @@ namespace {
 
 TEST(CounterBlock, StartsEmptyAndBumpsBySlot) {
   CounterBlock block;
-  EXPECT_TRUE(block.empty());
+  EXPECT_EQ(block, CounterBlock{});
   block.bump(Counter::kRouteWalks);
   block.bump(Counter::kDebits, 41);
   block.bump(Counter::kDebits);
-  EXPECT_FALSE(block.empty());
+  EXPECT_NE(block, CounterBlock{});
   EXPECT_EQ(block.value(Counter::kRouteWalks), 1u);
   EXPECT_EQ(block.value(Counter::kDebits), 42u);
   EXPECT_EQ(block.value(Counter::kSettlements), 0u);
   block.clear();
-  EXPECT_TRUE(block.empty());
+  EXPECT_EQ(block, CounterBlock{});
 }
 
 TEST(CounterBlock, NamesAreUniqueSnakeCaseAndOrdered) {

@@ -140,7 +140,7 @@ TEST(TelemetryDifferential, SeedFoldIsMergeOrderInvariant) {
     ExperimentConfig cfg = base;
     cfg.seed = seed;
     const ExperimentResult result = run_experiment(cfg);
-    EXPECT_FALSE(result.counters.empty());
+    EXPECT_NE(result.counters, CounterBlock{});
     per_seed.push_back(result.counters);
   }
   CounterBlock forward;
@@ -162,7 +162,7 @@ TEST(TelemetryDifferential, ResetReplayReproducesCountersExactly) {
   Simulation sim(topo, cfg.sim, rng);
   for (int i = 0; i < 400; ++i) sim.step();
   const CounterBlock first = sim.telem();
-  EXPECT_FALSE(first.empty());
+  EXPECT_NE(first, CounterBlock{});
   sim.reset(rng);
   for (int i = 0; i < 400; ++i) sim.step();
   EXPECT_EQ(sim.telem(), first);
