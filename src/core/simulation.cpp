@@ -42,9 +42,11 @@ Simulation::Simulation(const overlay::Topology& topo, SimulationConfig config,
     throw std::invalid_argument("unknown policy: " + config_.policy);
   }
 
-  stores_.reserve(topo.node_count());
-  for (std::size_t i = 0; i < topo.node_count(); ++i) {
-    stores_.emplace_back(config_.cache_capacity);
+  if (config_.cache_capacity > 0) {
+    stores_.reserve(topo.node_count());
+    for (std::size_t i = 0; i < topo.node_count(); ++i) {
+      stores_.emplace_back(config_.cache_capacity);
+    }
   }
 
   seed_state(rng);

@@ -274,11 +274,6 @@ class Simulation {
   [[nodiscard]] const telemetry::CounterBlock& telem() const noexcept {
     return telem_;
   }
-  [[nodiscard]] const std::vector<storage::ChunkStore>& stores()
-      const noexcept {
-    return stores_;
-  }
-
   /// Drains the flow layer (every in-flight transfer completes or times
   /// out) and folds its report into totals(). Call once after the last
   /// step/apply of a flow-level run — run_experiment does. Idempotent; a
@@ -333,6 +328,8 @@ class Simulation {
   std::unique_ptr<accounting::Pricer> pricer_;
   std::unique_ptr<incentives::PaymentPolicy> policy_;
   std::unique_ptr<workload::DemandEngine> engine_;
+  /// One chunk cache per node when cache_capacity > 0; empty otherwise,
+  /// since nothing else reads them.
   std::vector<storage::ChunkStore> stores_;
   std::vector<NodeCounters> counters_;
   std::vector<std::uint8_t> free_riders_;
