@@ -61,7 +61,6 @@ CompiledRouter::CompiledRouter(const Topology& topo)
     }
   }
 
-
   number_pairs();
 }
 
@@ -98,7 +97,7 @@ void CompiledRouter::number_pairs() {
     }
   }
 
-  // First pass: each edge gets its pair's rank among lo's partners.
+  // Each edge gets its pair's rank among lo's partners.
   constexpr NodeIndex kNoPartner = 0xFFFFFFFFu;
   std::vector<NodeIndex> last_hi(n, kNoPartner);
   std::vector<std::uint32_t> partners(n + std::size_t{1}, 0);
@@ -121,7 +120,7 @@ void CompiledRouter::number_pairs() {
     }
   }
 
-  // Second pass: offset each rank by the pairs of lower lo.
+  // A rank offset by the pairs of every lower lo is the pair's number.
   for (NodeIndex lo = 0; lo < n; ++lo) partners[lo + 1] += partners[lo];
   pair_lo_.resize(partners[n]);
   pair_hi_.resize(partners[n]);
