@@ -5,17 +5,12 @@ namespace fairswap::storage {
 ChunkStore::ChunkStore(std::size_t cache_capacity)
     : capacity_(cache_capacity) {}
 
-void ChunkStore::store_authoritative(Address chunk) {
-  owned_.emplace(chunk, 0);
-  ++stats_.insertions;
-}
-
 void ChunkStore::touch(std::list<Address>::iterator it) {
   lru_.splice(lru_.begin(), lru_, it);
 }
 
 void ChunkStore::cache(Address chunk) {
-  if (capacity_ == 0 || owned_.count(chunk)) return;
+  if (capacity_ == 0) return;
   const auto it = lru_map_.find(chunk);
   if (it != lru_map_.end()) {
     touch(it->second);
@@ -23,32 +18,22 @@ void ChunkStore::cache(Address chunk) {
   }
   lru_.push_front(chunk);
   lru_map_[chunk] = lru_.begin();
-  ++stats_.insertions;
   if (lru_map_.size() > capacity_) {
     const Address victim = lru_.back();
     lru_.pop_back();
     lru_map_.erase(victim);
-    ++stats_.evictions;
   }
 }
 
 bool ChunkStore::lookup(Address chunk) {
-  if (owned_.count(chunk)) {
-    ++stats_.hits;
-    return true;
-  }
   const auto it = lru_map_.find(chunk);
-  if (it != lru_map_.end()) {
-    touch(it->second);
-    ++stats_.hits;
-    return true;
-  }
-  ++stats_.misses;
-  return false;
+  if (it == lru_map_.end()) return false;
+  touch(it->second);
+  return true;
 }
 
 bool ChunkStore::contains(Address chunk) const {
-  return owned_.count(chunk) > 0 || lru_map_.count(chunk) > 0;
+  return lru_map_.count(chunk) > 0;
 }
 
 }  // namespace fairswap::storage

@@ -5,18 +5,9 @@
 namespace fairswap::storage {
 namespace {
 
-TEST(ChunkStore, AuthoritativeAlwaysFound) {
-  ChunkStore store(0);
-  store.store_authoritative(Address{5});
-  EXPECT_TRUE(store.lookup(Address{5}));
-  EXPECT_TRUE(store.contains(Address{5}));
-  EXPECT_EQ(store.stats().hits, 1u);
-}
-
 TEST(ChunkStore, MissCountsAndReturnsFalse) {
   ChunkStore store(0);
   EXPECT_FALSE(store.lookup(Address{1}));
-  EXPECT_EQ(store.stats().misses, 1u);
 }
 
 TEST(ChunkStore, CacheDisabledWithZeroCapacity) {
@@ -43,7 +34,6 @@ TEST(ChunkStore, EvictsLeastRecentlyUsed) {
   EXPECT_FALSE(store.contains(Address{1}));
   EXPECT_TRUE(store.contains(Address{2}));
   EXPECT_TRUE(store.contains(Address{3}));
-  EXPECT_EQ(store.stats().evictions, 1u);
 }
 
 TEST(ChunkStore, LookupRefreshesRecency) {
@@ -65,37 +55,6 @@ TEST(ChunkStore, CacheRefreshesRecencyOnReinsert) {
   store.cache(Address{3});  // evicts 2
   EXPECT_TRUE(store.contains(Address{1}));
   EXPECT_FALSE(store.contains(Address{2}));
-}
-
-TEST(ChunkStore, AuthoritativeNotDuplicatedIntoCache) {
-  ChunkStore store(2);
-  store.store_authoritative(Address{7});
-  store.cache(Address{7});
-  EXPECT_EQ(store.cached_count(), 0u);
-  EXPECT_EQ(store.authoritative_count(), 1u);
-}
-
-TEST(ChunkStore, AuthoritativeNeverEvicted) {
-  ChunkStore store(1);
-  store.store_authoritative(Address{7});
-  store.cache(Address{1});
-  store.cache(Address{2});
-  store.cache(Address{3});
-  EXPECT_TRUE(store.lookup(Address{7}));
-}
-
-TEST(ChunkStore, HitRateComputation) {
-  ChunkStore store(4);
-  store.store_authoritative(Address{1});
-  store.lookup(Address{1});  // hit
-  store.lookup(Address{2});  // miss
-  store.lookup(Address{1});  // hit
-  EXPECT_DOUBLE_EQ(store.stats().hit_rate(), 2.0 / 3.0);
-}
-
-TEST(ChunkStore, HitRateZeroWhenUntouched) {
-  const ChunkStore store(4);
-  EXPECT_DOUBLE_EQ(store.stats().hit_rate(), 0.0);
 }
 
 }  // namespace
