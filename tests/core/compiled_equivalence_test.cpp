@@ -149,6 +149,12 @@ TEST(CompiledEquivalence, PolicyAndWorkloadVariants) {
   cached.workload.catalog_size = 100;
   cached.workload.catalog_zipf_alpha = 1.1;
   expect_equivalent(topo, cached, 95, 40, "caching");
+
+  // Under a hop cap the reference probes a truncated route's last node
+  // before it gives up, so a cache hit there delivers the chunk.
+  auto cached_capped = cached;
+  cached_capped.max_route_hops = 2;
+  expect_equivalent(topo, cached_capped, 88, 40, "caching, hop cap");
 }
 
 TEST(CompiledEquivalence, HopCapTruncationCountsSeparately) {
