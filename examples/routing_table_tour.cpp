@@ -22,7 +22,7 @@ int main() {
   const AddressSpace& space = topo.space();
 
   // Pick the node closest to the paper's example id 91.
-  const overlay::NodeIndex self = topo.closest_node(Address{91});
+  const overlay::NodeIndex self = topo.compiled().storer_of(Address{91});
   const Address self_addr = topo.address_of(self);
   std::printf("our node: %s (%s)\n\n",
               AddressSpace::to_decimal(self_addr).c_str(),
@@ -39,7 +39,7 @@ int main() {
               AddressSpace::to_decimal(chunk).c_str(),
               space.to_binary(chunk).c_str(),
               AddressSpace::to_decimal(
-                  topo.address_of(topo.closest_node(chunk))).c_str());
+                  topo.address_of(topo.compiled().storer_of(chunk))).c_str());
 
   const overlay::Route route = topo.compiled().route(self, chunk);
   for (std::size_t i = 0; i < route.path.size(); ++i) {

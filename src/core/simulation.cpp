@@ -145,45 +145,26 @@ bool Simulation::request_chunk(NodeIndex originator, Address chunk,
   note_request(originator, is_upload);
   telem_.bump(telemetry::Counter::kRouteWalks);
 
-  const overlay::CompiledRouter& router = *router_;
-  const NodeIndex storer = router.storer_of(chunk);
-  const bool caching = config_.cache_capacity > 0;
-
-  // Greedy forwarding walk, short-circuited by caches when enabled; each
-  // hop is answered from the compiled router's NodeIndex arrays.
+  // The whole greedy walk, then a cut at the first node short of the
+  // storer whose relay cache holds the chunk. The walk reads no cache, so
+  // probing its nodes in path order afterwards hits the caches in the
+  // same order, with the same LRU effects, as a walk that probes each
+  // node before leaving it. A route that ends short of the storer (a dead
+  // end or the hop cap) probes its last node too.
   overlay::Route& route = route_;
-  route.reset(chunk);
-  route.path.push_back(originator);
-  NodeIndex cur = originator;
-  bool found = false;
-  bool from_cache = false;
-  const std::size_t max_hops =
-      config_.max_route_hops != 0
-          ? config_.max_route_hops
-          : static_cast<std::size_t>(topo_->space().bits()) * 4;
-  for (;;) {
-    if (cur == storer) {
-      found = true;
-      break;
+  router_->route_into(originator, chunk, route, config_.max_route_hops);
+  const std::size_t probes =
+      route.reached_storer ? route.hops() : route.path.size();
+  for (std::size_t i = 0; i < probes; ++i) {
+    if (stores_[route.path[i]].lookup(chunk)) {
+      route.path.resize(i + 1);
+      route.edges.resize(i);
+      route.truncated = false;
+      route.reached_storer = true;
+      return account(route, /*from_cache=*/true, is_upload);
     }
-    if (caching && stores_[cur].lookup(chunk)) {
-      found = true;
-      from_cache = true;
-      break;
-    }
-    if (route.hops() >= max_hops) {
-      route.truncated = true;
-      break;
-    }
-    const auto hop = router.next_hop_edge(cur, chunk);
-    if (hop.next == overlay::kNoNextHop) break;
-    cur = hop.next;
-    route.path.push_back(cur);
-    route.edges.push_back(hop.edge);
   }
-  route.reached_storer = found;
-
-  return account(route, from_cache, is_upload);
+  return account(route, /*from_cache=*/false, is_upload);
 }
 
 bool Simulation::account(const overlay::Route& route, bool from_cache,

@@ -293,10 +293,11 @@ class Simulation {
   [[nodiscard]] std::vector<double> income_per_node() const;
 
  private:
-  /// Routes one chunk transfer hop by hop (download or upload; both use
-  /// the same greedy route and accounting, with data flowing in opposite
-  /// directions), stopping early at a relay cache, and applies
-  /// accounting. Returns true if the chunk was delivered.
+  /// Routes one chunk transfer with CompiledRouter::route_into (download
+  /// or upload; both use the same greedy route and accounting, with data
+  /// flowing in opposite directions), cuts the route at the first relay
+  /// cache that holds the chunk, and applies accounting. The path taken
+  /// when caching is on. Returns true if the chunk was delivered.
   bool request_chunk(NodeIndex originator, Address chunk, bool is_upload);
 
   /// Request-header bookkeeping shared by the per-chunk and batched paths.

@@ -4,59 +4,117 @@
 
 namespace fairswap::overlay {
 
+ClosestNodeIndex::ClosestNodeIndex(const AddressSpace& space,
+                                   std::span<const Address> nodes)
+    : space_(space) {
+  nodes_.emplace_back();  // root
+  for (Address a : nodes) insert(a);
+}
+
+void ClosestNodeIndex::insert(Address a) {
+  std::int32_t cur = 0;
+  for (int bit = space_.bits() - 1; bit >= 0; --bit) {
+    const int b = static_cast<int>((a.v >> bit) & 1u);
+    if (nodes_[static_cast<std::size_t>(cur)].child[b] < 0) {
+      nodes_[static_cast<std::size_t>(cur)].child[b] =
+          static_cast<std::int32_t>(nodes_.size());
+      nodes_.emplace_back();
+    }
+    cur = nodes_[static_cast<std::size_t>(cur)].child[b];
+  }
+  auto& leaf = nodes_[static_cast<std::size_t>(cur)];
+  if (leaf.leaf < 0) leaf.leaf = leaf_count_++;
+}
+
+std::size_t ClosestNodeIndex::closest_index(Address target) const noexcept {
+  assert(leaf_count_ > 0);
+  std::int32_t cur = 0;
+  for (int bit = space_.bits() - 1; bit >= 0; --bit) {
+    const int want = static_cast<int>((target.v >> bit) & 1u);
+    const auto& node = nodes_[static_cast<std::size_t>(cur)];
+    if (node.child[want] >= 0) {
+      cur = node.child[want];
+    } else {
+      cur = node.child[1 - want];
+    }
+  }
+  return static_cast<std::size_t>(nodes_[static_cast<std::size_t>(cur)].leaf);
+}
+
+void ClosestNodeIndex::fill_closest(std::span<NodeIndex> out) const {
+  assert(leaf_count_ > 0);
+  assert(out.size() == std::size_t{1} << space_.bits());
+  fill_from(0, out);
+}
+
+void ClosestNodeIndex::fill_from(std::int32_t node,
+                                 std::span<NodeIndex> range) const {
+  const TrieNode& at = nodes_[static_cast<std::size_t>(node)];
+  if (range.size() == 1) {
+    range[0] = static_cast<NodeIndex>(at.leaf);
+    return;
+  }
+  const std::span<NodeIndex> low = range.first(range.size() / 2);
+  const std::span<NodeIndex> high = range.subspan(range.size() / 2);
+  if (at.child[0] >= 0) fill_from(at.child[0], low);
+  if (at.child[1] >= 0) fill_from(at.child[1], high);
+  if (at.child[0] < 0) std::copy(high.begin(), high.end(), low.begin());
+  if (at.child[1] < 0) std::copy(low.begin(), low.end(), high.begin());
+}
+
 CompiledRouter::CompiledRouter(const Topology& topo)
-    : space_(topo.space()),
-      bits_(topo.space().bits()),
-      node_count_(topo.node_count()),
-      closest_(topo.space(), topo.addresses()) {
+    : bits_(topo.space().bits()), node_count_(topo.node_count()) {
   node_addr_.reserve(node_count_);
   for (const Address a : topo.addresses()) node_addr_.push_back(a.v);
 
   if (bits_ <= kDenseStorerBits) {
     storer_.resize(std::size_t{1} << bits_);
-    closest_.fill_closest(storer_);
+    ClosestNodeIndex(topo.space(), topo.addresses()).fill_closest(storer_);
+  } else {
+    closest_.emplace(topo.space(), topo.addresses());
   }
 
   const std::size_t cells = node_count_ * static_cast<std::size_t>(bits_);
   offsets_.assign(cells + 1, 0);
-  peer_addr_.reserve(topo.edge_count());
+  peers_.reserve(topo.edge_count());
   peer_idx_.reserve(topo.edge_count());
 
   std::size_t max_slab = 0;
   for (NodeIndex n = 0; n < node_count_; ++n) {
     const RoutingTable& table = topo.table(n);
-    const std::size_t slab_begin = peer_addr_.size();
+    const std::size_t slab_begin = peers_.size();
     for (int b = 0; b < bits_; ++b) {
       const std::size_t cell = n * static_cast<std::size_t>(bits_) +
                                static_cast<std::size_t>(b);
-      offsets_[cell] = static_cast<std::uint32_t>(peer_addr_.size());
+      offsets_[cell] = static_cast<std::uint32_t>(peers_.size());
       for (const Address peer : table.bucket(b)) {
         // A member of the network is the storer of its own address.
         const NodeIndex storer = storer_of(peer);
-        peer_addr_.push_back(peer.v);
+        peers_.push_back(peer.v);
         peer_idx_.push_back(node_addr_[storer] == peer.v ? storer
                                                          : kForeignPeer);
       }
     }
-    max_slab = std::max(max_slab, peer_addr_.size() - slab_begin);
+    max_slab = std::max(max_slab, peers_.size() - slab_begin);
   }
-  offsets_[cells] = static_cast<std::uint32_t>(peer_addr_.size());
+  offsets_[cells] = static_cast<std::uint32_t>(peers_.size());
 
   // The packed scan stores each peer as (address << shift) | local index;
   // it applies whenever the widest per-node slab index fits beside the
   // address in 32 bits (true for every practical configuration — e.g. a
-  // 20-bit space leaves 12 bits, room for 4096 peers per node).
+  // 20-bit space leaves 12 bits, room for 4096 peers per node). The plain
+  // addresses are packed in place; otherwise they stay for the generic
+  // scan.
   if (bits_ < 32 && max_slab <= (std::size_t{1} << (32 - bits_))) {
     shift_ = 32 - bits_;
     local_mask_ = (std::uint32_t{1} << shift_) - 1;
-    peer_packed_.resize(peer_addr_.size());
     for (NodeIndex n = 0; n < node_count_; ++n) {
       const std::uint32_t slab_begin =
           offsets_[n * static_cast<std::size_t>(bits_)];
       const std::uint32_t slab_end =
           offsets_[(n + std::size_t{1}) * static_cast<std::size_t>(bits_)];
       for (std::uint32_t i = slab_begin; i < slab_end; ++i) {
-        peer_packed_[i] = (peer_addr_[i] << shift_) | (i - slab_begin);
+        peers_[i] = (peers_[i] << shift_) | (i - slab_begin);
       }
     }
   }
@@ -146,7 +204,7 @@ CompiledRouter::Hop CompiledRouter::next_hop_generic(
   // the plain addresses, then a locate pass — distinct addresses never
   // tie under XOR, so the located index is unique.
   if (scan_begin == scan_end) return {};
-  const AddressValue* const addr = peer_addr_.data();
+  const AddressValue* const addr = peers_.data();
   AddressValue best_dist = addr[scan_begin] ^ target.v;
   for (std::uint32_t i = scan_begin + 1; i < scan_end; ++i) {
     best_dist = std::min(best_dist, addr[i] ^ target.v);
@@ -279,10 +337,10 @@ void CompiledRouter::route_batch(std::span<const NodeIndex> origins,
 std::size_t CompiledRouter::memory_bytes() const noexcept {
   return node_addr_.size() * sizeof(AddressValue) +
          offsets_.size() * sizeof(std::uint32_t) +
-         peer_packed_.size() * sizeof(std::uint32_t) +
-         peer_addr_.size() * sizeof(AddressValue) +
+         peers_.size() * sizeof(std::uint32_t) +
          peer_idx_.size() * sizeof(NodeIndex) +
-         storer_.size() * sizeof(NodeIndex) + closest_.memory_bytes() +
+         storer_.size() * sizeof(NodeIndex) +
+         (closest_ ? closest_->memory_bytes() : 0) +
          edge_pair_.size() * sizeof(std::uint32_t) +
          pair_lo_.size() * sizeof(NodeIndex) +
          pair_hi_.size() * sizeof(NodeIndex);

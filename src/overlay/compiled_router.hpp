@@ -16,9 +16,10 @@
 //    length itself;
 //  * a dense storer table `storer_[address]` answering "which node stores
 //    this chunk" with a single load (built for address spaces up to
-//    kDenseStorerBits bits in one walk of the closest-node trie; wider
-//    spaces fall back to the trie). A table peer resolves to its NodeIndex
-//    as its own storer, with no Address -> index hash lookup;
+//    kDenseStorerBits bits in one walk of a closest-node trie that is then
+//    dropped; wider spaces keep the trie and descend it). A table peer
+//    resolves to its NodeIndex as its own storer, with no Address -> index
+//    hash lookup;
 //  * a batched walker advancing several routes in lockstep so their
 //    independent per-hop loads overlap — one file download routes all of
 //    its chunks as one batch;
@@ -39,6 +40,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -47,6 +49,46 @@
 #include "overlay/topology.hpp"
 
 namespace fairswap::overlay {
+
+/// Answers "which node is XOR-closest to this address?" in O(bits) via a
+/// binary trie over the node addresses. Because addresses are unique, the
+/// closest node is unique (d(a,t) == d(b,t) implies a == b), which is what
+/// makes the paper's "only the closest node stores a chunk" well defined.
+class ClosestNodeIndex {
+ public:
+  ClosestNodeIndex(const AddressSpace& space, std::span<const Address> nodes);
+
+  /// The insertion ordinal of the address closest to `target` (target may
+  /// equal a node) — the NodeIndex when the index was built over
+  /// Topology::addresses() in node order.
+  [[nodiscard]] std::size_t closest_index(Address target) const noexcept;
+
+  /// Writes closest_index(Address{a}) to out[a] for every address a of the
+  /// space, in one walk of the trie. Where a trie node has one child, the
+  /// empty half of its address range copies the filled half: a descent
+  /// into the empty half takes the other child and then reads the same
+  /// low bits. Requires a nonempty index and out.size() == 2^bits.
+  void fill_closest(std::span<NodeIndex> out) const;
+
+  /// Bytes held by the trie.
+  [[nodiscard]] std::size_t memory_bytes() const noexcept {
+    return nodes_.size() * sizeof(TrieNode);
+  }
+
+ private:
+  struct TrieNode {
+    std::int32_t child[2]{-1, -1};
+    std::int32_t leaf{-1};
+  };
+
+  void insert(Address a);
+  /// fill_closest below trie node `node`, whose address range is `range`.
+  void fill_from(std::int32_t node, std::span<NodeIndex> range) const;
+
+  AddressSpace space_;
+  std::vector<TrieNode> nodes_;
+  std::int32_t leaf_count_{0};
+};
 
 /// Sentinel returned by CompiledRouter::next_hop when the walk cannot
 /// continue: no strictly closer peer is known (dead end), or the greedy
@@ -62,7 +104,8 @@ inline constexpr NodeIndex kNoNextHop = 0xFFFFFFFFu;
 class CompiledRouter {
  public:
   /// Address spaces at most this wide get the dense per-address storer
-  /// table (2^bits entries); wider spaces answer storer_of via the trie.
+  /// table (2^bits entries); only wider spaces keep a trie, and answer
+  /// storer_of by descending it.
   static constexpr int kDenseStorerBits = 22;
 
   explicit CompiledRouter(const Topology& topo);
@@ -82,9 +125,9 @@ class CompiledRouter {
   };
 
   /// The peer `from` forwards a request for `target` to, or kNoNextHop.
-  /// Bit-identical to RoutingTable::next_hop resolved through
-  /// Topology::index_of. Defined inline below: this is the per-hop inner
-  /// loop of every simulation and must inline into the walk.
+  /// Bit-identical to RoutingTable::next_hop with the winning address
+  /// resolved to the node that owns it. Defined inline below: this is the
+  /// per-hop inner loop of every simulation and must inline into the walk.
   [[nodiscard]] NodeIndex next_hop(NodeIndex from,
                                    Address target) const noexcept {
     return next_hop_edge(from, target).next;
@@ -99,7 +142,7 @@ class CompiledRouter {
   /// The node storing content at `target` (globally XOR-closest node).
   [[nodiscard]] NodeIndex storer_of(Address target) const noexcept {
     if (!storer_.empty()) return storer_[target.v];
-    return static_cast<NodeIndex>(closest_.closest_index(target));
+    return static_cast<NodeIndex>(closest_->closest_index(target));
   }
 
   /// Greedy forwarding walk from `origin` toward `target`, stopping at the
@@ -141,8 +184,9 @@ class CompiledRouter {
   /// the two-pass reference scan. Exposed for tests.
   [[nodiscard]] bool packed() const noexcept { return shift_ > 0; }
 
-  /// Total bytes held by the compiled arrays (CSR slabs, packed peers,
-  /// storer table, closest-node trie) — the memory cost of the precompute.
+  /// Total bytes held by the compiled arrays (CSR slabs, peers, storer
+  /// table or, in wide spaces, the closest-node trie, pair numbering) —
+  /// the memory cost of the precompute.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
   // --- Edge arena introspection (consumed by accounting::Ledger) ---
@@ -206,7 +250,6 @@ class CompiledRouter {
                                      std::uint64_t threshold,
                                      Address target) const noexcept;
 
-  AddressSpace space_;
   int bits_;
   std::size_t node_count_;
   /// Packed-scan shift: peers are stored as (address << shift_) | local
@@ -215,11 +258,12 @@ class CompiledRouter {
   std::uint32_t local_mask_{0};
   std::vector<AddressValue> node_addr_;   ///< node -> address value
   std::vector<std::uint32_t> offsets_;    ///< CSR, node_count * bits + 1
-  std::vector<std::uint32_t> peer_packed_;///< (addr << shift_) | local idx
-  std::vector<AddressValue> peer_addr_;   ///< plain addresses (generic path)
+  /// Per edge, (addr << shift_) | local idx when packed(), else the plain
+  /// address the generic scan reads.
+  std::vector<std::uint32_t> peers_;
   std::vector<NodeIndex> peer_idx_;       ///< parallel NodeIndex (resolution)
   std::vector<NodeIndex> storer_;         ///< 2^bits, or empty (wide space)
-  ClosestNodeIndex closest_;              ///< storer fallback for wide spaces
+  std::optional<ClosestNodeIndex> closest_;  ///< storer_of in wide spaces
   std::vector<std::uint32_t> edge_pair_;  ///< edge -> pair number, or kNoPair
   std::vector<NodeIndex> pair_lo_;        ///< pair number -> lower node
   std::vector<NodeIndex> pair_hi_;        ///< pair number -> higher node
@@ -261,7 +305,7 @@ inline CompiledRouter::Hop CompiledRouter::next_hop_edge(
     // argmin unconditionally, exactly like the reference.
     const AddressValue threshold = empty ? x : 0xFFFFFFFFu;
     const std::uint32_t tshift = target.v << shift_;
-    const std::uint32_t* const pp = peer_packed_.data();
+    const std::uint32_t* const pp = peers_.data();
     std::uint32_t best = 0xFFFFFFFFu;
     for (std::uint32_t i = scan_begin; i < scan_end; ++i) {
       best = std::min(best, pp[i] ^ tshift);

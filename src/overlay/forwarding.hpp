@@ -4,7 +4,8 @@
 // chunk address; every relay repeats the step. The chunk then flows back
 // along the same path. No relay learns who originated the request, which is
 // the privacy property distinguishing forwarding Kademlia from the classic
-// iterative lookup (see iterative.hpp for the contrast).
+// iterative lookup, in which the originator queries each node on the path
+// itself.
 //
 // This header holds the walk's result, Route. The walk itself is
 // CompiledRouter (overlay/compiled_router.hpp); the Address-keyed greedy

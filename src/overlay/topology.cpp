@@ -1,7 +1,6 @@
 #include "overlay/topology.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -56,73 +55,6 @@ std::vector<NodeIndex> prefix_layouts(std::span<const Address> addresses,
 
 }  // namespace
 
-ClosestNodeIndex::ClosestNodeIndex(const AddressSpace& space,
-                                   std::span<const Address> nodes)
-    : space_(space) {
-  nodes_.emplace_back();  // root
-  leaves_.reserve(nodes.size());
-  for (Address a : nodes) insert(a);
-}
-
-void ClosestNodeIndex::insert(Address a) {
-  std::int32_t cur = 0;
-  for (int bit = space_.bits() - 1; bit >= 0; --bit) {
-    const int b = static_cast<int>((a.v >> bit) & 1u);
-    if (nodes_[static_cast<std::size_t>(cur)].child[b] < 0) {
-      nodes_[static_cast<std::size_t>(cur)].child[b] =
-          static_cast<std::int32_t>(nodes_.size());
-      nodes_.emplace_back();
-    }
-    cur = nodes_[static_cast<std::size_t>(cur)].child[b];
-  }
-  auto& leaf = nodes_[static_cast<std::size_t>(cur)];
-  if (leaf.leaf < 0) {
-    leaf.leaf = static_cast<std::int32_t>(leaves_.size());
-    leaves_.push_back(a);
-    ++leaf_count_;
-  }
-}
-
-std::size_t ClosestNodeIndex::closest_index(Address target) const noexcept {
-  assert(leaf_count_ > 0);
-  std::int32_t cur = 0;
-  for (int bit = space_.bits() - 1; bit >= 0; --bit) {
-    const int want = static_cast<int>((target.v >> bit) & 1u);
-    const auto& node = nodes_[static_cast<std::size_t>(cur)];
-    if (node.child[want] >= 0) {
-      cur = node.child[want];
-    } else {
-      cur = node.child[1 - want];
-    }
-  }
-  return static_cast<std::size_t>(nodes_[static_cast<std::size_t>(cur)].leaf);
-}
-
-Address ClosestNodeIndex::closest(Address target) const noexcept {
-  return leaves_[closest_index(target)];
-}
-
-void ClosestNodeIndex::fill_closest(std::span<NodeIndex> out) const {
-  assert(leaf_count_ > 0);
-  assert(out.size() == std::size_t{1} << space_.bits());
-  fill_from(0, out);
-}
-
-void ClosestNodeIndex::fill_from(std::int32_t node,
-                                 std::span<NodeIndex> range) const {
-  const TrieNode& at = nodes_[static_cast<std::size_t>(node)];
-  if (range.size() == 1) {
-    range[0] = static_cast<NodeIndex>(at.leaf);
-    return;
-  }
-  const std::span<NodeIndex> low = range.first(range.size() / 2);
-  const std::span<NodeIndex> high = range.subspan(range.size() / 2);
-  if (at.child[0] >= 0) fill_from(at.child[0], low);
-  if (at.child[1] >= 0) fill_from(at.child[1], high);
-  if (at.child[0] < 0) std::copy(high.begin(), high.end(), low.begin());
-  if (at.child[1] < 0) std::copy(low.begin(), low.end(), high.begin());
-}
-
 Topology::Topology(TopologyConfig config, AddressSpace space)
     : config_(std::move(config)), space_(space) {}
 
@@ -157,9 +89,6 @@ Topology Topology::build(const TopologyConfig& config, Rng& rng) {
   while (topo.addresses_.size() < config.node_count) {
     const Address a{static_cast<AddressValue>(rng.next_below(space.size()))};
     if (seen.insert(a.v).second) topo.addresses_.push_back(a);
-  }
-  for (NodeIndex i = 0; i < topo.addresses_.size(); ++i) {
-    topo.index_.emplace(topo.addresses_[i], i);
   }
 
   // 2) Routing tables: each bucket samples up to its capacity uniformly
@@ -216,7 +145,6 @@ Topology Topology::build(const TopologyConfig& config, Rng& rng) {
     topo.tables_.push_back(std::move(table));
   }
 
-  topo.closest_.emplace(space, std::span<const Address>(topo.addresses_));
   topo.compiled_ = std::make_shared<const CompiledRouter>(topo);
 
   FAIRSWAP_LOG(kInfo, "overlay")
@@ -235,18 +163,6 @@ bool Topology::inject_table_entry(NodeIndex node, Address peer) {
   if (!tables_[node].try_add(peer)) return false;
   compiled_ = std::make_shared<const CompiledRouter>(*this);
   return true;
-}
-
-std::optional<NodeIndex> Topology::index_of(Address a) const noexcept {
-  const auto it = index_.find(a);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
-}
-
-NodeIndex Topology::closest_node(Address target) const noexcept {
-  // The trie was built over addresses_ in node order, so the leaf ordinal
-  // is the NodeIndex — no hash lookup needed.
-  return static_cast<NodeIndex>(closest_->closest_index(target));
 }
 
 std::size_t Topology::edge_count() const noexcept {

@@ -10,9 +10,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/address.hpp"
@@ -27,51 +25,6 @@ class CompiledRouter;
 /// are vectors indexed by NodeIndex.
 using NodeIndex = std::uint32_t;
 
-/// Answers "which node is XOR-closest to this address?" in O(bits) via a
-/// binary trie over the node addresses. Because addresses are unique, the
-/// closest node is unique (d(a,t) == d(b,t) implies a == b), which is what
-/// makes the paper's "only the closest node stores a chunk" well defined.
-class ClosestNodeIndex {
- public:
-  ClosestNodeIndex(const AddressSpace& space, std::span<const Address> nodes);
-
-  /// The node address closest to `target` (target may equal a node).
-  [[nodiscard]] Address closest(Address target) const noexcept;
-
-  /// The insertion ordinal of the closest address — equal to the NodeIndex
-  /// when the index was built over Topology::addresses() in node order.
-  [[nodiscard]] std::size_t closest_index(Address target) const noexcept;
-
-  [[nodiscard]] std::size_t size() const noexcept { return leaf_count_; }
-
-  /// Writes closest_index(Address{a}) to out[a] for every address a of the
-  /// space, in one walk of the trie. Where a trie node has one child, the
-  /// empty half of its address range copies the filled half: a descent
-  /// into the empty half takes the other child and then reads the same
-  /// low bits. Requires a nonempty index and out.size() == 2^bits.
-  void fill_closest(std::span<NodeIndex> out) const;
-
-  /// Bytes held by the trie arrays.
-  [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    return nodes_.size() * sizeof(TrieNode) + leaves_.size() * sizeof(Address);
-  }
-
- private:
-  struct TrieNode {
-    std::int32_t child[2]{-1, -1};
-    std::int32_t leaf{-1};
-  };
-
-  void insert(Address a);
-  /// fill_closest below trie node `node`, whose address range is `range`.
-  void fill_from(std::int32_t node, std::span<NodeIndex> range) const;
-
-  AddressSpace space_;
-  std::vector<TrieNode> nodes_;
-  std::vector<Address> leaves_;
-  std::size_t leaf_count_{0};
-};
-
 /// Topology construction parameters (paper defaults).
 struct TopologyConfig {
   std::size_t node_count{1000};
@@ -84,8 +37,9 @@ struct TopologyConfig {
                          const TopologyConfig&) = default;
 };
 
-/// An immutable overlay: addresses, routing tables, and the closest-node
-/// index. Value type; cheap to share by const reference.
+/// An immutable overlay: addresses, routing tables, and the compiled
+/// router over them, which answers every address-to-node question. Value
+/// type; cheap to share by const reference.
 class Topology {
  public:
   /// Builds a topology. All randomness (addresses, bucket sampling) is
@@ -105,16 +59,12 @@ class Topology {
   [[nodiscard]] Address address_of(NodeIndex n) const noexcept {
     return addresses_[n];
   }
-  [[nodiscard]] std::optional<NodeIndex> index_of(Address a) const noexcept;
   [[nodiscard]] const RoutingTable& table(NodeIndex n) const noexcept {
     return tables_[n];
   }
   [[nodiscard]] std::span<const Address> addresses() const noexcept {
     return addresses_;
   }
-
-  /// The node that stores content at `target` (globally XOR-closest node).
-  [[nodiscard]] NodeIndex closest_node(Address target) const noexcept;
 
   /// The compiled (precomputed) routing hot path over these tables. Built
   /// once at the end of build(); rebuilt by inject_table_entry. See
@@ -151,10 +101,6 @@ class Topology {
   AddressSpace space_;
   std::vector<Address> addresses_;
   std::vector<RoutingTable> tables_;
-  // fairswap-lint: allow(unordered-container) -- address->index lookup for
-  // index_of() only, never enumerated (node order lives in addresses_).
-  std::unordered_map<Address, NodeIndex> index_;
-  std::optional<ClosestNodeIndex> closest_;
   /// Shared, immutable after build; copies of a Topology share it.
   std::shared_ptr<const CompiledRouter> compiled_;
 };

@@ -141,9 +141,10 @@ TEST(CompiledEquivalence, PolicyAndWorkloadVariants) {
   amortized.free_rider_share = 0.25;  // unsettled debt for amortization to eat
   expect_equivalent(topo, amortized, 89, 25, "amortization");
 
-  // Caching disables the batched path but still routes each hop through
-  // the compiled structure; equivalence must hold there too, with both
-  // sides short-circuiting at the same relay caches.
+  // Caching disables the batched path: each chunk walks route_into and
+  // the route is cut at the first relay cache that holds it. Equivalence
+  // must hold there too, with both sides short-circuiting at the same
+  // relay caches.
   auto cached = base;
   cached.cache_capacity = 32;
   cached.workload.catalog_size = 100;
@@ -183,12 +184,13 @@ TEST(CompiledEquivalence, HopCapTruncationCountsSeparately) {
 /// that does not store it — an injectable stale table entry.
 bool find_injectable_foreign(const overlay::Topology& topo,
                              overlay::NodeIndex& node, Address& foreign) {
+  const overlay::ForwardingRouter oracle(topo);
   std::unordered_set<AddressValue> taken;
   for (const Address a : topo.addresses()) taken.insert(a.v);
   for (AddressValue v = 0; v < topo.space().size(); ++v) {
     if (taken.contains(v)) continue;
     const Address f{v};
-    const auto storer = topo.closest_node(f);
+    const auto storer = oracle.storer_of(f);
     for (overlay::NodeIndex n = 0; n < topo.node_count(); ++n) {
       if (n == storer) continue;
       const int b = topo.space().bucket_index(topo.address_of(n), f);

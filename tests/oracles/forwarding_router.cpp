@@ -2,12 +2,22 @@
 
 namespace fairswap::overlay {
 
-ForwardingRouter::ForwardingRouter(const Topology& topo,
-                                   std::size_t max_hops) noexcept
+ForwardingRouter::ForwardingRouter(const Topology& topo, std::size_t max_hops)
     : topo_(&topo),
       max_hops_(max_hops == 0
                     ? static_cast<std::size_t>(topo.space().bits()) * 4
-                    : max_hops) {}
+                    : max_hops),
+      closest_(topo.space(), topo.addresses()) {
+  for (NodeIndex i = 0; i < topo.node_count(); ++i) {
+    index_.emplace(topo.address_of(i), i);
+  }
+}
+
+std::optional<NodeIndex> ForwardingRouter::index_of(Address a) const {
+  const auto it = index_.find(a);
+  if (it == index_.end()) return std::nullopt;
+  return it->second;
+}
 
 Route ForwardingRouter::route(NodeIndex origin, Address target) const {
   Route r;
@@ -20,7 +30,7 @@ void ForwardingRouter::route_into(NodeIndex origin, Address target,
   r.reset(target);
   r.path.push_back(origin);
 
-  const NodeIndex storer = topo_->closest_node(target);
+  const NodeIndex storer = storer_of(target);
   NodeIndex cur = origin;
   while (cur != storer) {
     if (r.hops() >= max_hops_) {
@@ -29,7 +39,7 @@ void ForwardingRouter::route_into(NodeIndex origin, Address target,
     }
     const auto next = topo_->table(cur).next_hop(target);
     if (!next) break;  // local minimum: no strictly closer peer known
-    const auto idx = topo_->index_of(*next);
+    const auto idx = index_of(*next);
     if (!idx) break;  // table entry outside the network: fail the route
     cur = *idx;
     r.path.push_back(cur);

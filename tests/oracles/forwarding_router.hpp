@@ -1,16 +1,23 @@
 // ForwardingRouter — the Address-keyed greedy walk, kept as a test oracle.
 //
-// overlay::CompiledRouter answers every hop from flat NodeIndex arrays.
-// This is the walk it replaced: per hop, RoutingTable::next_hop over the
-// Address-keyed buckets, then Topology::index_of to resolve the winner.
-// Its routes carry no edge ids. compiled_router_test pins CompiledRouter
-// to it route for route, and bench_scale times one against the other.
-// Nothing outside tests/ and bench_scale links it.
+// overlay::CompiledRouter answers every hop from flat NodeIndex arrays and
+// every storer from its dense table. This is the walk it replaced: per
+// hop, RoutingTable::next_hop over the Address-keyed buckets, then an
+// address hash to resolve the winner; the storer comes from a descent of a
+// closest-node trie. The oracle builds that hash and that trie itself, over
+// Topology::addresses(), so no answer it gives passes through the router
+// it checks. Its routes carry no edge ids. compiled_router_test pins
+// CompiledRouter to it route for route, ReferenceRun walks through its
+// lookups, and bench_scale times one walk against the other. Nothing
+// outside tests/ and bench_scale links it.
 #pragma once
 
 #include <cstddef>
+#include <optional>
+#include <unordered_map>
 
 #include "common/address.hpp"
+#include "overlay/compiled_router.hpp"
 #include "overlay/forwarding.hpp"
 #include "overlay/topology.hpp"
 
@@ -22,8 +29,7 @@ class ForwardingRouter {
   /// `max_hops` bounds route length; 4x the address bits is far beyond any
   /// reachable route (each hop increases the shared prefix), so hitting it
   /// indicates a broken table and is flagged via Route::truncated.
-  explicit ForwardingRouter(const Topology& topo,
-                            std::size_t max_hops = 0) noexcept;
+  explicit ForwardingRouter(const Topology& topo, std::size_t max_hops = 0);
 
   /// Routes from `origin` toward `target`, stopping at the storer (global
   /// closest node) or at a local minimum of the greedy walk.
@@ -33,11 +39,19 @@ class ForwardingRouter {
   /// caller looping over many chunks can reuse one path buffer.
   void route_into(NodeIndex origin, Address target, Route& out) const;
 
-  [[nodiscard]] const Topology& topology() const noexcept { return *topo_; }
+  /// The node whose address is `a`, or nullopt when no node owns it.
+  [[nodiscard]] std::optional<NodeIndex> index_of(Address a) const;
+
+  /// The node storing content at `target` (globally XOR-closest node).
+  [[nodiscard]] NodeIndex storer_of(Address target) const noexcept {
+    return static_cast<NodeIndex>(closest_.closest_index(target));
+  }
 
  private:
   const Topology* topo_;
   std::size_t max_hops_;
+  std::unordered_map<Address, NodeIndex> index_;
+  ClosestNodeIndex closest_;
 };
 
 }  // namespace fairswap::overlay

@@ -9,6 +9,7 @@ namespace fairswap::core {
 ReferenceRun::ReferenceRun(const overlay::Topology& topo,
                            const SimulationConfig& config, Rng rng)
     : topo_(&topo),
+      greedy_(topo),
       config_(config),
       router_(topo.compiled_shared()),
       ledger_(*router_, config.swap),
@@ -57,7 +58,7 @@ void ReferenceRun::request_chunk(NodeIndex originator, Address chunk,
   if (is_upload) ++totals_.upload_requests;
   ++counters_[originator].chunks_requested;
 
-  const NodeIndex storer = topo_->closest_node(chunk);
+  const NodeIndex storer = greedy_.storer_of(chunk);
   const bool caching = config_.cache_capacity > 0;
 
   // The greedy walk re-scans the Address-keyed buckets per hop.
@@ -89,7 +90,7 @@ void ReferenceRun::request_chunk(NodeIndex originator, Address chunk,
     if (!peer) break;  // dead end short of the storer
     // A table address no network member owns (stale or poisoned entry)
     // fails the route.
-    const auto idx = topo_->index_of(*peer);
+    const auto idx = greedy_.index_of(*peer);
     if (!idx) break;
     cur = *idx;
     route.path.push_back(cur);

@@ -5,7 +5,8 @@
 // arena edge id of every hop, and its Ledger resolves each balance slot
 // from those ids. This is what the simulation did before either existed:
 // the Address-keyed greedy walk per chunk (RoutingTable::next_hop, then
-// Topology::index_of), short-circuited by relay caches when enabled, and a
+// the ForwardingRouter oracle's address hash, toward the storer its trie
+// names), short-circuited by relay caches as it goes when enabled, and a
 // replay of Simulation::account over the resulting edge-less routes. A
 // fresh policy and a fresh Ledger account those routes, so the ledger
 // finds every balance slot by scanning the consumer's slab rather than by
@@ -28,6 +29,7 @@
 #include "common/rng.hpp"
 #include "core/simulation.hpp"
 #include "incentives/policy.hpp"
+#include "oracles/forwarding_router.hpp"
 #include "overlay/forwarding.hpp"
 #include "overlay/topology.hpp"
 #include "storage/store.hpp"
@@ -71,6 +73,8 @@ class ReferenceRun {
   void account(const overlay::Route& route, bool from_cache);
 
   const overlay::Topology* topo_;
+  /// The oracle's own address lookups; its walk is not used.
+  overlay::ForwardingRouter greedy_;
   SimulationConfig config_;
   /// The router snapshot the ledger's arena indexes, pinned like
   /// Simulation pins it.

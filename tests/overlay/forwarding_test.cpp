@@ -39,7 +39,7 @@ TEST(Forwarding, RouteEndsAtStorerWhenReached) {
         static_cast<AddressValue>(rng.next_below(topo.space().size()))};
     const Route r = router.route(origin, chunk);
     if (r.reached_storer) {
-      EXPECT_EQ(r.terminal(), topo.closest_node(chunk));
+      EXPECT_EQ(r.terminal(), topo.compiled().storer_of(chunk));
     }
   }
 }

@@ -46,6 +46,7 @@ std::vector<double> bucket_fill(const Topology& topo) {
 double reachability(const Topology& topo) {
   const std::size_t n = topo.node_count();
   if (n < 2) return 1.0;
+  const CompiledRouter& router = topo.compiled();
   std::size_t reachable_pairs = 0;
   std::vector<char> seen(n);
   for (NodeIndex start = 0; start < n; ++start) {
@@ -57,9 +58,10 @@ double reachability(const Topology& topo) {
     while (!frontier.empty()) {
       const NodeIndex cur = frontier.front();
       frontier.pop();
-      for (const Address peer : topo.table(cur).all_peers()) {
-        const NodeIndex p = *topo.index_of(peer);
-        if (!seen[p]) {
+      const auto [begin, end] = router.node_edge_range(cur);
+      for (EdgeId e = begin; e < end; ++e) {
+        const NodeIndex p = router.edge_target(e);
+        if (p != CompiledRouter::kForeignPeer && !seen[p]) {
           seen[p] = 1;
           ++found;
           frontier.push(p);

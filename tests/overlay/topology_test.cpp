@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <stdexcept>
 
 #include "common/rng.hpp"
+#include "oracles/forwarding_router.hpp"
+#include "overlay/compiled_router.hpp"
 
 namespace fairswap::overlay {
 namespace {
@@ -37,11 +40,17 @@ TEST(Topology, AddressesAreUniqueAndInSpace) {
 
 TEST(Topology, IndexOfInvertsAddressOf) {
   const auto topo = small_topology(50);
+  const ForwardingRouter oracle(topo);
   for (NodeIndex i = 0; i < topo.node_count(); ++i) {
-    EXPECT_EQ(topo.index_of(topo.address_of(i)), i);
+    EXPECT_EQ(oracle.index_of(topo.address_of(i)), i);
   }
-  EXPECT_FALSE(topo.index_of(Address{4095}).has_value() &&
-               !topo.space().contains(Address{4095}));
+  // 50 nodes leave most of the 12-bit space unassigned.
+  AddressValue unassigned = 0;
+  while (oracle.index_of(Address{unassigned}).has_value()) ++unassigned;
+  ASSERT_TRUE(topo.space().contains(Address{unassigned}));
+  EXPECT_EQ(oracle.index_of(Address{unassigned}), std::nullopt);
+  EXPECT_FALSE(topo.space().contains(Address{1u << 12}));
+  EXPECT_EQ(oracle.index_of(Address{1u << 12}), std::nullopt);
 }
 
 TEST(Topology, SameSeedSameTopology) {
@@ -85,9 +94,10 @@ TEST(Topology, BucketsAreFullWhenCandidatesExist) {
 
 TEST(Topology, TablePeersAreActualNodes) {
   const auto topo = small_topology(100);
+  const ForwardingRouter oracle(topo);
   for (NodeIndex i = 0; i < topo.node_count(); ++i) {
     for (const Address peer : topo.table(i).all_peers()) {
-      EXPECT_TRUE(topo.index_of(peer).has_value());
+      EXPECT_TRUE(oracle.index_of(peer).has_value());
     }
   }
 }
@@ -111,14 +121,15 @@ TEST(Topology, ClosestNodeMatchesBruteForce) {
         best = i;
       }
     }
-    EXPECT_EQ(topo.closest_node(target), best) << "target " << target.v;
+    EXPECT_EQ(topo.compiled().storer_of(target), best)
+        << "target " << target.v;
   }
 }
 
 TEST(Topology, ClosestNodeOfANodeAddressIsThatNode) {
   const auto topo = small_topology(60);
   for (NodeIndex i = 0; i < topo.node_count(); ++i) {
-    EXPECT_EQ(topo.closest_node(topo.address_of(i)), i);
+    EXPECT_EQ(topo.compiled().storer_of(topo.address_of(i)), i);
   }
 }
 
@@ -188,8 +199,8 @@ TEST(ClosestNodeIndexTest, SingleNodeAlwaysWins) {
   const AddressSpace space(8);
   const std::vector<Address> nodes{Address{77}};
   const ClosestNodeIndex idx(space, nodes);
-  EXPECT_EQ(idx.closest(Address{0}), (Address{77}));
-  EXPECT_EQ(idx.closest(Address{255}), (Address{77}));
+  EXPECT_EQ(idx.closest_index(Address{0}), 0u);
+  EXPECT_EQ(idx.closest_index(Address{255}), 0u);
 }
 
 TEST(ClosestNodeIndexTest, HandlesAdversarialNonAdjacentCase) {
@@ -198,7 +209,8 @@ TEST(ClosestNodeIndexTest, HandlesAdversarialNonAdjacentCase) {
   const AddressSpace space(4);
   const std::vector<Address> nodes{Address{0}, Address{7}};
   const ClosestNodeIndex idx(space, nodes);
-  EXPECT_EQ(idx.closest(Address{8}), (Address{0}));
+  EXPECT_EQ(idx.closest_index(Address{8}), 0u);  // Address{0}
+  EXPECT_EQ(idx.closest_index(Address{6}), 1u);  // Address{7}
 }
 
 }  // namespace
