@@ -65,37 +65,43 @@ std::size_t Rng::index(std::size_t n) noexcept {
   return static_cast<std::size_t>(next_below(n));
 }
 
-std::vector<std::size_t> Rng::sample_without_replacement(
-    std::size_t n, std::size_t count) noexcept {
+void Rng::sample_without_replacement(std::size_t n, std::size_t count,
+                                     std::vector<std::size_t>& out,
+                                     SampleScratch& scratch) {
   const std::size_t take = count < n ? count : n;
-  std::vector<std::size_t> out(take);
-  if (take == 0) return out;
+  out.resize(take);
+  if (take == 0) return;
   // Step i swaps positions i and j >= i of the virtual permutation and
   // emits position i's new value; position i is never read again, so
   // only j's new value is stored. At most `take` positions are ever
-  // displaced, so a linear-probing table of twice that never fills.
-  struct Slot {
-    std::size_t pos;
-    std::size_t value;
-  };
-  constexpr std::size_t kFree = ~std::size_t{0};
+  // displaced, so a linear-probing table of twice that never fills. A
+  // slot counts only under this call's stamp, so no call clears the table.
   const std::size_t mask = std::bit_ceil(2 * take) - 1;
-  std::vector<Slot> displaced(mask + 1, Slot{kFree, 0});
-  const auto find = [&](std::size_t pos) -> Slot& {
+  auto& slots = scratch.slots_;
+  if (slots.size() <= mask) slots.resize(mask + 1);
+  const std::uint64_t stamp = ++scratch.stamp_;
+  const auto find = [&](std::size_t pos) -> SampleScratch::Slot& {
     std::size_t h = (pos * 0x9e3779b97f4a7c15ULL) & mask;
-    while (displaced[h].pos != kFree && displaced[h].pos != pos) {
+    while (slots[h].stamp == stamp && slots[h].pos != pos) {
       h = (h + 1) & mask;
     }
-    return displaced[h];
+    return slots[h];
   };
   for (std::size_t i = 0; i < take; ++i) {
     const std::size_t j = i + static_cast<std::size_t>(next_below(n - i));
-    const Slot& at_i = find(i);
-    const std::size_t value_i = at_i.pos == kFree ? i : at_i.value;
-    Slot& at_j = find(j);
-    out[i] = at_j.pos == kFree ? j : at_j.value;
-    at_j = {j, value_i};
+    const SampleScratch::Slot& at_i = find(i);
+    const std::size_t value_i = at_i.stamp == stamp ? at_i.value : i;
+    SampleScratch::Slot& at_j = find(j);
+    out[i] = at_j.stamp == stamp ? at_j.value : j;
+    at_j = {j, value_i, stamp};
   }
+}
+
+std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
+                                                         std::size_t count) {
+  std::vector<std::size_t> out;
+  SampleScratch scratch;
+  sample_without_replacement(n, count, out, scratch);
   return out;
 }
 

@@ -39,6 +39,22 @@ class SplitMix64 {
 inline constexpr std::uint64_t kDefaultSeed =
     0xFA1250'2208'0706'7ULL & 0xFFFFFFFFFFFFFFFFULL;
 
+/// Scratch space of Rng::sample_without_replacement: its table of displaced
+/// positions. A caller that samples many times keeps one, so the table is
+/// allocated only when a call needs more slots than any call before it.
+class SampleScratch {
+ private:
+  friend class Rng;
+  struct Slot {
+    std::size_t pos;
+    std::size_t value;
+    /// The call that wrote the slot; a slot of an earlier call is free.
+    std::uint64_t stamp;
+  };
+  std::vector<Slot> slots_;
+  std::uint64_t stamp_{0};
+};
+
 /// xoshiro256** 1.0 (Blackman & Vigna 2018). All experiment randomness in
 /// FairSwap flows through this generator. Satisfies the
 /// std::uniform_random_bit_generator concept so it can also drive standard
@@ -79,13 +95,20 @@ class Rng {
   std::size_t index(std::size_t n) noexcept;
 
   /// Samples `count` distinct indices from [0, n) without replacement
-  /// (partial Fisher-Yates). If count >= n, returns all indices in
-  /// shuffled order. The swaps run over the identity permutation of
-  /// [0, n) without materializing it: only the positions a swap displaced
-  /// are stored, so a call allocates O(count), not O(n), and returns the
-  /// indices the dense shuffle returns (tests/common/reference_sampling).
-  std::vector<std::size_t> sample_without_replacement(
-      std::size_t n, std::size_t count) noexcept;
+  /// (partial Fisher-Yates) into `out`, resized to min(count, n). If
+  /// count >= n, writes all indices in shuffled order. The swaps run over
+  /// the identity permutation of [0, n) without materializing it: only the
+  /// positions a swap displaced are stored, in `scratch`, so a call takes
+  /// O(count) time, not O(n), and writes the indices the dense shuffle
+  /// returns (tests/oracles/reference_sampling). It allocates only when
+  /// `out` or `scratch` must grow.
+  void sample_without_replacement(std::size_t n, std::size_t count,
+                                  std::vector<std::size_t>& out,
+                                  SampleScratch& scratch);
+
+  /// As above, into a new vector.
+  std::vector<std::size_t> sample_without_replacement(std::size_t n,
+                                                      std::size_t count);
 
   /// Splits off an independent child generator; children with different
   /// `stream` ids are statistically independent of each other and of the

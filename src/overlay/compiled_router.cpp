@@ -62,42 +62,36 @@ void ClosestNodeIndex::fill_from(std::int32_t node,
   if (at.child[1] < 0) std::copy(low.begin(), low.end(), high.begin());
 }
 
-CompiledRouter::CompiledRouter(const Topology& topo)
-    : bits_(topo.space().bits()), node_count_(topo.node_count()) {
+CompiledRouter::CompiledRouter(const AddressSpace& space,
+                               std::span<const Address> addresses,
+                               PeerArena arena)
+    : bits_(space.bits()),
+      node_count_(addresses.size()),
+      offsets_(std::move(arena.offsets)),
+      peers_(std::move(arena.peers)) {
+  assert(offsets_.size() == node_count_ * static_cast<std::size_t>(bits_) + 1);
+  assert(offsets_.back() == peers_.size());
   node_addr_.reserve(node_count_);
-  for (const Address a : topo.addresses()) node_addr_.push_back(a.v);
+  for (const Address a : addresses) node_addr_.push_back(a.v);
 
   if (bits_ <= kDenseStorerBits) {
     storer_.resize(std::size_t{1} << bits_);
-    ClosestNodeIndex(topo.space(), topo.addresses()).fill_closest(storer_);
+    ClosestNodeIndex(space, addresses).fill_closest(storer_);
   } else {
-    closest_.emplace(topo.space(), topo.addresses());
+    closest_.emplace(space, addresses);
   }
 
-  const std::size_t cells = node_count_ * static_cast<std::size_t>(bits_);
-  offsets_.assign(cells + 1, 0);
-  peers_.reserve(topo.edge_count());
-  peer_idx_.reserve(topo.edge_count());
-
+  // A member of the network is the storer of its own address.
+  peer_idx_.reserve(peers_.size());
+  for (const AddressValue peer : peers_) {
+    const NodeIndex storer = storer_of(Address{peer});
+    peer_idx_.push_back(node_addr_[storer] == peer ? storer : kForeignPeer);
+  }
   std::size_t max_slab = 0;
   for (NodeIndex n = 0; n < node_count_; ++n) {
-    const RoutingTable& table = topo.table(n);
-    const std::size_t slab_begin = peers_.size();
-    for (int b = 0; b < bits_; ++b) {
-      const std::size_t cell = n * static_cast<std::size_t>(bits_) +
-                               static_cast<std::size_t>(b);
-      offsets_[cell] = static_cast<std::uint32_t>(peers_.size());
-      for (const Address peer : table.bucket(b)) {
-        // A member of the network is the storer of its own address.
-        const NodeIndex storer = storer_of(peer);
-        peers_.push_back(peer.v);
-        peer_idx_.push_back(node_addr_[storer] == peer.v ? storer
-                                                         : kForeignPeer);
-      }
-    }
-    max_slab = std::max(max_slab, peers_.size() - slab_begin);
+    const auto [begin, end] = node_edge_range(n);
+    max_slab = std::max<std::size_t>(max_slab, end - begin);
   }
-  offsets_[cells] = static_cast<std::uint32_t>(peers_.size());
 
   // The packed scan stores each peer as (address << shift) | local index;
   // it applies whenever the widest per-node slab index fits beside the

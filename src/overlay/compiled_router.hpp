@@ -1,14 +1,16 @@
 // Compiled routing — the precomputed hot path for forwarding Kademlia.
 //
 // Routing tables remain static for the entirety of an experiment (paper
-// §III-A), so the greedy next-hop selection can be compiled once, right
-// after Topology::build, into dense flat arrays and answered in a handful
-// of loads per hop:
+// §III-A), so the greedy next-hop selection can be compiled once, as
+// Topology::build finishes, into dense flat arrays and answered in a
+// handful of loads per hop:
 //
 //  * a per-node, per-bucket CSR slab of the table peers over NodeIndex —
-//    one contiguous arena for the whole network instead of a
-//    vector<vector<Address>> per node, and no Address -> index hash
-//    lookup per hop;
+//    one contiguous arena for the whole network, and the only copy of the
+//    routing tables: Topology::build samples every bucket straight into a
+//    PeerArena and hands it over by move, and Topology::table(n) rebuilds
+//    a node's RoutingTable from it (peer_address). No Address -> index
+//    hash lookup per hop;
 //  * peers stored pre-packed as (address << shift) | slab_local_index, so
 //    one XOR-min reduction (which the compiler vectorizes) returns the
 //    argmin peer directly — no branchy three-way bucket dispatch, no
@@ -96,11 +98,19 @@ class ClosestNodeIndex {
 /// poisoned entry, which fails the route rather than invoking UB).
 inline constexpr NodeIndex kNoNextHop = 0xFFFFFFFFu;
 
-/// Immutable compiled form of every routing table in a Topology. Built by
-/// Topology::build (and rebuilt on fault injection); shared by reference
-/// through Topology::compiled(). Self-contained: it copies the addresses
-/// and table structure it needs, so it stays valid when the owning
-/// Topology is moved.
+/// Every node's routing table as one CSR arena: node n's bucket b holds
+/// peers[offsets[n·bits + b] .. offsets[n·bits + b + 1]), in the order the
+/// peers joined it.
+struct PeerArena {
+  std::vector<std::uint32_t> offsets;  ///< node_count · bits + 1 entries
+  std::vector<AddressValue> peers;
+};
+
+/// Immutable compiled form of every routing table in a Topology, and the
+/// only copy of them. Built by Topology::build (and rebuilt on fault
+/// injection); shared by reference through Topology::compiled().
+/// Self-contained: it copies the addresses it needs, so it stays valid
+/// when the owning Topology is moved.
 class CompiledRouter {
  public:
   /// Address spaces at most this wide get the dense per-address storer
@@ -108,7 +118,10 @@ class CompiledRouter {
   /// storer_of by descending it.
   static constexpr int kDenseStorerBits = 22;
 
-  explicit CompiledRouter(const Topology& topo);
+  /// Takes over `arena`, the tables of the nodes at `addresses` (in
+  /// NodeIndex order), resolves its peers and packs it in place.
+  CompiledRouter(const AddressSpace& space, std::span<const Address> addresses,
+                 PeerArena arena);
 
   [[nodiscard]] int bits() const noexcept { return bits_; }
   [[nodiscard]] std::size_t node_count() const noexcept { return node_count_; }
@@ -208,12 +221,26 @@ class CompiledRouter {
     return peer_idx_[e];
   }
 
+  /// The table address a directed arena edge points at, unpacked.
+  [[nodiscard]] Address peer_address(EdgeId e) const noexcept {
+    return Address{peers_[e] >> shift_};
+  }
+
   /// Half-open range of arena edge ids whose source is `node` (its slab).
   [[nodiscard]] std::pair<EdgeId, EdgeId> node_edge_range(
       NodeIndex node) const noexcept {
     const std::size_t row =
         static_cast<std::size_t>(node) * static_cast<std::size_t>(bits_);
     return {offsets_[row], offsets_[row + static_cast<std::size_t>(bits_)]};
+  }
+
+  /// Half-open range of arena edge ids in `node`'s bucket `bucket`.
+  [[nodiscard]] std::pair<EdgeId, EdgeId> bucket_edge_range(
+      NodeIndex node, int bucket) const noexcept {
+    const std::size_t cell =
+        static_cast<std::size_t>(node) * static_cast<std::size_t>(bits_) +
+        static_cast<std::size_t>(bucket);
+    return {offsets_[cell], offsets_[cell + 1]};
   }
 
   // --- Pair numbering (the ledger's balance slots) ---

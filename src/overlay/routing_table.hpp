@@ -39,10 +39,10 @@ struct BucketPolicy {
 };
 
 /// A routing table: `bits` buckets of at most k peers each, plus the
-/// owner's address. Tables are plain values; the topology builder
-/// constructs one per node and keeps them static for a whole experiment
-/// (paper: "routing tables remain static for the entirety of the
-/// experiments").
+/// owner's address. Tables are plain values: Topology::table(n) rebuilds
+/// one from the compiled router's peer arena, which holds every node's
+/// table static for a whole experiment (paper: "routing tables remain
+/// static for the entirety of the experiments").
 class RoutingTable {
  public:
   RoutingTable(AddressSpace space, Address self, BucketPolicy policy);

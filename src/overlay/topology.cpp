@@ -1,8 +1,9 @@
 #include "overlay/topology.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <numeric>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "common/log.hpp"
 #include "overlay/compiled_router.hpp"
@@ -81,14 +82,20 @@ Topology Topology::build(const TopologyConfig& config, Rng& rng) {
   Topology topo(config, space);
 
   // 1) Unique uniform addresses (rejection sampling; the paper's 1000
-  //    nodes in a 65536-slot space reject ~1.5% of draws).
-  // fairswap-lint: allow(unordered-container) -- rejection-sampling dedup;
-  // only insert().second is observed, never enumerated.
-  std::unordered_set<AddressValue> seen;
+  //    nodes in a 65536-slot space reject ~1.5% of draws). The values
+  //    drawn so far sit in an open-addressing set kept at most half full.
+  constexpr std::uint64_t kNoAddress = ~std::uint64_t{0};
+  std::vector<std::uint64_t> seen(std::bit_ceil(2 * config.node_count),
+                                  kNoAddress);
+  const std::size_t seen_mask = seen.size() - 1;
   topo.addresses_.reserve(config.node_count);
   while (topo.addresses_.size() < config.node_count) {
-    const Address a{static_cast<AddressValue>(rng.next_below(space.size()))};
-    if (seen.insert(a.v).second) topo.addresses_.push_back(a);
+    const std::uint64_t v = rng.next_below(space.size());
+    std::size_t h = (v * 0x9e3779b97f4a7c15ULL) & seen_mask;
+    while (seen[h] != kNoAddress && seen[h] != v) h = (h + 1) & seen_mask;
+    if (seen[h] == v) continue;
+    seen[h] = v;
+    topo.addresses_.push_back(Address{static_cast<AddressValue>(v)});
   }
 
   // 2) Routing tables: each bucket samples up to its capacity uniformly
@@ -108,14 +115,13 @@ Topology Topology::build(const TopologyConfig& config, Rng& rng) {
   for (std::size_t p = 0; p < n; ++p) {
     sorted[p] = topo.addresses_[layout[(bits - 1) * n + p]].v;
   }
-  topo.tables_.reserve(n);
-  for (NodeIndex i = 0; i < n; ++i) {
-    const Address self = topo.addresses_[i];
-    RoutingTable table(space, self, config.buckets);
-    // [lo, hi) is self's group at depth b: the nodes sharing its first b
-    // bits. It splits at `mid` into the halves whose bit b is 0 and 1;
-    // the half without self is bucket b's pool. Once self is alone, every
-    // deeper pool is empty and would draw nothing.
+  // Calls visit(b, pool) for node i's buckets in ascending b.
+  // [lo, hi) is self's group at depth b: the nodes sharing its first b
+  // bits. It splits at `mid` into the halves whose bit b is 0 and 1; the
+  // half without self is bucket b's pool. Once self is alone, every deeper
+  // pool is empty and would draw nothing.
+  const auto for_each_pool = [&](NodeIndex i, const auto& visit) {
+    const AddressValue self = topo.addresses_[i].v;
     std::size_t lo = 0;
     std::size_t hi = n;
     for (std::size_t b = 0; b < bits && hi - lo > 1; ++b) {
@@ -128,24 +134,46 @@ Topology Topology::build(const TopologyConfig& config, Rng& rng) {
           first);
       std::size_t pool_lo = mid;
       std::size_t pool_hi = hi;
-      if (((self.v >> bit) & 1u) != 0) {
+      if (((self >> bit) & 1u) != 0) {
         pool_lo = lo;
         pool_hi = mid;
         lo = mid;
       } else {
         hi = mid;
       }
-      const NodeIndex* const pool = layout.data() + b * n + pool_lo;
-      const auto picks = rng.sample_without_replacement(
-          pool_hi - pool_lo, config.buckets.capacity(static_cast<int>(b)));
-      for (const std::size_t p : picks) {
-        table.try_add(topo.addresses_[pool[p]]);
-      }
+      visit(b, std::span(layout).subspan(b * n + pool_lo, pool_hi - pool_lo));
     }
-    topo.tables_.push_back(std::move(table));
+  };
+  const auto capacity = [&config](std::size_t b) {
+    return config.buckets.capacity(static_cast<int>(b));
+  };
+
+  // Every bucket takes min(pool, capacity) picks, so a first pass over the
+  // pools sizes the router's arena exactly; the second samples into it,
+  // node by node and bucket by bucket.
+  PeerArena arena;
+  arena.offsets.assign(n * bits + 1, 0);
+  for (NodeIndex i = 0; i < n; ++i) {
+    for_each_pool(i, [&](std::size_t b, std::span<const NodeIndex> pool) {
+      arena.offsets[i * bits + b + 1] =
+          static_cast<std::uint32_t>(std::min(pool.size(), capacity(b)));
+    });
+  }
+  std::partial_sum(arena.offsets.begin(), arena.offsets.end(),
+                   arena.offsets.begin());
+  arena.peers.resize(arena.offsets.back());
+  std::vector<std::size_t> picks;
+  SampleScratch scratch;
+  for (NodeIndex i = 0; i < n; ++i) {
+    for_each_pool(i, [&](std::size_t b, std::span<const NodeIndex> pool) {
+      rng.sample_without_replacement(pool.size(), capacity(b), picks, scratch);
+      AddressValue* out = arena.peers.data() + arena.offsets[i * bits + b];
+      for (const std::size_t p : picks) *out++ = topo.addresses_[pool[p]].v;
+    });
   }
 
-  topo.compiled_ = std::make_shared<const CompiledRouter>(topo);
+  topo.compiled_ = std::make_shared<const CompiledRouter>(
+      space, topo.addresses_, std::move(arena));
 
   FAIRSWAP_LOG(kInfo, "overlay")
       << "built topology: " << topo.node_count() << " nodes, "
@@ -159,16 +187,40 @@ Topology Topology::build(const TopologyConfig& config, Rng& rng) {
 
 const CompiledRouter& Topology::compiled() const noexcept { return *compiled_; }
 
+RoutingTable Topology::table(NodeIndex n) const {
+  RoutingTable table(space_, addresses_[n], config_.buckets);
+  const auto [begin, end] = compiled_->node_edge_range(n);
+  for (EdgeId e = begin; e < end; ++e) {
+    table.try_add(compiled_->peer_address(e));
+  }
+  return table;
+}
+
 bool Topology::inject_table_entry(NodeIndex node, Address peer) {
-  if (!tables_[node].try_add(peer)) return false;
-  compiled_ = std::make_shared<const CompiledRouter>(*this);
+  if (!table(node).try_add(peer)) return false;
+  // The arena again, unpacked, with `peer` appended to its bucket.
+  const CompiledRouter& old = *compiled_;
+  const int bits = space_.bits();
+  const int at = space_.bucket_index(addresses_[node], peer);
+  PeerArena arena;
+  for (NodeIndex n = 0; n < node_count(); ++n) {
+    for (int b = 0; b < bits; ++b) {
+      arena.offsets.push_back(static_cast<std::uint32_t>(arena.peers.size()));
+      const auto [begin, end] = old.bucket_edge_range(n, b);
+      for (EdgeId e = begin; e < end; ++e) {
+        arena.peers.push_back(old.peer_address(e).v);
+      }
+      if (n == node && b == at) arena.peers.push_back(peer.v);
+    }
+  }
+  arena.offsets.push_back(static_cast<std::uint32_t>(arena.peers.size()));
+  compiled_ = std::make_shared<const CompiledRouter>(space_, addresses_,
+                                                     std::move(arena));
   return true;
 }
 
 std::size_t Topology::edge_count() const noexcept {
-  std::size_t total = 0;
-  for (const auto& t : tables_) total += t.size();
-  return total;
+  return compiled_->edge_count();
 }
 
 }  // namespace fairswap::overlay

@@ -5,7 +5,9 @@
 // every bucket with up to k uniformly chosen candidates, and keeps the
 // tables static for the entire experiment. The same topology object can be
 // shared by many simulations ("Our tool allows to use the same overlay for
-// multiple simulations").
+// multiple simulations"). build() samples every bucket straight into the
+// compiled router's peer arena (overlay/compiled_router.hpp), the only copy
+// of the tables; table(n) rebuilds one node's RoutingTable from it.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +39,8 @@ struct TopologyConfig {
                          const TopologyConfig&) = default;
 };
 
-/// An immutable overlay: addresses, routing tables, and the compiled
-/// router over them, which answers every address-to-node question. Value
+/// An immutable overlay: addresses and the compiled router, which holds
+/// the routing tables and answers every address-to-node question. Value
 /// type; cheap to share by const reference.
 class Topology {
  public:
@@ -59,16 +61,16 @@ class Topology {
   [[nodiscard]] Address address_of(NodeIndex n) const noexcept {
     return addresses_[n];
   }
-  [[nodiscard]] const RoutingTable& table(NodeIndex n) const noexcept {
-    return tables_[n];
-  }
+  /// Node `n`'s routing table, rebuilt from the router's arena: each
+  /// bucket lists its peers in the order they joined it.
+  [[nodiscard]] RoutingTable table(NodeIndex n) const;
   [[nodiscard]] std::span<const Address> addresses() const noexcept {
     return addresses_;
   }
 
-  /// The compiled (precomputed) routing hot path over these tables. Built
-  /// once at the end of build(); rebuilt by inject_table_entry. See
-  /// overlay/compiled_router.hpp.
+  /// The compiled (precomputed) routing hot path and the tables it routes
+  /// over. Built once at the end of build(); rebuilt by
+  /// inject_table_entry. See overlay/compiled_router.hpp.
   [[nodiscard]] const CompiledRouter& compiled() const noexcept;
 
   /// Shared ownership of the current compiled router, for holders that
@@ -100,7 +102,6 @@ class Topology {
   TopologyConfig config_;
   AddressSpace space_;
   std::vector<Address> addresses_;
-  std::vector<RoutingTable> tables_;
   /// Shared, immutable after build; copies of a Topology share it.
   std::shared_ptr<const CompiledRouter> compiled_;
 };

@@ -41,9 +41,10 @@ TEST(Dynamics, NeighborListsResolveEveryTableEntry) {
   std::size_t total = 0;
   for (NodeIndex n = 0; n < topo.node_count(); ++n) {
     total += lists[n].size();
+    const overlay::RoutingTable table = topo.table(n);
     for (const NodeIndex peer : lists[n]) {
       ASSERT_LT(peer, topo.node_count());
-      EXPECT_TRUE(topo.table(n).contains(topo.address_of(peer)));
+      EXPECT_TRUE(table.contains(topo.address_of(peer)));
     }
   }
   // No foreign entries in a clean topology: lists mirror the edge count.

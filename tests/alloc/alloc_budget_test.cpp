@@ -5,6 +5,10 @@
 // such as a route slot meeting a longer path than any before it: well
 // under one allocation per file.
 //
+// Set-up has a budget too: Topology::build samples every bucket straight
+// into the router's arena, sized up front, so its allocations do not grow
+// with the node or edge count.
+//
 // The suite counts allocations by replacing the global operator new, so
 // it is a test binary of its own: no other suite runs under the counting
 // allocator.
@@ -12,6 +16,7 @@
 #include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -19,6 +24,7 @@
 #include "core/experiment.hpp"
 #include "core/scenarios.hpp"
 #include "core/simulation.hpp"
+#include "overlay/topology.hpp"
 
 namespace {
 
@@ -100,6 +106,29 @@ TEST_F(AllocationBudget, HeavyTrafficCellAllocatesLessThanOncePerFile) {
   const std::size_t made = measured_allocations(cfg);
   EXPECT_LT(made, kMeasuredFiles)
       << made << " allocations over " << kMeasuredFiles << " files";
+}
+
+TEST_F(AllocationBudget, TopologyBuildMakesAFixedNumberOfAllocations) {
+  // The paper's k=4 and k=20 cells, and 10,000 nodes on 20 bits: with a
+  // RoutingTable per node, these builds made 49,862 to 955,882.
+  constexpr std::size_t kBudget = 64;
+  for (const auto& [nodes, bits, k] :
+       {std::tuple<std::size_t, int, std::size_t>{1000, 16, 4},
+        {1000, 16, 20},
+        {10'000, 20, 4},
+        {10'000, 20, 20}}) {
+    overlay::TopologyConfig cfg;
+    cfg.node_count = nodes;
+    cfg.address_bits = bits;
+    cfg.buckets.k = k;
+    Rng rng(7);
+    const std::size_t before = allocations();
+    const overlay::Topology topo = overlay::Topology::build(cfg, rng);
+    const std::size_t made = allocations() - before;
+    EXPECT_LE(made, kBudget) << nodes << " nodes, " << bits << " bits, k="
+                             << k << ": " << made << " allocations";
+    EXPECT_EQ(topo.node_count(), nodes);
+  }
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "reference_sampling.hpp"
+#include "oracles/reference_sampling.hpp"
 
 namespace fairswap {
 namespace {
@@ -44,6 +44,24 @@ TEST(SamplingOracle, RandomSizesMatchTheDenseShuffle) {
     const std::size_t count = sizes.next_below(64);
     expect_same_sample(static_cast<std::uint64_t>(trial), n, count);
   }
+}
+
+TEST(SamplingOracle, ReusedScratchMatchesTheDenseShuffle) {
+  // The topology builder's use: one output and one scratch across calls
+  // whose tables grow and shrink, so slots of earlier calls linger.
+  Rng sizes(98);
+  Rng a(99);
+  Rng b = a;
+  std::vector<std::size_t> out;
+  SampleScratch scratch;
+  for (int call = 0; call < 3'000; ++call) {
+    const std::size_t n = sizes.next_below(sizes.chance(0.1) ? 5'000 : 40);
+    const std::size_t count = sizes.next_below(sizes.chance(0.1) ? 200 : 24);
+    a.sample_without_replacement(n, count, out, scratch);
+    ASSERT_EQ(out, reference_sample_without_replacement(b, n, count))
+        << "call " << call << ": n=" << n << " count=" << count;
+  }
+  EXPECT_EQ(a.next(), b.next());
 }
 
 TEST(SamplingOracle, FullShufflesMatchTheDenseShuffle) {

@@ -194,8 +194,8 @@ bool find_injectable_foreign(const overlay::Topology& topo,
     for (overlay::NodeIndex n = 0; n < topo.node_count(); ++n) {
       if (n == storer) continue;
       const int b = topo.space().bucket_index(topo.address_of(n), f);
-      if (topo.table(n).bucket_size(b) <
-          topo.table(n).policy().capacity(b)) {
+      const overlay::RoutingTable& table = oracle.table(n);
+      if (table.bucket_size(b) < table.policy().capacity(b)) {
         node = n;
         foreign = f;
         return true;

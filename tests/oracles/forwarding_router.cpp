@@ -3,13 +3,14 @@
 namespace fairswap::overlay {
 
 ForwardingRouter::ForwardingRouter(const Topology& topo, std::size_t max_hops)
-    : topo_(&topo),
-      max_hops_(max_hops == 0
+    : max_hops_(max_hops == 0
                     ? static_cast<std::size_t>(topo.space().bits()) * 4
                     : max_hops),
       closest_(topo.space(), topo.addresses()) {
+  tables_.reserve(topo.node_count());
   for (NodeIndex i = 0; i < topo.node_count(); ++i) {
     index_.emplace(topo.address_of(i), i);
+    tables_.push_back(topo.table(i));
   }
 }
 
@@ -37,7 +38,7 @@ void ForwardingRouter::route_into(NodeIndex origin, Address target,
       r.truncated = true;
       break;
     }
-    const auto next = topo_->table(cur).next_hop(target);
+    const auto next = tables_[cur].next_hop(target);
     if (!next) break;  // local minimum: no strictly closer peer known
     const auto idx = index_of(*next);
     if (!idx) break;  // table entry outside the network: fail the route

@@ -5,20 +5,24 @@
 // hop, RoutingTable::next_hop over the Address-keyed buckets, then an
 // address hash to resolve the winner; the storer comes from a descent of a
 // closest-node trie. The oracle builds that hash and that trie itself, over
-// Topology::addresses(), so no answer it gives passes through the router
-// it checks. Its routes carry no edge ids. compiled_router_test pins
-// CompiledRouter to it route for route, ReferenceRun walks through its
-// lookups, and bench_scale times one walk against the other. Nothing
-// outside tests/ and bench_scale links it.
+// Topology::addresses(), and every node's RoutingTable once, from
+// Topology::table(), so no hop it takes passes through the router's scan.
+// (The tables themselves are checked against the dense definition by
+// reference_tables.hpp.) Its routes carry no edge ids. compiled_router_test
+// pins CompiledRouter to it route for route, ReferenceRun walks through
+// its tables and lookups, and bench_scale times one walk against the
+// other. Nothing outside tests/ and bench_scale links it.
 #pragma once
 
 #include <cstddef>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "common/address.hpp"
 #include "overlay/compiled_router.hpp"
 #include "overlay/forwarding.hpp"
+#include "overlay/routing_table.hpp"
 #include "overlay/topology.hpp"
 
 namespace fairswap::overlay {
@@ -39,6 +43,11 @@ class ForwardingRouter {
   /// caller looping over many chunks can reuse one path buffer.
   void route_into(NodeIndex origin, Address target, Route& out) const;
 
+  /// Node `n`'s routing table, as the topology held it at construction.
+  [[nodiscard]] const RoutingTable& table(NodeIndex n) const noexcept {
+    return tables_[n];
+  }
+
   /// The node whose address is `a`, or nullopt when no node owns it.
   [[nodiscard]] std::optional<NodeIndex> index_of(Address a) const;
 
@@ -48,8 +57,8 @@ class ForwardingRouter {
   }
 
  private:
-  const Topology* topo_;
   std::size_t max_hops_;
+  std::vector<RoutingTable> tables_;
   std::unordered_map<Address, NodeIndex> index_;
   ClosestNodeIndex closest_;
 };

@@ -86,7 +86,7 @@ void ReferenceRun::request_chunk(NodeIndex originator, Address chunk,
       route.truncated = true;
       break;
     }
-    const auto peer = topo_->table(cur).next_hop(chunk);
+    const auto peer = greedy_.table(cur).next_hop(chunk);
     if (!peer) break;  // dead end short of the storer
     // A table address no network member owns (stale or poisoned entry)
     // fails the route.

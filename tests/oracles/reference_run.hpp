@@ -73,7 +73,7 @@ class ReferenceRun {
   void account(const overlay::Route& route, bool from_cache);
 
   const overlay::Topology* topo_;
-  /// The oracle's own address lookups; its walk is not used.
+  /// The oracle's own tables and address lookups; its walk is not used.
   overlay::ForwardingRouter greedy_;
   SimulationConfig config_;
   /// The router snapshot the ledger's arena indexes, pinned like

@@ -1,4 +1,4 @@
-#include "reference_sampling.hpp"
+#include "oracles/reference_sampling.hpp"
 
 #include <numeric>
 #include <utility>

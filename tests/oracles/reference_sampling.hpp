@@ -1,7 +1,9 @@
 // Rng::sample_without_replacement as it was before the sparse shuffle: a
 // partial Fisher-Yates over a materialized n-entry index vector. It is the
 // test oracle the sparse version must match index for index
-// (sampling_oracle_test.cpp); nothing outside tests/ links it.
+// (tests/common/sampling_oracle_test.cpp), and the sampler of the dense
+// reference tables (reference_tables.hpp). Nothing outside tests/ and
+// bench_scale links it.
 #pragma once
 
 #include <cstddef>

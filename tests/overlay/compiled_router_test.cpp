@@ -32,10 +32,9 @@ Topology make_topology(std::size_t nodes, std::size_t k, std::uint64_t seed,
 /// The reference answer: the pruned table walk resolved through the
 /// oracle's address hash, failing (nullopt) on a dead end or an address
 /// outside the network.
-std::optional<NodeIndex> reference_next_hop(const Topology& topo,
-                                            const ForwardingRouter& oracle,
+std::optional<NodeIndex> reference_next_hop(const ForwardingRouter& oracle,
                                             NodeIndex from, Address target) {
-  const auto peer = topo.table(from).next_hop(target);
+  const auto peer = oracle.table(from).next_hop(target);
   if (!peer) return std::nullopt;
   return oracle.index_of(*peer);
 }
@@ -74,7 +73,7 @@ TEST(CompiledRouter, NextHopMatchesReferenceAcrossRandomTopologies) {
       const auto from = static_cast<NodeIndex>(rng.index(topo.node_count()));
       const Address target{
           static_cast<AddressValue>(rng.next_below(topo.space().size()))};
-      const auto expected = reference_next_hop(topo, oracle, from, target);
+      const auto expected = reference_next_hop(oracle, from, target);
       const NodeIndex got = compiled.next_hop(from, target);
       if (expected) {
         EXPECT_EQ(got, *expected) << "nodes=" << nodes << " k=" << k;
@@ -227,8 +226,8 @@ std::optional<Injection> find_injection(const Topology& topo) {
     for (NodeIndex n = 0; n < topo.node_count(); ++n) {
       if (n == storer) continue;
       const int b = topo.space().bucket_index(topo.address_of(n), f);
-      if (topo.table(n).bucket_size(b) <
-          topo.table(n).policy().capacity(b)) {
+      const RoutingTable& table = oracle.table(n);
+      if (table.bucket_size(b) < table.policy().capacity(b)) {
         return Injection{n, f};
       }
     }
@@ -280,8 +279,9 @@ TEST(CompiledRouter, InjectionRecompilesHotPath) {
     const Address f{v};
     for (NodeIndex n = 0; n < topo.node_count(); ++n) {
       const int b = topo.space().bucket_index(topo.address_of(n), f);
-      const std::size_t size = topo.table(n).bucket_size(b);
-      if (size < 1 || size >= topo.table(n).policy().capacity(b)) continue;
+      const RoutingTable table = topo.table(n);
+      const std::size_t size = table.bucket_size(b);
+      if (size < 1 || size >= table.policy().capacity(b)) continue;
       const NodeIndex before = topo.compiled().next_hop(n, f);
       ASSERT_NE(before, kNoNextHop);  // the bucket peer routes toward f
       ASSERT_TRUE(topo.inject_table_entry(n, f));

@@ -27,8 +27,9 @@ class TopologyPerK : public ::testing::TestWithParam<std::size_t> {
 TEST_P(TopologyPerK, BucketsNeverExceedCapacity) {
   const auto topo = build();
   for (NodeIndex n = 0; n < topo.node_count(); ++n) {
+    const RoutingTable table = topo.table(n);
     for (int b = 0; b < topo.space().bits(); ++b) {
-      EXPECT_LE(topo.table(n).bucket_size(b), GetParam());
+      EXPECT_LE(table.bucket_size(b), GetParam());
     }
   }
 }
@@ -37,8 +38,10 @@ TEST_P(TopologyPerK, BucketMembersShareExactPrefix) {
   const auto topo = build();
   for (NodeIndex n = 0; n < topo.node_count(); ++n) {
     const Address self = topo.address_of(n);
+    // table(n) returns a temporary: bucket spans must not outlive it.
+    const RoutingTable table = topo.table(n);
     for (int b = 0; b < topo.space().bits(); ++b) {
-      for (const Address peer : topo.table(n).bucket(b)) {
+      for (const Address peer : table.bucket(b)) {
         EXPECT_EQ(topo.space().proximity(self, peer), b);
       }
     }

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <set>
 #include <stdexcept>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "oracles/forwarding_router.hpp"
@@ -98,6 +100,49 @@ TEST(Topology, TablePeersAreActualNodes) {
   for (NodeIndex i = 0; i < topo.node_count(); ++i) {
     for (const Address peer : topo.table(i).all_peers()) {
       EXPECT_TRUE(oracle.index_of(peer).has_value());
+    }
+  }
+}
+
+TEST(Topology, InjectedEntryJoinsTheEndOfItsBucket) {
+  auto topo = small_topology(120, 2, 23, 10);
+  const ForwardingRouter before(topo);
+  std::set<AddressValue> taken;
+  for (const Address a : topo.addresses()) taken.insert(a.v);
+  // A foreign address and a node whose bucket for it has room.
+  NodeIndex node = 0;
+  Address foreign{};
+  int bucket = -1;
+  for (AddressValue v = 0; v < topo.space().size() && bucket < 0; ++v) {
+    if (taken.contains(v)) continue;
+    for (NodeIndex n = 0; n < topo.node_count(); ++n) {
+      const int b = topo.space().bucket_index(topo.address_of(n), Address{v});
+      const RoutingTable& table = before.table(n);
+      if (table.bucket_size(b) >= 1 &&
+          table.bucket_size(b) < table.policy().capacity(b)) {
+        node = n;
+        foreign = Address{v};
+        bucket = b;
+        break;
+      }
+    }
+  }
+  ASSERT_GE(bucket, 0);
+
+  EXPECT_FALSE(topo.inject_table_entry(node, topo.address_of(node)));
+  const std::size_t edges = topo.edge_count();
+  ASSERT_TRUE(topo.inject_table_entry(node, foreign));
+  EXPECT_FALSE(topo.inject_table_entry(node, foreign));  // already present
+  EXPECT_EQ(topo.edge_count(), edges + 1);
+  for (NodeIndex n = 0; n < topo.node_count(); ++n) {
+    const RoutingTable table = topo.table(n);
+    for (int b = 0; b < topo.space().bits(); ++b) {
+      std::vector<Address> expected(before.table(n).bucket(b).begin(),
+                                    before.table(n).bucket(b).end());
+      if (n == node && b == bucket) expected.push_back(foreign);
+      const auto got = table.bucket(b);
+      EXPECT_TRUE(std::ranges::equal(got, expected))
+          << "node " << n << ", bucket " << b;
     }
   }
 }
