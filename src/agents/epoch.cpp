@@ -1,6 +1,5 @@
 #include "agents/epoch.hpp"
 
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -33,8 +32,7 @@ core::SimulationConfig sim_config(const core::ExperimentConfig& config) {
 
 EpochDriver::EpochDriver(const overlay::Topology& topo,
                          core::ExperimentConfig config)
-    : topo_(&topo),
-      config_(std::move(config)),
+    : config_(std::move(config)),
       sim_(topo, sim_config(config_), epoch_rng(config_.seed, 0)),
       dynamics_(make_dynamics(config_.agents.dynamics)),
       neighbors_(neighbor_lists(topo)),
@@ -80,9 +78,6 @@ EpochSeries EpochDriver::run() {
   for (std::size_t epoch = 0; epoch < agents.epochs; ++epoch) {
     TELEM_SPAN("epoch");
     if (epoch > 0) sim_.reset(epoch_rng(config_.seed, epoch));
-    // The whole point of reset(): the compiled snapshot (and with it the
-    // edge-ledger arena) is never rebuilt across epochs.
-    assert(sim_.compiled_router() == topo_->compiled_shared().get());
 
     flags_.resize(behavior_.size());
     for (std::size_t i = 0; i < behavior_.size(); ++i) {

@@ -11,10 +11,9 @@
 // The loop never rebuilds anything: one built Topology and its compiled
 // router/edge-ledger arenas serve every epoch through
 // core::Simulation::reset, which zeroes counters and balances in place —
-// the pointer identity of the compiled snapshot across epochs is asserted
-// here and pinned by tests/agents/epoch_test.cpp. That is what keeps a
-// 50-epoch x 1000-file run at 10k nodes at roughly the cost of one
-// 50k-file run.
+// tests/agents/epoch_test.cpp pins the router's pointer identity across
+// epochs. That is what keeps a 50-epoch x 1000-file run at 10k nodes at
+// roughly the cost of one 50k-file run.
 #pragma once
 
 #include <cstdint>
@@ -111,7 +110,6 @@ class EpochDriver {
   }
 
  private:
-  const overlay::Topology* topo_;
   core::ExperimentConfig config_;
   core::Simulation sim_;
   std::unique_ptr<RevisionDynamics> dynamics_;

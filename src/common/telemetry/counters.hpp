@@ -35,7 +35,7 @@ inline constexpr bool kEnabled = true;
 enum class Counter : std::size_t {
   // routing (core::Simulation request path)
   kRouteBatches = 0,   ///< route_batch calls (8-lane lockstep batches)
-  kRouteWalks,         ///< individual route walks (batched or per-chunk)
+  kRouteWalks,         ///< individual route walks
   kRoutesTruncated,    ///< walks cut by the hop budget
   kRoutesFailed,       ///< walks that died before reaching a holder
   kChunksDelivered,    ///< chunks that reached their originator

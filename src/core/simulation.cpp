@@ -29,8 +29,7 @@ Simulation::Simulation(const overlay::Topology& topo, SimulationConfig config,
                        Rng rng)
     : topo_(&topo),
       config_(std::move(config)),
-      router_(topo.compiled_shared()),
-      swap_(*router_, config_.swap),
+      swap_(topo.compiled(), config_.swap),
       pricer_(accounting::make_pricer(config_.pricer)),
       policy_(incentives::make_policy(config_.policy)),
       counters_(topo.node_count()),
@@ -53,7 +52,7 @@ Simulation::Simulation(const overlay::Topology& topo, SimulationConfig config,
 
   if (config_.flow_level) {
     flow_sim_ = std::make_unique<net::FlowSimulator>(
-        *router_, topo.node_count(), config_.flow);
+        topo.compiled(), topo.node_count(), config_.flow);
   }
 
   // Attach the sim-plane counter block to the subsystems this simulation
@@ -132,39 +131,6 @@ void Simulation::set_behavior(std::span<const std::uint8_t> free_ride,
   } else {
     refuse_service_.clear();
   }
-}
-
-void Simulation::note_request(NodeIndex originator, bool is_upload) {
-  ++totals_.chunk_requests;
-  if (is_upload) ++totals_.upload_requests;
-  ++counters_[originator].chunks_requested;
-}
-
-bool Simulation::request_chunk(NodeIndex originator, Address chunk,
-                               bool is_upload) {
-  note_request(originator, is_upload);
-  telem_.bump(telemetry::Counter::kRouteWalks);
-
-  // The whole greedy walk, then a cut at the first node short of the
-  // storer whose relay cache holds the chunk. The walk reads no cache, so
-  // probing its nodes in path order afterwards hits the caches in the
-  // same order, with the same LRU effects, as a walk that probes each
-  // node before leaving it. A route that ends short of the storer (a dead
-  // end or the hop cap) probes its last node too.
-  overlay::Route& route = route_;
-  router_->route_into(originator, chunk, route, config_.max_route_hops);
-  const std::size_t probes =
-      route.reached_storer ? route.hops() : route.path.size();
-  for (std::size_t i = 0; i < probes; ++i) {
-    if (stores_[route.path[i]].lookup(chunk)) {
-      route.path.resize(i + 1);
-      route.edges.resize(i);
-      route.truncated = false;
-      route.reached_storer = true;
-      return account(route, /*from_cache=*/true, is_upload);
-    }
-  }
-  return account(route, /*from_cache=*/false, is_upload);
 }
 
 bool Simulation::account(const overlay::Route& route, bool from_cache,
@@ -286,27 +252,43 @@ void Simulation::apply(const workload::DownloadRequest& request) {
   if (config_.stream_metrics) {
     stream_.chunks_per_file.add(static_cast<double>(request.chunks.size()));
   }
-  // Without caches a route never depends on accounting state, so the
-  // file's chunks can be routed as one interleaved batch (overlapping the
-  // walks' cache misses) and accounted afterwards in request order —
-  // bit-identical to the per-chunk path.
-  if (config_.cache_capacity == 0) {
-    const std::size_t n = request.chunks.size();
-    if (routes_buf_.size() < n) routes_buf_.resize(n);
-    const std::span<overlay::Route> routes = std::span(routes_buf_).first(n);
-    origins_buf_.assign(n, request.originator);
-    router_->route_batch(origins_buf_, request.chunks, routes,
-                         config_.max_route_hops);
-    telem_.bump(telemetry::Counter::kRouteBatches);
-    telem_.bump(telemetry::Counter::kRouteWalks, n);
-    for (const auto& route : routes) {
-      note_request(request.originator, request.is_upload);
-      account(route, /*from_cache=*/false, request.is_upload);
+  // A route never reads accounting state or a cache, so the file's chunks
+  // are routed as one interleaved batch (overlapping the walks' cache
+  // misses) and accounted afterwards in request order.
+  const std::size_t n = request.chunks.size();
+  if (routes_buf_.size() < n) routes_buf_.resize(n);
+  const std::span<overlay::Route> routes = std::span(routes_buf_).first(n);
+  origins_buf_.assign(n, request.originator);
+  topo_->compiled().route_batch(origins_buf_, request.chunks, routes,
+                                config_.max_route_hops);
+  telem_.bump(telemetry::Counter::kRouteBatches);
+  telem_.bump(telemetry::Counter::kRouteWalks, n);
+  for (overlay::Route& route : routes) {
+    ++totals_.chunk_requests;
+    if (request.is_upload) ++totals_.upload_requests;
+    ++counters_[request.originator].chunks_requested;
+    // With relay caches on, the route is cut at the first node short of
+    // the storer whose cache holds the chunk. Probing the walked path in
+    // order hits the caches in the same order, with the same LRU effects,
+    // as a walk that probes each node before leaving it. A route that
+    // ends short of the storer (a dead end or the hop cap) probes its
+    // last node too.
+    bool from_cache = false;
+    if (config_.cache_capacity > 0) {
+      const std::size_t probes =
+          route.reached_storer ? route.hops() : route.path.size();
+      for (std::size_t i = 0; i < probes; ++i) {
+        if (stores_[route.path[i]].lookup(route.target)) {
+          route.path.resize(i + 1);
+          route.edges.resize(i);
+          route.truncated = false;
+          route.reached_storer = true;
+          from_cache = true;
+          break;
+        }
+      }
     }
-  } else {
-    for (const Address chunk : request.chunks) {
-      request_chunk(request.originator, chunk, request.is_upload);
-    }
+    account(route, from_cache, request.is_upload);
   }
   if (flow_sim_) flow_sim_->commit();
   policy_->on_step_end(ctx_);

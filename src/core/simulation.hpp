@@ -194,10 +194,10 @@ class Simulation {
   /// expensive: counters, totals, ledger balances, caches and policy state
   /// are zeroed in place, and the workload stream plus free-rider
   /// selection are re-seeded from `rng` exactly as the constructor would.
-  /// The topology, the pinned compiled-router snapshot and the
-  /// edge-ledger arena are reused untouched (pointer-identical across
-  /// resets), which is what keeps per-epoch resets cheap at 10k nodes —
-  /// no rebuild, no reallocation. A post-reset run is bit-identical to a
+  /// The topology, its compiled router and the edge-ledger arena are
+  /// reused untouched (pointer-identical across resets), which is what
+  /// keeps per-epoch resets cheap at 10k nodes — no rebuild, no
+  /// reallocation. A post-reset run is bit-identical to a
   /// Simulation freshly constructed with the same rng
   /// (tests/core/reset_test.cpp).
   void reset(Rng rng);
@@ -243,12 +243,12 @@ class Simulation {
   [[nodiscard]] const std::vector<std::uint8_t>& free_riders() const noexcept {
     return free_riders_;
   }
-  /// The compiled-router snapshot this simulation is pinned to. Stable
-  /// across reset() — the pointer-identity the epoch-loop tests assert to
-  /// prove no per-epoch rebuild happens.
+  /// The topology's compiled router, which this simulation routes and
+  /// accounts over. Stable across reset() — the pointer-identity the
+  /// epoch-loop tests assert to prove no per-epoch rebuild happens.
   [[nodiscard]] const overlay::CompiledRouter* compiled_router()
       const noexcept {
-    return router_.get();
+    return &topo_->compiled();
   }
   /// The base request generator (originator subset, catalog).
   [[nodiscard]] const workload::DownloadGenerator& generator() const noexcept {
@@ -293,16 +293,6 @@ class Simulation {
   [[nodiscard]] std::vector<double> income_per_node() const;
 
  private:
-  /// Routes one chunk transfer with CompiledRouter::route_into (download
-  /// or upload; both use the same greedy route and accounting, with data
-  /// flowing in opposite directions), cuts the route at the first relay
-  /// cache that holds the chunk, and applies accounting. The path taken
-  /// when caching is on. Returns true if the chunk was delivered.
-  bool request_chunk(NodeIndex originator, Address chunk, bool is_upload);
-
-  /// Request-header bookkeeping shared by the per-chunk and batched paths.
-  void note_request(NodeIndex originator, bool is_upload);
-
   /// Streaming-metrics bookkeeping for one delivered chunk (call only
   /// when config_.stream_metrics).
   void record_hops(double hops);
@@ -320,11 +310,6 @@ class Simulation {
 
   const overlay::Topology* topo_;
   SimulationConfig config_;
-  /// The compiled-router snapshot this simulation routes and accounts
-  /// over, pinned at construction: Route edge ids and the edge ledger's
-  /// slots index this arena, so a later Topology::inject_table_entry
-  /// recompile must neither free it nor swap it out from under us.
-  std::shared_ptr<const overlay::CompiledRouter> router_;
   accounting::Ledger swap_;
   std::unique_ptr<accounting::Pricer> pricer_;
   std::unique_ptr<incentives::PaymentPolicy> policy_;
@@ -352,11 +337,10 @@ class Simulation {
   /// The flow-level temporal layer; null unless config_.flow_level.
   std::unique_ptr<net::FlowSimulator> flow_sim_;
   incentives::PolicyContext ctx_;
-  /// Reused per-request path buffer; the hot path must not allocate.
-  overlay::Route route_;
-  /// Reused buffers for the batched per-file routing path. routes_buf_
-  /// only grows: a file routes into its first n slots, so a smaller file
-  /// after a larger one keeps every route's path and edge buffers.
+  /// Reused buffers for the per-file routing batch; the hot path must not
+  /// allocate. routes_buf_ only grows: a file routes into its first n
+  /// slots, so a smaller file after a larger one keeps every route's path
+  /// and edge buffers.
   std::vector<overlay::Route> routes_buf_;
   std::vector<NodeIndex> origins_buf_;
 };

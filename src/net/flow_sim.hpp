@@ -80,7 +80,7 @@ class FlowSimulator {
  public:
   /// Link layout: [0, E) the router's directed edge arena, [E, E+n) node
   /// uplinks, [E+n, E+2n) node downlinks. The router must outlive the
-  /// simulator (Simulation pins its snapshot).
+  /// simulator (a Simulation's is its topology's, which outlives it).
   FlowSimulator(const overlay::CompiledRouter& router, std::size_t node_count,
                 FlowConfig config);
 

@@ -66,13 +66,11 @@ CompiledRouter::CompiledRouter(const AddressSpace& space,
                                std::span<const Address> addresses,
                                PeerArena arena)
     : bits_(space.bits()),
-      node_count_(addresses.size()),
+      addresses_(addresses),
       offsets_(std::move(arena.offsets)),
       peers_(std::move(arena.peers)) {
-  assert(offsets_.size() == node_count_ * static_cast<std::size_t>(bits_) + 1);
+  assert(offsets_.size() == node_count() * static_cast<std::size_t>(bits_) + 1);
   assert(offsets_.back() == peers_.size());
-  node_addr_.reserve(node_count_);
-  for (const Address a : addresses) node_addr_.push_back(a.v);
 
   if (bits_ <= kDenseStorerBits) {
     storer_.resize(std::size_t{1} << bits_);
@@ -85,10 +83,10 @@ CompiledRouter::CompiledRouter(const AddressSpace& space,
   peer_idx_.reserve(peers_.size());
   for (const AddressValue peer : peers_) {
     const NodeIndex storer = storer_of(Address{peer});
-    peer_idx_.push_back(node_addr_[storer] == peer ? storer : kForeignPeer);
+    peer_idx_.push_back(addresses_[storer].v == peer ? storer : kForeignPeer);
   }
   std::size_t max_slab = 0;
-  for (NodeIndex n = 0; n < node_count_; ++n) {
+  for (NodeIndex n = 0; n < node_count(); ++n) {
     const auto [begin, end] = node_edge_range(n);
     max_slab = std::max<std::size_t>(max_slab, end - begin);
   }
@@ -102,7 +100,7 @@ CompiledRouter::CompiledRouter(const AddressSpace& space,
   if (bits_ < 32 && max_slab <= (std::size_t{1} << (32 - bits_))) {
     shift_ = 32 - bits_;
     local_mask_ = (std::uint32_t{1} << shift_) - 1;
-    for (NodeIndex n = 0; n < node_count_; ++n) {
+    for (NodeIndex n = 0; n < node_count(); ++n) {
       const std::uint32_t slab_begin =
           offsets_[n * static_cast<std::size_t>(bits_)];
       const std::uint32_t slab_end =
@@ -123,7 +121,7 @@ void CompiledRouter::number_pairs() {
   // so no pair list is sorted. The edges with hi at their source are in
   // hi's own slab; those with hi at their target wait in one flat CSR of
   // upward edges, grouped by target.
-  const auto n = static_cast<NodeIndex>(node_count_);
+  const auto n = static_cast<NodeIndex>(node_count());
   std::vector<std::uint32_t> up_begin(n + std::size_t{1}, 0);
   for (NodeIndex u = 0; u < n; ++u) {
     const auto [begin, end] = node_edge_range(u);
@@ -329,8 +327,7 @@ void CompiledRouter::route_batch(std::span<const NodeIndex> origins,
 }
 
 std::size_t CompiledRouter::memory_bytes() const noexcept {
-  return node_addr_.size() * sizeof(AddressValue) +
-         offsets_.size() * sizeof(std::uint32_t) +
+  return offsets_.size() * sizeof(std::uint32_t) +
          peers_.size() * sizeof(std::uint32_t) +
          peer_idx_.size() * sizeof(NodeIndex) +
          storer_.size() * sizeof(NodeIndex) +

@@ -107,10 +107,11 @@ struct PeerArena {
 };
 
 /// Immutable compiled form of every routing table in a Topology, and the
-/// only copy of them. Built by Topology::build (and rebuilt on fault
-/// injection); shared by reference through Topology::compiled().
-/// Self-contained: it copies the addresses it needs, so it stays valid
-/// when the owning Topology is moved.
+/// only copy of them. Built once per Topology (Topology::build, or
+/// Topology::with_table_entry for a poisoned copy), owned by it and
+/// shared by reference through Topology::compiled(). It reads the
+/// topology's address array in place, so it must not outlive it; moving
+/// the Topology keeps that array's buffer.
 class CompiledRouter {
  public:
   /// Address spaces at most this wide get the dense per-address storer
@@ -120,11 +121,14 @@ class CompiledRouter {
 
   /// Takes over `arena`, the tables of the nodes at `addresses` (in
   /// NodeIndex order), resolves its peers and packs it in place.
+  /// `addresses` is read in place and must outlive the router.
   CompiledRouter(const AddressSpace& space, std::span<const Address> addresses,
                  PeerArena arena);
 
   [[nodiscard]] int bits() const noexcept { return bits_; }
-  [[nodiscard]] std::size_t node_count() const noexcept { return node_count_; }
+  [[nodiscard]] std::size_t node_count() const noexcept {
+    return addresses_.size();
+  }
 
   /// One greedy step: the winning peer plus the arena id of the traversed
   /// directed edge (the index of the winner in the CSR peer slabs). The
@@ -166,7 +170,7 @@ class CompiledRouter {
                             std::size_t max_hops = 0) const;
 
   /// Allocation-free variant: writes into `out` (resetting it first), so
-  /// the simulation can route millions of chunks through one path buffer.
+  /// a caller can route chunk after chunk through one path buffer.
   void route_into(NodeIndex origin, Address target, Route& out,
                   std::size_t max_hops = 0) const;
 
@@ -278,12 +282,11 @@ class CompiledRouter {
                                      Address target) const noexcept;
 
   int bits_;
-  std::size_t node_count_;
+  std::span<const Address> addresses_;    ///< node -> address (not owned)
   /// Packed-scan shift: peers are stored as (address << shift_) | local
   /// slab index. 0 disables the packed path (wide space or huge slab).
   int shift_{0};
   std::uint32_t local_mask_{0};
-  std::vector<AddressValue> node_addr_;   ///< node -> address value
   std::vector<std::uint32_t> offsets_;    ///< CSR, node_count * bits + 1
   /// Per edge, (addr << shift_) | local idx when packed(), else the plain
   /// address the generic scan reads.
@@ -298,7 +301,7 @@ class CompiledRouter {
 
 inline CompiledRouter::Hop CompiledRouter::next_hop_edge(
     NodeIndex from, Address target) const noexcept {
-  const AddressValue self = node_addr_[from];
+  const AddressValue self = addresses_[from].v;
   const AddressValue x = self ^ target.v;
   if (x == 0) return {};  // target is this node's own address
   // First differing bit == bucket index (see AddressSpace::bucket_index).

@@ -59,6 +59,10 @@ std::vector<NodeIndex> prefix_layouts(std::span<const Address> addresses,
 Topology::Topology(TopologyConfig config, AddressSpace space)
     : config_(std::move(config)), space_(space) {}
 
+Topology::Topology(Topology&&) noexcept = default;
+Topology& Topology::operator=(Topology&&) noexcept = default;
+Topology::~Topology() = default;
+
 Topology Topology::build(const TopologyConfig& config, Rng& rng) {
   // AddressSpace clamps its width; a config must not build a space other
   // than the one it names.
@@ -172,7 +176,7 @@ Topology Topology::build(const TopologyConfig& config, Rng& rng) {
     });
   }
 
-  topo.compiled_ = std::make_shared<const CompiledRouter>(
+  topo.compiled_ = std::make_unique<const CompiledRouter>(
       space, topo.addresses_, std::move(arena));
 
   FAIRSWAP_LOG(kInfo, "overlay")
@@ -196,27 +200,29 @@ RoutingTable Topology::table(NodeIndex n) const {
   return table;
 }
 
-bool Topology::inject_table_entry(NodeIndex node, Address peer) {
-  if (!table(node).try_add(peer)) return false;
+std::optional<Topology> Topology::with_table_entry(NodeIndex node,
+                                                   Address peer) const {
+  if (!table(node).try_add(peer)) return std::nullopt;
   // The arena again, unpacked, with `peer` appended to its bucket.
-  const CompiledRouter& old = *compiled_;
   const int bits = space_.bits();
   const int at = space_.bucket_index(addresses_[node], peer);
   PeerArena arena;
   for (NodeIndex n = 0; n < node_count(); ++n) {
     for (int b = 0; b < bits; ++b) {
       arena.offsets.push_back(static_cast<std::uint32_t>(arena.peers.size()));
-      const auto [begin, end] = old.bucket_edge_range(n, b);
+      const auto [begin, end] = compiled_->bucket_edge_range(n, b);
       for (EdgeId e = begin; e < end; ++e) {
-        arena.peers.push_back(old.peer_address(e).v);
+        arena.peers.push_back(compiled_->peer_address(e).v);
       }
       if (n == node && b == at) arena.peers.push_back(peer.v);
     }
   }
   arena.offsets.push_back(static_cast<std::uint32_t>(arena.peers.size()));
-  compiled_ = std::make_shared<const CompiledRouter>(space_, addresses_,
-                                                     std::move(arena));
-  return true;
+  Topology poisoned(config_, space_);
+  poisoned.addresses_ = addresses_;
+  poisoned.compiled_ = std::make_unique<const CompiledRouter>(
+      space_, poisoned.addresses_, std::move(arena));
+  return poisoned;
 }
 
 std::size_t Topology::edge_count() const noexcept {

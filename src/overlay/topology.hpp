@@ -7,11 +7,14 @@
 // shared by many simulations ("Our tool allows to use the same overlay for
 // multiple simulations"). build() samples every bucket straight into the
 // compiled router's peer arena (overlay/compiled_router.hpp), the only copy
-// of the tables; table(n) rebuilds one node's RoutingTable from it.
+// of the tables; table(n) rebuilds one node's RoutingTable from it. A
+// built topology never changes: fault injection (with_table_entry) makes
+// a new one.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -40,8 +43,9 @@ struct TopologyConfig {
 };
 
 /// An immutable overlay: addresses and the compiled router, which holds
-/// the routing tables and answers every address-to-node question. Value
-/// type; cheap to share by const reference.
+/// the routing tables and answers every address-to-node question. The
+/// topology owns its router, which reads the topology's address array in
+/// place; move-only, and cheap to share by const reference.
 class Topology {
  public:
   /// Builds a topology. All randomness (addresses, bucket sampling) is
@@ -49,6 +53,12 @@ class Topology {
   /// std::invalid_argument for an address width outside [1, 32], fewer
   /// than 2 nodes, more nodes than addresses, or a zero bucket capacity.
   static Topology build(const TopologyConfig& config, Rng& rng);
+
+  /// Moving keeps the address array's buffer, so the router's view of it
+  /// moves along intact.
+  Topology(Topology&&) noexcept;
+  Topology& operator=(Topology&&) noexcept;
+  ~Topology();
 
   [[nodiscard]] const TopologyConfig& config() const noexcept {
     return config_;
@@ -69,29 +79,19 @@ class Topology {
   }
 
   /// The compiled (precomputed) routing hot path and the tables it routes
-  /// over. Built once at the end of build(); rebuilt by
-  /// inject_table_entry. See overlay/compiled_router.hpp.
+  /// over, built once at the end of build() and never changed. See
+  /// overlay/compiled_router.hpp.
   [[nodiscard]] const CompiledRouter& compiled() const noexcept;
 
-  /// Shared ownership of the current compiled router, for holders that
-  /// must keep one arena snapshot alive and self-consistent (edge ids
-  /// index into a specific arena) across a potential inject_table_entry
-  /// recompile — core::Simulation pins its snapshot through this.
-  [[nodiscard]] std::shared_ptr<const CompiledRouter> compiled_shared()
-      const noexcept {
-    return compiled_;
-  }
-
-  /// Fault-injection seam: admits `peer` into `node`'s routing table even
-  /// when `peer` is not a member of this network — modelling a stale or
-  /// poisoned table entry pointing at a departed node. Respects bucket
-  /// capacity (returns false when the bucket is full or the entry is
-  /// already present) and recompiles the routing hot path on success.
-  /// Used by the route-accounting regression tests. Inject before
-  /// constructing simulations: a Simulation pins the compiled router it
-  /// was built with (routing and edge-ledger slots must index one arena),
-  /// so later injections are invisible to it.
-  bool inject_table_entry(NodeIndex node, Address peer);
+  /// Fault-injection seam: this overlay with `peer` appended to `node`'s
+  /// bucket for it, even when `peer` is not a member of the network —
+  /// modelling a stale or poisoned table entry pointing at a departed
+  /// node. nullopt when the bucket is full, the entry is already there or
+  /// `peer` is the node's own address. The copy has the same config and
+  /// addresses; this overlay is not changed. Used by the route-accounting
+  /// regression tests.
+  [[nodiscard]] std::optional<Topology> with_table_entry(NodeIndex node,
+                                                         Address peer) const;
 
   /// Total directed "knows" edges (sum of routing-table sizes).
   [[nodiscard]] std::size_t edge_count() const noexcept;
@@ -102,8 +102,8 @@ class Topology {
   TopologyConfig config_;
   AddressSpace space_;
   std::vector<Address> addresses_;
-  /// Shared, immutable after build; copies of a Topology share it.
-  std::shared_ptr<const CompiledRouter> compiled_;
+  /// Reads addresses_ in place, so it lives exactly as long as they do.
+  std::unique_ptr<const CompiledRouter> compiled_;
 };
 
 }  // namespace fairswap::overlay

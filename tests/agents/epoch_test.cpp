@@ -62,7 +62,7 @@ TEST(EpochDriver, ReusesOneCompiledSnapshotAcrossAllEpochs) {
   cfg.agents.epochs = 4;
   cfg.agents.files_per_epoch = 20;
   const auto topo = core::build_topology(cfg);
-  const auto* compiled = topo.compiled_shared().get();
+  const auto* compiled = &topo.compiled();
 
   EpochDriver driver(topo, cfg);
   const auto series = driver.run();
@@ -73,7 +73,6 @@ TEST(EpochDriver, ReusesOneCompiledSnapshotAcrossAllEpochs) {
   // in tests/core/reset_test.cpp).
   EXPECT_EQ(&driver.simulation().topology(), &topo);
   EXPECT_EQ(driver.simulation().compiled_router(), compiled);
-  EXPECT_EQ(topo.compiled_shared().get(), compiled);
 }
 
 TEST(EpochDriver, EqualConfigsGiveBitIdenticalSeries) {

@@ -63,7 +63,8 @@ void expect_same_observables(const Simulation& a, const ReferenceRun& b,
 }
 
 /// Runs the same (topology, config, seed) through the simulation and the
-/// reference run and asserts every observable is identical.
+/// reference run and asserts every observable is identical, and that the
+/// simulation routed each file as one batch, relay caches or not.
 void expect_equivalent(const overlay::Topology& topo,
                        const SimulationConfig& cfg, std::uint64_t seed,
                        std::size_t files, const char* what) {
@@ -72,6 +73,11 @@ void expect_equivalent(const overlay::Topology& topo,
   sim.run(files);
   reference.run(files);
   expect_same_observables(sim, reference, what);
+  EXPECT_EQ(sim.telem().value(telemetry::Counter::kRouteBatches), files)
+      << what;
+  EXPECT_EQ(sim.telem().value(telemetry::Counter::kRouteWalks),
+            sim.totals().chunk_requests)
+      << what;
 }
 
 TEST(CompiledEquivalence, FullPaperGrid) {
@@ -141,10 +147,10 @@ TEST(CompiledEquivalence, PolicyAndWorkloadVariants) {
   amortized.free_rider_share = 0.25;  // unsettled debt for amortization to eat
   expect_equivalent(topo, amortized, 89, 25, "amortization");
 
-  // Caching disables the batched path: each chunk walks route_into and
-  // the route is cut at the first relay cache that holds it. Equivalence
-  // must hold there too, with both sides short-circuiting at the same
-  // relay caches.
+  // With caching on, each batched route is cut, in request order, at the
+  // first relay cache that holds the chunk, while the reference probes
+  // each cache as its walk passes. Equivalence must hold there too, with
+  // both sides short-circuiting at the same relay caches.
   auto cached = base;
   cached.cache_capacity = 32;
   cached.workload.catalog_size = 100;
@@ -206,13 +212,15 @@ bool find_injectable_foreign(const overlay::Topology& topo,
 }
 
 TEST(CompiledEquivalence, ForeignTableEntryCountsAsFailedRoute) {
-  auto topo = make_topology(60, 2, 7, 10);
+  const auto clean = make_topology(60, 2, 7, 10);
   // Regression: routing onto a table address no network member owns used
   // to dereference a missing index — UB — instead of failing the route.
   overlay::NodeIndex node = 0;
   Address foreign{};
-  ASSERT_TRUE(find_injectable_foreign(topo, node, foreign));
-  ASSERT_TRUE(topo.inject_table_entry(node, foreign));
+  ASSERT_TRUE(find_injectable_foreign(clean, node, foreign));
+  const auto poisoned = clean.with_table_entry(node, foreign);
+  ASSERT_TRUE(poisoned);
+  const overlay::Topology& topo = *poisoned;
 
   workload::DownloadRequest request;
   request.originator = node;
@@ -227,40 +235,6 @@ TEST(CompiledEquivalence, ForeignTableEntryCountsAsFailedRoute) {
     EXPECT_EQ(t.truncated_routes, 0u);
   }
   expect_same_observables(sim, reference, "foreign table entry");
-}
-
-TEST(CompiledEquivalence, SimulationPinsRouterAcrossInjection) {
-  // Regression: inject_table_entry recompiles the router, destroying the
-  // previous CompiledRouter. A running simulation (and its edge ledger,
-  // whose slots index a specific arena) must keep the snapshot it was
-  // built with alive — injecting mid-run used to leave it with a dangling
-  // router pointer.
-  auto topo = make_topology(80, 3, 11);
-  SimulationConfig cfg;
-  cfg.workload.min_chunks_per_file = 10;
-  cfg.workload.max_chunks_per_file = 30;
-  Simulation sim(topo, cfg, Rng(100));
-  sim.run(5);
-  const auto before = sim.totals();
-
-  overlay::NodeIndex node = 0;
-  Address foreign{};
-  ASSERT_TRUE(find_injectable_foreign(topo, node, foreign));
-  ASSERT_TRUE(topo.inject_table_entry(node, foreign));
-
-  // The old arena must still be valid (ASan-checked) and the run stays
-  // internally consistent on the pinned pre-injection snapshot.
-  sim.run(5);
-  const auto& t = sim.totals();
-  EXPECT_GT(t.chunk_requests, before.chunk_requests);
-  EXPECT_EQ(t.delivered + t.refused + t.failed_routes + t.truncated_routes,
-            t.chunk_requests);
-  // A simulation constructed after the injection sees the new router.
-  Simulation fresh(topo, cfg, Rng(100));
-  fresh.run(5);
-  EXPECT_EQ(fresh.totals().delivered + fresh.totals().refused +
-                fresh.totals().failed_routes + fresh.totals().truncated_routes,
-            fresh.totals().chunk_requests);
 }
 
 TEST(CompiledEquivalence, FreeRiderShareRoundsToNearest) {

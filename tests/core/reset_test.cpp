@@ -1,6 +1,6 @@
 // Simulation::reset contract: a post-reset run is bit-identical to a
 // freshly constructed Simulation with the same rng — for stateless and
-// stateful policies — while reusing the same compiled-router snapshot
+// stateful policies — while reusing the topology's own compiled router
 // (pointer identity: no per-epoch rebuild). This is what the agents epoch
 // loop leans on.
 #include <gtest/gtest.h>
@@ -109,7 +109,7 @@ TEST(ResetTest, RouterAndTopologyArePointerStableAcrossManyResets) {
   const auto topo = make_topology(40);
   Simulation sim(topo, SimulationConfig{}, Rng(1));
   const auto* router = sim.compiled_router();
-  EXPECT_EQ(router, topo.compiled_shared().get());
+  EXPECT_EQ(router, &topo.compiled());
   for (int epoch = 0; epoch < 5; ++epoch) {
     sim.run(5);
     sim.reset(Rng(static_cast<std::uint64_t>(epoch)));

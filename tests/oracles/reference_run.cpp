@@ -11,8 +11,7 @@ ReferenceRun::ReferenceRun(const overlay::Topology& topo,
     : topo_(&topo),
       greedy_(topo),
       config_(config),
-      router_(topo.compiled_shared()),
-      ledger_(*router_, config.swap),
+      ledger_(topo.compiled(), config.swap),
       pricer_(accounting::make_pricer(config.pricer)),
       policy_(incentives::make_policy(config.policy)),
       // The seed splits of Simulation::seed_state: 1 for the workload, 2

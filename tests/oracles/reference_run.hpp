@@ -76,9 +76,6 @@ class ReferenceRun {
   /// The oracle's own tables and address lookups; its walk is not used.
   overlay::ForwardingRouter greedy_;
   SimulationConfig config_;
-  /// The router snapshot the ledger's arena indexes, pinned like
-  /// Simulation pins it.
-  std::shared_ptr<const overlay::CompiledRouter> router_;
   accounting::Ledger ledger_;
   std::unique_ptr<accounting::Pricer> pricer_;
   std::unique_ptr<incentives::PaymentPolicy> policy_;

@@ -236,10 +236,13 @@ std::optional<Injection> find_injection(const Topology& topo) {
 }
 
 TEST(CompiledRouter, ForeignTableEntryFailsRouteInsteadOfUB) {
-  auto topo = make_topology(60, 2, 19, 10);
-  const auto injection = find_injection(topo);
+  const auto clean = make_topology(60, 2, 19, 10);
+  const auto injection = find_injection(clean);
   ASSERT_TRUE(injection.has_value());
-  ASSERT_TRUE(topo.inject_table_entry(injection->node, injection->foreign));
+  const auto poisoned =
+      clean.with_table_entry(injection->node, injection->foreign);
+  ASSERT_TRUE(poisoned);
+  const Topology& topo = *poisoned;
 
   // Routing from the poisoned node toward the foreign address: the greedy
   // winner is the foreign entry itself (distance zero), which owns no
@@ -269,9 +272,9 @@ TEST(CompiledRouter, InjectionRecompilesHotPath) {
   // Topology::build saturates every bucket with the available candidates,
   // so the only injectable entries are foreign addresses. Find one whose
   // bucket already holds a real peer: before injection the compiled path
-  // answers with that peer; after injection the (closer) stale entry wins
-  // and the compiled path must reflect the rebuilt table.
-  auto topo = make_topology(120, 2, 23, 10);
+  // answers with that peer; in the injected copy the (closer) stale entry
+  // wins and the copy's compiled path must reflect its table.
+  const auto topo = make_topology(120, 2, 23, 10);
   std::unordered_set<AddressValue> taken;
   for (const Address a : topo.addresses()) taken.insert(a.v);
   for (AddressValue v = 0; v < topo.space().size(); ++v) {
@@ -284,9 +287,10 @@ TEST(CompiledRouter, InjectionRecompilesHotPath) {
       if (size < 1 || size >= table.policy().capacity(b)) continue;
       const NodeIndex before = topo.compiled().next_hop(n, f);
       ASSERT_NE(before, kNoNextHop);  // the bucket peer routes toward f
-      ASSERT_TRUE(topo.inject_table_entry(n, f));
+      const auto poisoned = topo.with_table_entry(n, f);
+      ASSERT_TRUE(poisoned);
       // f is its own greedy winner (distance zero) and owns no index.
-      EXPECT_EQ(topo.compiled().next_hop(n, f), kNoNextHop);
+      EXPECT_EQ(poisoned->compiled().next_hop(n, f), kNoNextHop);
       return;
     }
   }

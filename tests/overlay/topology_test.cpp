@@ -6,9 +6,12 @@
 #include <optional>
 #include <set>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/simulation.hpp"
 #include "oracles/forwarding_router.hpp"
 #include "overlay/compiled_router.hpp"
 
@@ -104,45 +107,124 @@ TEST(Topology, TablePeersAreActualNodes) {
   }
 }
 
-TEST(Topology, InjectedEntryJoinsTheEndOfItsBucket) {
-  auto topo = small_topology(120, 2, 23, 10);
-  const ForwardingRouter before(topo);
-  std::set<AddressValue> taken;
-  for (const Address a : topo.addresses()) taken.insert(a.v);
-  // A foreign address and a node whose bucket for it has room.
-  NodeIndex node = 0;
+/// A foreign address (owned by no node) and a node whose bucket for it
+/// holds a real peer and has room for one more: the stale table entry the
+/// injection tests poison.
+struct ForeignEntry {
+  NodeIndex node{0};
   Address foreign{};
-  int bucket = -1;
-  for (AddressValue v = 0; v < topo.space().size() && bucket < 0; ++v) {
-    if (taken.contains(v)) continue;
+  int bucket{-1};
+};
+
+ForeignEntry find_foreign_entry(const Topology& topo) {
+  const ForwardingRouter oracle(topo);
+  for (AddressValue v = 0; v < topo.space().size(); ++v) {
+    if (oracle.index_of(Address{v}).has_value()) continue;
     for (NodeIndex n = 0; n < topo.node_count(); ++n) {
       const int b = topo.space().bucket_index(topo.address_of(n), Address{v});
-      const RoutingTable& table = before.table(n);
+      const RoutingTable& table = oracle.table(n);
       if (table.bucket_size(b) >= 1 &&
           table.bucket_size(b) < table.policy().capacity(b)) {
-        node = n;
-        foreign = Address{v};
-        bucket = b;
-        break;
+        return {n, Address{v}, b};
       }
     }
   }
+  return {};
+}
+
+TEST(Topology, InjectedEntryJoinsTheEndOfItsBucket) {
+  const auto topo = small_topology(120, 2, 23, 10);
+  const auto [node, foreign, bucket] = find_foreign_entry(topo);
   ASSERT_GE(bucket, 0);
 
-  EXPECT_FALSE(topo.inject_table_entry(node, topo.address_of(node)));
-  const std::size_t edges = topo.edge_count();
-  ASSERT_TRUE(topo.inject_table_entry(node, foreign));
-  EXPECT_FALSE(topo.inject_table_entry(node, foreign));  // already present
-  EXPECT_EQ(topo.edge_count(), edges + 1);
+  EXPECT_FALSE(topo.with_table_entry(node, topo.address_of(node)));
+  // A full bucket takes no entry: bucket 0 (the top of 10 bits) holds
+  // k = 2 of its ~60 candidates.
+  const RoutingTable own = topo.table(node);
+  ASSERT_EQ(own.bucket_size(0), own.policy().capacity(0));
+  for (AddressValue low = 0;; ++low) {
+    const Address across{topo.address_of(node).v ^ (1u << 9) ^ low};
+    if (own.contains(across)) continue;
+    EXPECT_FALSE(topo.with_table_entry(node, across));
+    break;
+  }
+  const auto poisoned = topo.with_table_entry(node, foreign);
+  ASSERT_TRUE(poisoned);
+  EXPECT_FALSE(poisoned->with_table_entry(node, foreign));  // already there
+  EXPECT_EQ(poisoned->edge_count(), topo.edge_count() + 1);
+  EXPECT_TRUE(std::ranges::equal(poisoned->addresses(), topo.addresses()));
+  EXPECT_EQ(poisoned->config(), topo.config());
   for (NodeIndex n = 0; n < topo.node_count(); ++n) {
-    const RoutingTable table = topo.table(n);
+    const RoutingTable before = topo.table(n);
+    const RoutingTable table = poisoned->table(n);
     for (int b = 0; b < topo.space().bits(); ++b) {
-      std::vector<Address> expected(before.table(n).bucket(b).begin(),
-                                    before.table(n).bucket(b).end());
+      std::vector<Address> expected(before.bucket(b).begin(),
+                                    before.bucket(b).end());
       if (n == node && b == bucket) expected.push_back(foreign);
       const auto got = table.bucket(b);
       EXPECT_TRUE(std::ranges::equal(got, expected))
           << "node " << n << ", bucket " << b;
+    }
+  }
+}
+
+TEST(Topology, WithTableEntryLeavesTheSourceUntouched) {
+  // Poisoning makes a new overlay: a simulation over the source, running
+  // while the copy is made, must run exactly as one over a same-seed twin
+  // that was never poisoned.
+  const auto topo = small_topology(120, 2, 23, 10);
+  const auto twin = small_topology(120, 2, 23, 10);
+  const auto [node, foreign, bucket] = find_foreign_entry(topo);
+  ASSERT_GE(bucket, 0);
+  const NodeIndex before = topo.compiled().next_hop(node, foreign);
+  ASSERT_NE(before, kNoNextHop);  // the bucket's real peer routes toward it
+
+  core::SimulationConfig cfg;
+  cfg.workload.min_chunks_per_file = 10;
+  cfg.workload.max_chunks_per_file = 30;
+  core::Simulation sim(topo, cfg, Rng(100));
+  sim.run(5);
+  const auto poisoned = topo.with_table_entry(node, foreign);
+  ASSERT_TRUE(poisoned);
+  sim.run(5);
+  core::Simulation reference(twin, cfg, Rng(100));
+  reference.run(10);
+  EXPECT_EQ(sim.totals(), reference.totals());
+  EXPECT_EQ(sim.counters(), reference.counters());
+  EXPECT_EQ(sim.income_per_node(), reference.income_per_node());
+  EXPECT_EQ(sim.swap().settlements(), reference.swap().settlements());
+  EXPECT_EQ(topo.compiled().next_hop(node, foreign), before);
+  EXPECT_EQ(topo.edge_count(), twin.edge_count());
+
+  // In the copy the foreign entry is its own greedy winner (distance
+  // zero) and owns no node, so the walk stops.
+  EXPECT_EQ(poisoned->compiled().next_hop(node, foreign), kNoNextHop);
+}
+
+TEST(Topology, MovedOverlayRoutesAsBuilt) {
+  static_assert(!std::is_copy_constructible_v<Topology>);
+  static_assert(!std::is_copy_assignable_v<Topology>);
+  const auto fresh = small_topology(200, 4, 31);
+  auto source = small_topology(200, 4, 31);
+  const Topology constructed(std::move(source));
+  auto assigned = small_topology(60, 2, 5);
+  assigned = small_topology(200, 4, 31);
+
+  Rng rng(404);
+  for (const Topology* moved : {&constructed, &std::as_const(assigned)}) {
+    EXPECT_TRUE(std::ranges::equal(moved->addresses(), fresh.addresses()));
+    EXPECT_EQ(moved->edge_count(), fresh.edge_count());
+    for (int i = 0; i < 300; ++i) {
+      const auto origin = static_cast<NodeIndex>(rng.index(fresh.node_count()));
+      const Address target{
+          static_cast<AddressValue>(rng.next_below(fresh.space().size()))};
+      EXPECT_EQ(moved->compiled().storer_of(target),
+                fresh.compiled().storer_of(target));
+      const Route got = moved->compiled().route(origin, target);
+      const Route want = fresh.compiled().route(origin, target);
+      EXPECT_EQ(got.path, want.path);
+      EXPECT_EQ(got.edges, want.edges);
+      EXPECT_EQ(got.reached_storer, want.reached_storer);
     }
   }
 }
