@@ -311,13 +311,6 @@ BindingTable::BindingTable() {
       },
       +[](const Cfg& c) { return format_double(c.sim.demand.diurnal_amp); });
 
-  add("upload_mix", "alias of upload_share (demand-engine vocabulary)",
-      +[](Cfg& c, const std::string& v) {
-        return set_share(c.sim.workload.upload_share, "upload_mix", v,
-                         /*allow_zero=*/true);
-      },
-      +[](const Cfg& c) { return format_double(c.sim.workload.upload_share); });
-
   add("stream_metrics",
       "maintain bounded-memory streaming aggregates (hop/file sketches)",
       +[](Cfg& c, const std::string& v) {
@@ -533,7 +526,7 @@ BindingTable::BindingTable() {
   for (const char* key : {"files", "originators", "min_chunks", "max_chunks",
                           "upload_share", "zipf", "catalog", "catalog_zipf",
                           "demand", "zipf_s", "burst_start", "burst_files",
-                          "burst_share", "upload_mix"}) {
+                          "burst_share"}) {
     for (Binding& binding : bindings_) {
       if (binding.key == key) binding.workload_generation = true;
     }

@@ -360,7 +360,7 @@ void register_heavy_scenarios() {
        {"requests", "shards", "max_rss_mb", "nodes", "bits", "k",
         "originators", "min_chunks", "max_chunks", "catalog", "catalog_zipf",
         "demand", "zipf_s", "burst_start", "burst_files", "burst_share",
-        "diurnal_period", "diurnal_amp", "upload_mix", "upload_share",
+        "diurnal_period", "diurnal_amp", "upload_share",
         "policy", "pricer", "cache"}});
 }
 

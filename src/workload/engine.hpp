@@ -20,8 +20,7 @@
 //    deterministic triangle wave of the request index (period/amplitude
 //    configurable); pure rational arithmetic, no libm transcendentals,
 //    so the modulated schedule is bit-identical everywhere.
-//  * Upload/download mix — forwarded to the base generator's
-//    upload_share (`upload_mix=` is the harness alias).
+//  * Upload/download mix — the base generator's upload_share.
 //
 // Determinism contract: the incoming rng is handed to the base generator
 // UNCHANGED, and every extension draws from side streams derived via the

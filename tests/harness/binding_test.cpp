@@ -255,9 +255,9 @@ TEST(Binding, NoNumericKeyTakesANaNOrAnInfinity) {
   // Range checks written as `x < lo || x > hi` let NaN through:
   // originators=nan used to run with a NaN originator share.
   for (const char* key :
-       {"originators", "upload_share", "upload_mix", "burst_share",
-        "diurnal_period", "diurnal_amp", "free_riders", "link_capacity",
-        "bandwidth_cost", "revision_rate", "noise", "initial_free_riders"}) {
+       {"originators", "upload_share", "burst_share", "diurnal_period",
+        "diurnal_amp", "free_riders", "link_capacity", "bandwidth_cost",
+        "revision_rate", "noise", "initial_free_riders"}) {
     ASSERT_NE(table().find(key), nullptr) << key;
     for (const char* value : {"nan", "inf", "-inf"}) {
       ExperimentConfig cfg;

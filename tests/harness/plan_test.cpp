@@ -359,7 +359,7 @@ TEST(Plan, RunPlanIsBitIdenticalForAnyThreadCountWithDemandProcesses) {
   plan.base.sim.stream_metrics = true;
   plan.axes = {{"demand", {"uniform", "zipf"}},
                {"burst_files", {"0", "3"}},
-               {"upload_mix", {"0", "0.25"}}};
+               {"upload_share", {"0", "0.25"}}};
   plan.seeds = 2;
 
   CaptureSink serial;
