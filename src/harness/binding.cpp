@@ -600,8 +600,21 @@ std::string validate(const core::ExperimentConfig& cfg) {
       cfg.sim.demand.diurnal_period <= 0.0) {
     return "diurnal_amp: requires diurnal_period > 0";
   }
-  if (cfg.sim.demand.kind == workload::DemandConfig::Kind::kZipf &&
-      cfg.sim.demand.catalog == 0 && cfg.sim.workload.catalog_size == 0) {
+  // One Zipf exponent applies per demand kind; the other would be a
+  // silent no-op (DemandEngine::effective_base).
+  const workload::DemandConfig& demand = cfg.sim.demand;
+  const double catalog_zipf = cfg.sim.workload.catalog_zipf_alpha;
+  const bool zipf_demand = demand.kind == workload::DemandConfig::Kind::kZipf;
+  if (!zipf_demand && demand.zipf_s != workload::DemandConfig{}.zipf_s) {
+    return "zipf_s: applies only under demand=zipf; the catalog's exponent "
+           "is catalog_zipf=";
+  }
+  if (zipf_demand &&
+      catalog_zipf != workload::WorkloadConfig{}.catalog_zipf_alpha) {
+    return "catalog_zipf: demand=zipf overrides it; the exponent is zipf_s=";
+  }
+  if (zipf_demand && demand.catalog == 0 &&
+      cfg.sim.workload.catalog_size == 0) {
     return "demand: zipf demand needs a catalog (set catalog=)";
   }
   return {};

@@ -319,6 +319,19 @@ TEST(Binding, ValidateCatchesCrossFieldConstraints) {
   EXPECT_NE(validate(cfg), "");
   cfg.trace_out.clear();
   EXPECT_EQ(validate(cfg), "");
+
+  // Each demand kind reads one Zipf exponent; setting the other does
+  // nothing, so it is an error that names the knob that applies.
+  cfg.sim.demand.zipf_s = 1.5;
+  EXPECT_TRUE(validate(cfg).starts_with("zipf_s:")) << validate(cfg);
+  EXPECT_NE(validate(cfg).find("catalog_zipf="), std::string::npos);
+  cfg.sim.demand.kind = workload::DemandConfig::Kind::kZipf;
+  EXPECT_EQ(validate(cfg), "");
+  cfg.sim.workload.catalog_zipf_alpha = 1.5;
+  EXPECT_TRUE(validate(cfg).starts_with("catalog_zipf:")) << validate(cfg);
+  EXPECT_NE(validate(cfg).find("zipf_s="), std::string::npos);
+  cfg.sim.demand = workload::DemandConfig{};
+  EXPECT_EQ(validate(cfg), "");  // the catalog's own exponent applies
 }
 
 TEST(Binding, WorkloadGenerationCategoryCoversTheGeneratorKnobs) {

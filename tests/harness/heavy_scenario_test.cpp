@@ -1,7 +1,8 @@
 // The heavy_traffic scenario's self-checks through the CLI path
 // fairswap_run uses: the default flash-crowd window opens in every shard,
-// a window no shard reaches is a violation with a nonzero exit, and the
-// max_rss_mb= gate holds for any limit that fits 64 bits.
+// a window no shard reaches is a violation with a nonzero exit, the
+// max_rss_mb= gate holds for any limit that fits 64 bits, and a
+// demand=uniform override runs without the scenario's Zipf exponent.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -55,6 +56,22 @@ TEST(HeavyTrafficScenario, DisabledBurstIsNotChecked) {
             0)
       << out;
   EXPECT_EQ(out.find("flash crowd opened"), std::string::npos) << out;
+}
+
+TEST(HeavyTrafficScenario, UniformDemandDropsTheScenarioZipfExponent) {
+  // The scenario's own zipf_s=0.9 must not make demand=uniform an error;
+  // a zipf_s= the user passes with it still is one.
+  std::string out;
+  EXPECT_EQ(run_heavy({"requests=20000", "shards=2", "threads=1",
+                       "demand=uniform"},
+                      out),
+            0)
+      << out;
+  EXPECT_EQ(run_heavy({"requests=20000", "shards=2", "threads=1",
+                       "demand=uniform", "zipf_s=0.9"},
+                      out),
+            2)
+      << out;
 }
 
 TEST(HeavyTrafficScenario, HugeRssLimitDoesNotWrap) {
