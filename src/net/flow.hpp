@@ -53,11 +53,9 @@ using FlowId = std::uint32_t;
 /// Flow-level simulation parameters (SimulationConfig::flow).
 struct FlowConfig {
   /// Capacity of each overlay routing-table edge, in chunks per tick.
+  /// Every node's uplink and downlink carry 4x this (a node serves
+  /// several table edges).
   double link_capacity{0.05};
-  /// Per-node uplink / downlink capacity in chunks per tick; 0 selects
-  /// the default of 4x link_capacity (a node serves several table edges).
-  double up_capacity{0.0};
-  double down_capacity{0.0};
   /// Ticks between consecutive file arrivals (file i arrives at time
   /// i * interarrival).
   SimTime interarrival{50};
@@ -68,10 +66,10 @@ struct FlowConfig {
   SimTime timeout{0};
   /// Record flow-completion times in a bounded-memory percentile sketch
   /// (common/stream_stats, relative error <= 1/(2*64)) instead of the
-  /// exact per-flow sample vector. Off by default so existing runs keep
-  /// exact percentiles; heavy-traffic runs switch it on so FCT memory is
-  /// O(occupied bins), not O(completed flows). The mean stays exact
-  /// either way (integer tick sum).
+  /// exact per-flow sample vector, so FCT memory is O(occupied bins), not
+  /// O(completed flows). Off by default so runs keep exact percentiles;
+  /// the `bounded_fct=` key switches it on. The mean stays exact either
+  /// way (integer tick sum).
   bool bounded_fct{false};
 
   friend bool operator==(const FlowConfig&, const FlowConfig&) = default;

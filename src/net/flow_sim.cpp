@@ -38,16 +38,13 @@ FlowSimulator::FlowSimulator(const overlay::CompiledRouter& router,
     throw std::invalid_argument(
         "flow link_capacity must be finite and positive");
   }
-  const double up = config_.up_capacity > 0.0 ? config_.up_capacity
-                                              : 4.0 * config_.link_capacity;
-  const double down = config_.down_capacity > 0.0
-                          ? config_.down_capacity
-                          : 4.0 * config_.link_capacity;
   for (std::size_t e = 0; e < router.edge_count(); ++e) {
-    net_.add_link(config_.link_capacity);
+    net_.add_link(capacity);
   }
-  for (std::size_t n = 0; n < node_count_; ++n) net_.add_link(up);
-  for (std::size_t n = 0; n < node_count_; ++n) net_.add_link(down);
+  // Uplinks, then downlinks.
+  for (std::size_t n = 0; n < 2 * node_count_; ++n) {
+    net_.add_link(4.0 * capacity);
+  }
   link_volume_.assign(net_.link_count(), 0.0);
 }
 
